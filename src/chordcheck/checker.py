@@ -32,6 +32,7 @@ from .events import (
 from .invariants import (
     TRIAL_INVARIANTS,
     conjuncts,
+    conjuncts_reference,
     is_valid,
     list_properties,
 )
@@ -84,6 +85,7 @@ class CheckReport:
             "statesChecked": self.states_checked,
             "violationCount": self.violation_count,
             "violations": [v.to_dict() for v in self.violations],
+            "violationsTruncated": self.violation_count > len(self.violations),
             "bounds": self.bounds,
             "info": self.info,
             "passed": self.passed,
@@ -109,6 +111,14 @@ def _dead_placeholder(ident: int, ids: tuple[int, ...], r: int) -> NodeState:
     return NodeState(ident=ident, succ_list=succ, pred=None)
 
 
+def require_exhaustible(params: RingParams, max_nodes: int) -> None:
+    """Raise ValueError when the bounds exceed the exhaustive enumeration ceiling."""
+    if max_nodes > EXHAUSTION_MAX_NODES or params.r != EXHAUSTION_R:
+        raise ValueError(
+            f"exhaustion ceiling is n <= {EXHAUSTION_MAX_NODES}, r = {EXHAUSTION_R}"
+        )
+
+
 def enumerate_valid_states(params: RingParams, max_nodes: int):
     """Every valid network over at most `max_nodes` identifiers, in fixed order.
 
@@ -117,44 +127,47 @@ def enumerate_valid_states(params: RingParams, max_nodes: int):
     order test is rotation invariant), so nothing is lost by the collapse.
     Per-node successor lists are pre-restricted to duplicate-free ordered
     extended lists, which every valid state satisfies.
+
+    Predecessors are factored out: no validity conjunct reads a predecessor,
+    so a state is valid exactly when its successor lists are. Each list shape
+    is checked once with predecessors unset, and a valid shape is then
+    yielded under every predecessor assignment. The order is shape-major.
     """
-    if max_nodes > EXHAUSTION_MAX_NODES or params.r != EXHAUSTION_R:
-        raise ValueError(
-            f"exhaustion ceiling is n <= {EXHAUSTION_MAX_NODES}, r = {EXHAUSTION_R}"
-        )
+    require_exhaustible(params, max_nodes)
     r = params.r
     for n_total in range(r + 1, max_nodes + 1):
         ids = tuple(range(n_total))
+        preds = (None, *ids)
         for live_size in range(r + 1, n_total + 1):
             for live in itertools.combinations(ids, live_size):
                 live_set = frozenset(live)
                 dead = tuple(i for i in ids if i not in live_set)
+                placeholders = {d: _dead_placeholder(d, ids, r) for d in dead}
+                shapes = [_ordered_pairs(x, [i for i in ids if i != x]) for x in live]
                 for base in itertools.combinations(live, r + 1):
-                    per_node: list[list[NodeState]] = []
-                    for x in live:
-                        pool = [i for i in ids if i != x]
-                        states = [
-                            NodeState(ident=x, succ_list=pair, pred=p)
-                            for pair in _ordered_pairs(x, pool)
-                            for p in [None, *ids]
-                        ]
-                        per_node.append(states)
-                    placeholders = {d: _dead_placeholder(d, ids, r) for d in dead}
-                    for combo in itertools.product(*per_node):
-                        nodes = {s.ident: s for s in combo}
+                    for shape in itertools.product(*shapes):
+                        nodes = {x: NodeState(ident=x, succ_list=lst) for x, lst in zip(live, shape)}
                         nodes.update(placeholders)
                         net = Network(
-                            params=params,
-                            base=frozenset(base),
-                            nodes=nodes,
-                            live=live_set,
+                            params=params, base=frozenset(base), nodes=nodes, live=live_set
                         )
-                        if is_valid(net):
-                            yield net
+                        if not is_valid(net):
+                            continue
+                        per_node = [
+                            [NodeState(ident=x, succ_list=lst, pred=p) for p in preds]
+                            for x, lst in zip(live, shape)
+                        ]
+                        for combo in itertools.product(*per_node):
+                            nodes = {state.ident: state for state in combo}
+                            nodes.update(placeholders)
+                            yield replace(net, nodes=nodes)
 
 
 def count_valid_states_bruteforce(params: RingParams, max_nodes: int) -> int:
     """Independent oracle: unpruned generate-and-filter count of valid states.
+
+    It judges validity with `conjuncts_reference`, not the one-pass
+    `conjuncts` that the enumeration uses.
 
     Successor lists range over every raw assignment; predecessors multiply the
     count independently since no validity conjunct reads them.
@@ -183,7 +196,7 @@ def count_valid_states_bruteforce(params: RingParams, max_nodes: int) -> int:
                         live=live_set,
                     )
                     # Base choice affects only BaseNotSkipped; evaluate per base.
-                    c = conjuncts(net)
+                    c = conjuncts_reference(net)
                     if not (
                         c.at_least_one_ring
                         and c.at_most_one_ring
@@ -192,7 +205,7 @@ def count_valid_states_bruteforce(params: RingParams, max_nodes: int) -> int:
                     ):
                         continue
                     for base in itertools.combinations(live, r + 1):
-                        c2 = conjuncts(replace(net, base=frozenset(base)))
+                        c2 = conjuncts_reference(replace(net, base=frozenset(base)))
                         if c2.base_not_skipped:
                             total += pred_choices**live_size
     return total

@@ -19,6 +19,7 @@ from .netstate import (
     network_from_dict,
     network_to_dict,
     network_to_json,
+    validate_network,
 )
 from .events import Event, apply_event, event_from_dict, is_enabled
 from .invariants import (
@@ -70,10 +71,14 @@ class Scenario:
 def scenario_from_dict(data: dict) -> Scenario:
     params = RingParams(m=data["params"]["m"], r=data["params"]["r"])
     initial = data.get("initialState")
+    initial_state = None
+    if initial:
+        initial_state = network_from_dict(initial)
+        validate_network(initial_state)
     return Scenario(
         params=params,
         base=tuple(data.get("base", [])),
-        initial_state=network_from_dict(initial) if initial else None,
+        initial_state=initial_state,
         script=tuple(
             ScriptedEvent(event=event_from_dict(rec), force=bool(rec.get("force")))
             for rec in data["script"]
@@ -343,6 +348,12 @@ def _cmd_check(args) -> int:
 
     if args.mode == "exhaustive":
         params = RingParams(m=args.m or 3, r=r)
+        if args.target != "implications":
+            try:
+                checker.require_exhaustible(params, args.n)
+            except ValueError as err:
+                print(f"check {args.target}: {err}", file=sys.stderr)
+                return EXIT_USAGE
         bounds = {"n": args.n, "r": r, "mode": "exhaustive", "seed": None}
         make_states = lambda: checker.enumerate_valid_states(params, args.n)  # noqa: E731
         raw_states = lambda: checker.enumerate_raw_list_states(params, args.n)  # noqa: E731
@@ -376,10 +387,25 @@ def _cmd_check(args) -> int:
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
+def _load_network(path: str) -> Network:
+    """Read and validate a network file; malformed content raises ValueError."""
+    with open(path, encoding="utf-8") as fh:
+        data = json.load(fh)
+    try:
+        net = network_from_dict(data)
+    except (AttributeError, KeyError, TypeError) as err:
+        raise ValueError(f"malformed network record: {err!r}") from err
+    validate_network(net)
+    return net
+
+
 def _cmd_explore(args) -> int:
     if args.net:
-        with open(args.net, encoding="utf-8") as fh:
-            net = network_from_dict(json.load(fh))
+        try:
+            net = _load_network(args.net)
+        except (OSError, ValueError) as err:
+            print(f"cannot parse network: {err}", file=sys.stderr)
+            return EXIT_PARSE
     else:
         if not args.base:
             print("explore: provide --net or --base", file=sys.stderr)
@@ -441,9 +467,8 @@ def _cmd_replay(args) -> int:
 
 def _cmd_export_dot(args) -> int:
     try:
-        with open(args.network, encoding="utf-8") as fh:
-            net = network_from_dict(json.load(fh))
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as err:
+        net = _load_network(args.network)
+    except (OSError, ValueError) as err:
         print(f"cannot parse network: {err}", file=sys.stderr)
         return EXIT_PARSE
     text = export_dot(net)

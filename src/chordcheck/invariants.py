@@ -8,10 +8,11 @@ predecessor pointers; they constrain successor-list structure only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import pairwise
 
 from .ident import between
 from .netstate import Network, extended_succ_list
-from .topology import best_successor_map, ring_cycle, ring_members, _cycle_is_ordered
+from .topology import best_successor_map, ring_cycle, ring_members, _cycle_is_ordered, _walk
 
 
 @dataclass(frozen=True)
@@ -66,6 +67,33 @@ def skips(net: Network, n: int, n2: int) -> bool:
 
 
 def conjuncts(net: Network) -> ConjunctReport:
+    """All five validity conjuncts from one walk of the best-successor graph.
+
+    `conjuncts_reference` computes the same report from the from-scratch
+    topology queries and is its test oracle.
+    """
+    walk = _walk(net)
+    live = net.live
+    live_base = [b for b in net.base if b in live]
+    nodes = net.nodes
+    # One scan of adjacent extended-list pairs; stops at the first skip.
+    base_ok = not any(
+        between(a, b, c)
+        for n in live
+        for a, c in pairwise((n,) + nodes[n].succ_list)
+        for b in live_base
+    )
+    return ConjunctReport(
+        at_least_one_ring=bool(walk.ring),
+        at_most_one_ring=walk.cycle_count <= 1,
+        ordered_ring=_cycle_is_ordered(walk.cycle),
+        connected_appendages=walk.connected,
+        base_not_skipped=base_ok,
+    )
+
+
+def conjuncts_reference(net: Network) -> ConjunctReport:
+    """From-scratch conjuncts: each query rebuilds the best-successor map."""
     ring = ring_members(net)
     cycle = ring_cycle(net)
     at_least = bool(ring)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
 from .ident import RingParams
 
@@ -119,6 +119,43 @@ def init_network(params: RingParams, base_ids: Iterable[int]) -> Network:
         succ_list = tuple(ids[(pos + j) % k] for j in range(1, params.r + 1))
         nodes[ident] = NodeState(ident=ident, succ_list=succ_list, pred=ids[(pos - 1) % k])
     return Network(params=params, base=frozenset(ids), nodes=nodes, live=frozenset(ids))
+
+
+def validate_network(net: Network) -> None:
+    """Raise ValueError unless the network is well formed.
+
+    Every identifier is an int in [0, 2**m); every live member's successor
+    list has exactly r entries; every list entry, predecessor and base
+    member names a tracked node.
+    """
+    space = net.params.space
+
+    def check_ident(value: Any, what: str) -> None:
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"{what} {value!r} is not an identifier")
+        if not 0 <= value < space:
+            raise ValueError(f"{what} {value} outside [0, {space})")
+
+    def check_tracked(value: int, what: str) -> None:
+        check_ident(value, what)
+        if value not in net.nodes:
+            raise ValueError(f"{what} {value} is not a tracked node")
+
+    for ident, state in net.nodes.items():
+        check_ident(ident, "node")
+        if ident in net.live and len(state.succ_list) != net.params.r:
+            raise ValueError(
+                f"member {ident} has {len(state.succ_list)} successors, expected r={net.params.r}"
+            )
+        for entry in state.succ_list:
+            check_tracked(entry, f"successor of {ident}")
+        if state.pred is not None:
+            check_tracked(state.pred, f"predecessor of {ident}")
+        for value in (state.pending_new_succ, state.pending_candidate):
+            if value is not None:
+                check_ident(value, f"pending value of {ident}")
+    for b in net.base:
+        check_tracked(b, "base member")
 
 
 def extended_succ_list(net: Network, n: int) -> tuple[int, ...]:

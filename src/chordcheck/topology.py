@@ -7,6 +7,7 @@ out of scope since correctness of ring maintenance does not depend on it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .ident import between, clockwise_distance
 from .netstate import Network
@@ -83,12 +84,76 @@ def _cycle_is_ordered(cycle: tuple[int, ...] | None) -> bool:
     return all(between(cycle[i], cycle[(i + 1) % k], cycle[(i + 2) % k]) for i in range(k))
 
 
+class _Walk(NamedTuple):
+    ring: frozenset[int]
+    cycle_count: int
+    cycle: tuple[int, ...] | None
+    connected: bool
+
+
+def _walk(net: Network) -> _Walk:
+    """One pass over the best-successor graph.
+
+    Builds the best-successor map once, then follows each chain until it
+    ends (no live successor), closes a new cycle, or joins a chain already
+    walked. Returns the members on any cycle, the number of cycles, the cycle
+    through the smallest ring member, and whether every live member's chain
+    ends on a cycle. `ring_members`, `ring_cycle` and `best_successor_map`
+    compute the same facts from scratch and serve as its test oracle.
+    """
+    live = net.live
+    nodes = net.nodes
+    bs: dict[int, int | None] = {}
+    for n in live:
+        for entry in nodes[n].succ_list:
+            if entry in live:
+                bs[n] = entry
+                break
+        else:
+            bs[n] = None
+
+    ends_on_ring: dict[int, bool] = {}
+    ring: set[int] = set()
+    cycle_count = 0
+    for start in bs:
+        if start in ends_on_ring:
+            continue
+        path: list[int] = []
+        on_path: dict[int, int] = {}
+        cur = start
+        while cur is not None and cur not in ends_on_ring and cur not in on_path:
+            on_path[cur] = len(path)
+            path.append(cur)
+            cur = bs[cur]
+        if cur is None:
+            ends = False
+        elif cur in on_path:
+            ring.update(path[on_path[cur]:])
+            cycle_count += 1
+            ends = True
+        else:
+            ends = ends_on_ring[cur]
+        for p in path:
+            ends_on_ring[p] = ends
+
+    cycle = None
+    if ring:
+        first = min(ring)
+        seq = [first]
+        cur = bs[first]
+        while cur != first:
+            seq.append(cur)
+            cur = bs[cur]
+        cycle = tuple(seq)
+    return _Walk(frozenset(ring), cycle_count, cycle, all(ends_on_ring.values()))
+
+
 def structure(net: Network) -> StructureReport:
-    ring = ring_members(net)
+    walk = _walk(net)
     return StructureReport(
-        ring_members=ring,
-        appendage_members=frozenset(net.live) - ring,
-        ordered_ring_flag=_cycle_is_ordered(ring_cycle(net)),
+        ring_members=walk.ring,
+        appendage_members=frozenset(net.live) - walk.ring,
+        ordered_ring_flag=_cycle_is_ordered(walk.cycle),
     )
 
 
@@ -147,7 +212,7 @@ def lookup_succ(net: Network, joining: int) -> int | None:
     """
     if net.is_live(joining):
         raise ValueError(f"{joining} is already a live member")
-    cycle = ring_cycle(net)
+    cycle = _walk(net).cycle
     if cycle is None:
         return None
     if len(cycle) == 1:

@@ -1,9 +1,11 @@
 """State generation, lemma checks, exploration, and counterexample search."""
 
+import itertools
+
 import pytest
 
 from chordcheck.ident import RingParams
-from chordcheck.netstate import init_network
+from chordcheck.netstate import Network, NodeState, init_network
 from chordcheck.events import (
     Event,
     EventKind,
@@ -17,6 +19,7 @@ from chordcheck.events import (
 )
 from chordcheck.invariants import (
     conjuncts,
+    conjuncts_reference,
     eight_conjunct_trial,
     is_valid,
     six_conjunct_trial,
@@ -50,11 +53,64 @@ class TestEnumerateValidStates:
         second = [n.canonical_key() for n in checker.enumerate_valid_states(SMALL, 4)]
         assert first[:200] == second[:200]
 
+    def test_same_states_as_the_full_product(self):
+        factored = {n.canonical_key() for n in checker.enumerate_valid_states(SMALL, 4)}
+        assert factored == {n.canonical_key() for n in _full_product_valid_states(SMALL, 4)}
+
+    def test_every_state_passes_the_reference_conjuncts(self):
+        for net in checker.enumerate_valid_states(SMALL, 4):
+            assert conjuncts_reference(net).valid
+
     def test_rejects_bounds_beyond_ceiling(self):
         with pytest.raises(ValueError):
             next(checker.enumerate_valid_states(SMALL, 5))
         with pytest.raises(ValueError):
             next(checker.enumerate_valid_states(RingParams(m=3, r=3), 4))
+
+
+def _full_product_valid_states(params, max_nodes):
+    """Generate-and-filter over every (list, predecessor) choice per live node.
+
+    The enumeration before predecessors were factored out, kept as the
+    oracle for the shape-major one.
+    """
+    r = params.r
+    for n_total in range(r + 1, max_nodes + 1):
+        ids = tuple(range(n_total))
+        for live_size in range(r + 1, n_total + 1):
+            for live in itertools.combinations(ids, live_size):
+                live_set = frozenset(live)
+                dead = tuple(i for i in ids if i not in live_set)
+                for base in itertools.combinations(live, r + 1):
+                    per_node = [
+                        [
+                            NodeState(ident=x, succ_list=pair, pred=p)
+                            for pair in checker._ordered_pairs(x, [i for i in ids if i != x])
+                            for p in [None, *ids]
+                        ]
+                        for x in live
+                    ]
+                    placeholders = {d: checker._dead_placeholder(d, ids, r) for d in dead}
+                    for combo in itertools.product(*per_node):
+                        nodes = {s.ident: s for s in combo}
+                        nodes.update(placeholders)
+                        net = Network(params=params, base=frozenset(base), nodes=nodes, live=live_set)
+                        if is_valid(net):
+                            yield net
+
+
+class TestCheckReport:
+    def test_embedded_violation_cap_is_reported(self):
+        net = init_network(WIDE, [7, 19, 33])
+        report = checker.CheckReport(lemma="L")
+        report.add_violation(net, None, "violation 0")
+        assert report.to_dict()["violationsTruncated"] is False
+        for i in range(1, 30):
+            report.add_violation(net, None, f"violation {i}")
+        data = report.to_dict()
+        assert data["violationCount"] == 30
+        assert len(data["violations"]) == checker.CheckReport.MAX_EMBEDDED
+        assert data["violationsTruncated"] is True
 
 
 class TestSampleValidStates:

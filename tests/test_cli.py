@@ -47,6 +47,19 @@ class TestReplayScenarios:
         path.write_text(json.dumps(scenario))
         assert cli.main(["replay", str(path)]) == cli.EXIT_EXPECTATION
 
+    def test_malformed_initial_state_exit_2(self, tmp_path):
+        initial = network_to_dict(init_network(RingParams(6, 2), [7, 19, 33]))
+        initial["nodes"][1]["succList"] = []
+        scenario = {
+            "params": {"m": 6, "r": 2},
+            "initialState": initial,
+            "script": [],
+            "expectations": [{"step": 0, "predicate": "succ", "args": [19], "expected": 33}],
+        }
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(scenario))
+        assert cli.main(["replay", str(path)]) == cli.EXIT_PARSE
+
     def test_unknown_flag_exit_64(self):
         assert cli.main(["replay", "--bogus"]) == cli.EXIT_USAGE
 
@@ -80,6 +93,31 @@ class TestExportDot:
         assert cli.main(["export-dot", str(netfile)]) == cli.EXIT_OK
         out = capsys.readouterr().out
         assert out.startswith("digraph ring {")
+
+
+class TestNetworkFiles:
+    @pytest.fixture
+    def empty_list_network(self, tmp_path):
+        data = network_to_dict(init_network(RingParams(6, 2), [7, 19, 33]))
+        data["nodes"][1]["succList"] = []
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(data))
+        return path
+
+    def test_explore_rejects_empty_successor_list(self, empty_list_network, capsys):
+        code = cli.main(["explore", "--net", str(empty_list_network), "--depth", "2"])
+        assert code == cli.EXIT_PARSE
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_export_dot_rejects_empty_successor_list(self, empty_list_network, capsys):
+        assert cli.main(["export-dot", str(empty_list_network)]) == cli.EXIT_PARSE
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ['{"m": 6}', "[1, 2]", '{"m": 6, "r": 2, "base": [], "nodes": [5]}'])
+    def test_explore_rejects_malformed_records(self, tmp_path, text):
+        path = tmp_path / "net.json"
+        path.write_text(text)
+        assert cli.main(["explore", "--net", str(path)]) == cli.EXIT_PARSE
 
 
 class TestInitCommand:
@@ -122,6 +160,13 @@ class TestCheckCommand:
         data = json.loads(report_file.read_text())
         assert data["passed"] is True
         assert data["info"] == {"cases": 43144, "capped": False}
+
+    def test_exhaustive_bounds_beyond_ceiling_exit_64(self, capsys):
+        code = cli.main(["check", "preservation", "--n", "5", "--r", "2", "--mode", "exhaustive"])
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
 
     def test_trial_search_writes_artifact(self, tmp_path, capsys):
         out = tmp_path / "cex.json"

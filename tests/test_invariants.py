@@ -4,11 +4,14 @@ from itertools import combinations
 
 from dataclasses import replace
 
+from hypothesis import given, strategies as st
+
 from chordcheck.ident import RingParams
 from chordcheck.netstate import init_network
-from chordcheck.events import apply_fail, apply_stabilize_from_old_successor
+from chordcheck.events import apply_event, apply_fail, apply_stabilize_from_old_successor
 from chordcheck.invariants import (
     conjuncts,
+    conjuncts_reference,
     eight_conjunct_trial,
     is_valid,
     list_properties,
@@ -17,7 +20,13 @@ from chordcheck.invariants import (
     skips,
     trial_predicates,
 )
-from chordcheck.checker import sample_raw_states, sample_valid_states
+from chordcheck.checker import (
+    enumerate_raw_list_states,
+    enumerate_valid_states,
+    preservation_cases,
+    sample_raw_states,
+    sample_valid_states,
+)
 
 from conftest import (
     undersized_init_state,
@@ -170,3 +179,25 @@ class TestImplications:
             for n in net.live:
                 props = list_properties(net, n)
                 assert props.no_duplicates and props.ordered_successor_lists
+
+
+class TestConjunctsMatchReference:
+    """The one-pass conjuncts against the from-scratch oracle."""
+
+    def test_every_raw_list_state_up_to_four_nodes(self):
+        for net in enumerate_raw_list_states(RingParams(3, 2), 4):
+            assert conjuncts(net) == conjuncts_reference(net), net
+
+    def test_every_post_event_state_of_the_three_node_sweep(self):
+        checked = 0
+        for net in enumerate_valid_states(RingParams(3, 2), 3):
+            for prepared, ev in preservation_cases(net):
+                post = apply_event(prepared, ev)
+                assert conjuncts(post) == conjuncts_reference(post), (prepared, ev)
+                checked += 1
+        assert checked > 0
+
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_sampled_raw_states(self, seed):
+        for net in sample_raw_states(RingParams(6, 3), 9, 20, seed):
+            assert conjuncts(net) == conjuncts_reference(net), net

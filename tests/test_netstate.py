@@ -1,5 +1,8 @@
 """Network construction, extended lists, and serialization round-trips."""
 
+import typing
+from dataclasses import replace
+
 import pytest
 
 from chordcheck.ident import RingParams
@@ -11,6 +14,7 @@ from chordcheck.netstate import (
     network_from_json,
     network_to_dict,
     network_to_json,
+    validate_network,
 )
 from chordcheck.invariants import is_valid
 from chordcheck.topology import is_ideal
@@ -57,6 +61,47 @@ class TestInitNetwork:
         net = init_network(params, [4, 18, 33, 50])
         assert net.node(50).succ_list == (4, 18, 33)
         assert is_ideal(net)
+
+    def test_annotations_resolve(self):
+        hints = typing.get_type_hints(init_network)
+        assert hints["base_ids"] == typing.Iterable[int]
+
+
+class TestValidateNetwork:
+    def test_accepts_sampled_states(self):
+        for net in sample_valid_states(RingParams(6, 3), 9, 100, seed=5):
+            validate_network(net)
+
+    def test_accepts_a_departed_member(self):
+        validate_network(apply_fail(wrap_trap_state(), 3))
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"succ_list": ()},
+            {"succ_list": (20,)},
+            {"succ_list": (20, 31, 52)},
+            {"succ_list": (20, 40)},
+            {"pred": 40},
+            {"succ_list": (20, 64)},
+            {"pred": -1},
+        ],
+    )
+    def test_rejects_malformed_member(self, change):
+        net = wrap_trap_state()
+        net = net.with_node(replace(net.node(52), **change))
+        with pytest.raises(ValueError):
+            validate_network(net)
+
+    def test_rejects_untracked_base_member(self):
+        net = wrap_trap_state()
+        with pytest.raises(ValueError):
+            validate_network(replace(net, base=frozenset({20, 31, 40})))
+
+    def test_rejects_out_of_range_identifier(self):
+        net = make_net(3, 2, base=[1, 2, 9], nodes={1: (9, (2, 9)), 2: (1, (9, 1)), 9: (2, (1, 2))})
+        with pytest.raises(ValueError):
+            validate_network(net)
 
 
 class TestExtendedSuccList:

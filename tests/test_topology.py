@@ -14,6 +14,7 @@ from chordcheck.topology import (
     ring_cycle,
     ring_members,
     structure,
+    _walk,
 )
 from chordcheck.invariants import is_valid
 from chordcheck.measure import total_error
@@ -128,6 +129,21 @@ class TestLookupSucc:
         net = init_network(PARAMS, [7, 19, 33])
         with pytest.raises(ValueError):
             lookup_succ(net, 19)
+
+    def test_matches_the_ring_cycle_oracle(self):
+        for net in sample_valid_states(RingParams(6, 3), 9, 200, seed=22):
+            walk = _walk(net)
+            cycle = ring_cycle(net)
+            assert walk.ring == ring_members(net)
+            assert walk.cycle == cycle
+            k = len(cycle)
+            for j in range(64):
+                if net.is_live(j):
+                    continue
+                expected = next(
+                    cycle[(i + 1) % k] for i in range(k) if between(cycle[i], j, cycle[(i + 1) % k])
+                )
+                assert lookup_succ(net, j) == expected
 
     def test_between_consistency(self):
         # For the returned y and its ring predecessor x, between(x, j, y).
