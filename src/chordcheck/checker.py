@@ -25,7 +25,7 @@ from .events import (
     apply_stabilize_from_new_successor,
     enabled_events,
     event_to_dict,
-    fail_guard_holds,
+    failable,
     is_enabled,
     join_precondition_holds,
 )
@@ -476,8 +476,9 @@ def preservation_cases(net: Network, kinds=ALL_KINDS):
             if net.is_live(head):
                 yield net, Event(EventKind.RECTIFY, head, new_pred=p)
     if EventKind.FAIL in kinds:
+        fails = failable(net) - net.base
         for n in live:
-            if n not in net.base and fail_guard_holds(net, n):
+            if n in fails:
                 yield net, Event(EventKind.FAIL, n)
 
 
@@ -704,8 +705,9 @@ def search_trial_counterexample(
     else:
         states = sample_trial_states(params, max_nodes, max_states, seed, trial)
     for net in states:
+        fails = failable(net) - net.base
         for n in net.live_idents():
-            if n not in net.base and fail_guard_holds(net, n):
+            if n in fails:
                 ev = Event(EventKind.FAIL, n)
                 post = apply_event(net, ev)
                 if not predicate(post) and broken(post):

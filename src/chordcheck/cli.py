@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from dataclasses import dataclass
 
 from .ident import RingParams
@@ -21,7 +22,7 @@ from .netstate import (
     network_to_json,
     validate_network,
 )
-from .events import Event, apply_event, event_from_dict, is_enabled
+from .events import Event, EventKind, apply_event, event_from_dict, is_enabled
 from .invariants import (
     conjuncts,
     eight_conjunct_trial,
@@ -448,6 +449,8 @@ def _cmd_simulate(args) -> int:
         f"repair_events={sum(1 for s in trace.steps if s.tag == simulation.REPAIR)} "
         f"effective_repairs={steps} seed={args.seed}"
     )
+    kinds = Counter(s.event.kind for s in trace.steps)
+    print("events: " + " ".join(f"{kind.value}={kinds[kind]}" for kind in EventKind))
     if args.trace_out:
         simulation.write_trace_jsonl(trace, args.trace_out, args.snapshot_interval)
     return EXIT_OK

@@ -216,6 +216,36 @@ def fail_guard_holds(net: Network, n: int) -> bool:
     return True
 
 
+def failable(net: Network) -> frozenset[int]:
+    """The members n for which `fail_guard_holds(net, n)`, from one pass over the lists.
+
+    A member whose only live entry is some other member e makes e critical:
+    e's fail would strand it. A member with no live entry is stranded already,
+    so it blocks every fail but its own. `fail_guard_holds` is the oracle.
+    """
+    live = net.live
+    nodes = net.nodes
+    critical: set[int] = set()
+    stranded: list[int] = []
+    for m in live:
+        only = None
+        for e in nodes[m].succ_list:
+            if e in live:
+                if only is None:
+                    only = e
+                elif e != only:
+                    break  # two distinct live entries: no single fail strands m
+        else:
+            if only is None:
+                stranded.append(m)
+            elif only != m:
+                critical.add(only)
+    if len(stranded) > 1:
+        return frozenset()
+    candidates = live if not stranded else frozenset(stranded)
+    return candidates - critical
+
+
 def apply_fail(net: Network, n: int, force: bool = False) -> Network:
     """Remove a member, retaining its last state read-only.
 
@@ -313,6 +343,7 @@ def enabled_events(
         ev = Event(EventKind.JOIN, j)
         if is_enabled(net, ev):
             events.append(ev)
+    fails = failable(net) - net.base
     for n in net.live_idents():
         ev = Event(EventKind.STABILIZE_FROM_OLD_SUCCESSOR, n)
         if is_enabled(net, ev):
@@ -320,9 +351,8 @@ def enabled_events(
         ev = Event(EventKind.STABILIZE_FROM_NEW_SUCCESSOR, n)
         if is_enabled(net, ev):
             events.append(ev)
-        ev = Event(EventKind.FAIL, n)
-        if is_enabled(net, ev):
-            events.append(ev)
+        if n in fails:
+            events.append(Event(EventKind.FAIL, n))
     for p in net.live_idents():
         head = net.node(p).succ_list[0]
         ev = Event(EventKind.RECTIFY, head, new_pred=p)

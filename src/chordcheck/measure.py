@@ -92,13 +92,36 @@ def error_vector(net: Network) -> tuple[int, ...]:
 
     Entry 0 sums every live member's predecessor and first-successor errors;
     entry k-1 (2 <= k <= r) sums the members' k-th successor scores.
+
+    Every clockwise rank is read from one position map of the sorted live
+    ring: with s members, (pos[to] - pos[frm] - 1) mod s members lie strictly
+    inside the arc. Per-role sums of `pointer_error` are the test oracle.
     """
     r = net.params.r
+    nodes = net.nodes
+    pos = {x: i for i, x in enumerate(sorted(net.live))}
+    s = len(pos)
     levels = [0] * r
-    for n in net.live:
-        levels[0] += pointer_error(net, n, ROLE_PRED)
-        for k in range(1, r + 1):
-            levels[k - 1] += pointer_error(net, n, succ_role(k))
+    for n, i in pos.items():
+        state = nodes[n]
+        v = state.pred
+        if v is None:
+            levels[0] += s
+        elif v in pos:
+            levels[0] += (i - pos[v] - 1) % s
+        else:
+            levels[0] += s + 1
+        succ = state.succ_list
+        head = succ[0]
+        if head in pos:
+            levels[0] += (pos[head] - i - 1) % s
+            head_list = nodes[head].succ_list
+            for k in range(1, r):
+                levels[k] += succ[k] != head_list[k - 1]
+        else:
+            levels[0] += s + 1
+            for k in range(1, r):
+                levels[k] += 1
     return tuple(levels)
 
 

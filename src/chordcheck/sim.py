@@ -10,10 +10,19 @@ from __future__ import annotations
 
 import json
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .ident import RingParams
-from .netstate import Network, Trace, TraceStep, init_network, network_to_dict, network_from_dict
+from .netstate import (
+    Network,
+    Trace,
+    TraceStep,
+    init_network,
+    network_from_dict,
+    network_to_dict,
+    validate_network,
+)
 from .events import (
     Event,
     EventKind,
@@ -24,7 +33,7 @@ from .events import (
     apply_stabilize_from_old_successor,
     event_from_dict,
     event_to_dict,
-    fail_guard_holds,
+    failable,
     is_enabled,
     join_precondition_holds,
 )
@@ -71,8 +80,33 @@ def _default_base(params: RingParams, rng: random.Random) -> tuple[int, ...]:
     return tuple(sorted(set(ids)))
 
 
-def _pick(rng: random.Random, items: list) -> object:
+def _pick(rng: random.Random, items: Sequence) -> object:
     return items[rng.randrange(len(items))]
+
+
+def _kth_unblocked(k: int, blocked: list[int]) -> int:
+    """The k-th (0-based) identifier, in increasing order, not in sorted `blocked`."""
+    for b in blocked:
+        if b > k:
+            break
+        k += 1
+    return k
+
+
+def _repair_pool(net: Network, live: tuple[int, ...]) -> list[Event]:
+    """Every enabled stabilize and rectify, in the order the scheduler draws from."""
+    repairs: list[Event] = []
+    for n in live:
+        repairs.append(Event(EventKind.STABILIZE_FROM_OLD_SUCCESSOR, n))
+        ev = Event(EventKind.STABILIZE_FROM_NEW_SUCCESSOR, n)
+        if is_enabled(net, ev):
+            repairs.append(ev)
+    for p in live:
+        head = net.node(p).succ_list[0]
+        ev = Event(EventKind.RECTIFY, head, new_pred=p)
+        if is_enabled(net, ev):
+            repairs.append(ev)
+    return repairs
 
 
 def run_simulation(config: SimConfig) -> Trace:
@@ -104,50 +138,44 @@ def run_simulation(config: SimConfig) -> Trace:
                 if not net.is_live(target) or join_precondition_holds(net, j, target):
                     # Completable, or a dead result that times out and clears.
                     joins.append(Event(EventKind.JOIN, j))
-            fresh = [i for i in range(params.space) if not net.is_live(i)]
-            fresh = [
-                i
-                for i in fresh
-                if net.nodes.get(i) is None or net.nodes[i].pending_new_succ is None
-            ]
-            if fresh:
-                j = _pick(rng, fresh)
-                ev = Event(EventKind.JOIN_LOOKUP, j, known=_pick(rng, list(live)))
+            # A fresh joiner is any identifier neither live nor mid-join, and
+            # it needs a live contact: with allow_base_fail every member can fail.
+            blocked = sorted([*live, *pending])
+            if live and len(blocked) < params.space:
+                j = _kth_unblocked(rng.randrange(params.space - len(blocked)), blocked)
+                ev = Event(EventKind.JOIN_LOOKUP, j, known=_pick(rng, live))
                 if is_enabled(net, ev):
                     joins.append(ev)
+        ok = failable(net)
         fails = [
             Event(EventKind.FAIL, n)
             for n in live
-            if (config.allow_base_fail or n not in net.base) and fail_guard_holds(net, n)
+            if n in ok and (config.allow_base_fail or n not in net.base)
         ]
-        repairs: list[Event] = []
-        for n in live:
-            repairs.append(Event(EventKind.STABILIZE_FROM_OLD_SUCCESSOR, n))
-            ev = Event(EventKind.STABILIZE_FROM_NEW_SUCCESSOR, n)
-            if is_enabled(net, ev):
-                repairs.append(ev)
-        for p in live:
-            head = net.node(p).succ_list[0]
-            ev = Event(EventKind.RECTIFY, head, new_pred=p)
-            if is_enabled(net, ev):
-                repairs.append(ev)
 
+        # The repair pool holds a stabilize for every member, so it is
+        # non-empty exactly when a member is live: it is built only if picked.
         pools = [
-            (config.join_weight, joins),
-            (config.fail_weight, fails),
-            (config.repair_weight, repairs),
+            (w, p)
+            for w, p, nonempty in (
+                (config.join_weight, joins, joins),
+                (config.fail_weight, fails, fails),
+                (config.repair_weight, None, live),
+            )
+            if nonempty and w > 0
         ]
-        pools = [(w, p) for w, p in pools if p and w > 0]
         if not pools:
             break
         total_w = sum(w for w, _ in pools)
         roll = rng.random() * total_w
-        pool: list[Event] = pools[-1][1]
+        pool = pools[-1][1]
         for w, p in pools:
             if roll < w:
                 pool = p
                 break
             roll -= w
+        if pool is None:
+            pool = _repair_pool(net, live)
         ev = _pick(rng, pool)
         if ev.kind is EventKind.FAIL:
             net = record(ev, apply_fail(net, ev.node, force=config.allow_base_fail), CHURN)
@@ -212,10 +240,9 @@ def convergence_steps(trace: Trace) -> int:
     converged_at: int | None = None
     repair_steps = [s for s in trace.steps if s.tag == REPAIR]
     for i, step in enumerate(repair_steps):
-        changed = any(
-            visible_state(prev, n) != visible_state(step.network, n)
-            for n in step.network.live_idents()
-        )
+        # A repair event alters only its executor's state.
+        n = step.event.node
+        changed = visible_state(prev, n) != visible_state(step.network, n)
         if changed and converged_at is None:
             effective += 1
         if converged_at is None and is_ideal(step.network):
@@ -242,6 +269,7 @@ def write_trace_jsonl(trace: Trace, path: str, snapshot_interval: int = 0) -> No
             "snapshotInterval": snapshot_interval,
         }
         fh.write(json.dumps(header, sort_keys=True) + "\n")
+        prev = trace.initial
         for i, step in enumerate(trace.steps, start=1):
             rec = {
                 "type": "step",
@@ -252,6 +280,9 @@ def write_trace_jsonl(trace: Trace, path: str, snapshot_interval: int = 0) -> No
                 "valid": conjuncts(step.network).valid,
                 "ideal": is_ideal(step.network),
             }
+            if step.event.kind is EventKind.FAIL and not is_enabled(prev, step.event):
+                rec["force"] = True
+            prev = step.network
             if snapshot_interval and (i % snapshot_interval == 0 or i == len(trace.steps)):
                 rec["snapshot"] = network_to_dict(step.network)
                 rec["structure"] = structure(step.network).to_dict()
@@ -259,19 +290,25 @@ def write_trace_jsonl(trace: Trace, path: str, snapshot_interval: int = 0) -> No
 
 
 def replay_trace_jsonl(path: str) -> Trace:
-    """Re-apply a streamed trace, checking any embedded snapshots bit-exactly."""
+    """Re-apply a streamed trace, checking any embedded snapshots bit-exactly.
+
+    Only steps recorded with `"force": true` bypass the fail guards; any other
+    disabled event raises `EventNotEnabled`. The initial network and every
+    snapshot must pass `validate_network`, or ValueError is raised.
+    """
     with open(path, encoding="utf-8") as fh:
         lines = [json.loads(line) for line in fh if line.strip()]
     header = lines[0]
     net = network_from_dict(header["initial"])
+    validate_network(net)
     steps: list[TraceStep] = []
     initial = net
     for rec in lines[1:]:
         ev = event_from_dict(rec["event"])
-        force = ev.kind is EventKind.FAIL and not is_enabled(net, ev)
-        net = apply_event(net, ev, force=force)
+        net = apply_event(net, ev, force=rec.get("force") is True)
         if "snapshot" in rec:
             expected = network_from_dict(rec["snapshot"])
+            validate_network(expected)
             if expected != net:
                 raise ValueError(f"snapshot mismatch at step {rec['step']}")
         steps.append(TraceStep(event=ev, network=net, tag=rec.get("tag")))

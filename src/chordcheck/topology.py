@@ -186,20 +186,21 @@ def globally_correct_pred(net: Network, n: int) -> int:
 
 
 def is_ideal(net: Network) -> bool:
-    """True iff every successor-list entry and every predecessor is globally correct."""
+    """True iff every successor-list entry and every predecessor is globally correct.
+
+    Sorts the live set once: in the sorted ring, a member's globally correct
+    successors are the next r positions and its predecessor the previous one.
+    `globally_correct_succ` and `globally_correct_pred` are the test oracle.
+    """
     r = net.params.r
-    live = net.live
-    if len(live) < r + 1:
+    ring = sorted(net.live)
+    if len(ring) < r + 1:
         return False
-    for n in live:
-        others = sorted(
-            (x for x in live if x != n),
-            key=lambda x: clockwise_distance(n, x, net.params.space),
-        )
-        state = net.node(n)
-        if state.succ_list != tuple(others[:r]):
-            return False
-        if state.pred != others[-1]:
+    nodes = net.nodes
+    wrapped = ring + ring[:r]
+    for i, n in enumerate(ring):
+        state = nodes[n]
+        if state.pred != ring[i - 1] or state.succ_list != tuple(wrapped[i + 1 : i + 1 + r]):
             return False
     return True
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from hypothesis import settings
 
+from chordcheck import sim
+from chordcheck.checker import enumerate_valid_states, sample_raw_states
 from chordcheck.ident import RingParams
 from chordcheck.netstate import Network, NodeState
 
@@ -152,3 +154,43 @@ def two_bystander_state():
             40: (30, (10, 20)),
         },
     )
+
+
+def pinned_sim_configs():
+    """Six seeded simulations whose traces `tests/test_sim.py` pins.
+
+    Criterion 7's mix at seeds 0-3, then two join-heavy m=12, r=3 runs
+    that fill a member cap of 32.
+    """
+    configs = [
+        sim.SimConfig(
+            params=RingParams(6, 2 + seed % 2),
+            churn_steps=50 + (seed * 97) % 151,
+            seed=seed,
+            max_members=12 + seed % 9,
+        )
+        for seed in range(4)
+    ]
+    configs += [
+        sim.SimConfig(
+            params=RingParams(12, 3), churn_steps=192, seed=seed, join_weight=6.0, max_members=32
+        )
+        for seed in (7, 8)
+    ]
+    return configs
+
+
+def oracle_states():
+    """States on which each fast path is compared with its from-scratch oracle.
+
+    Every valid state at m=3, r=2, n<=4; raw m=6, r=3 assignments, which
+    include dead heads, dead and missing predecessors and stranded members;
+    and every snapshot of the pinned simulations.
+    """
+    yield from enumerate_valid_states(RingParams(3, 2), 4)
+    yield from sample_raw_states(RingParams(6, 3), 9, 2000, seed=0)
+    for config in pinned_sim_configs():
+        trace = sim.run_simulation(config)
+        yield trace.initial
+        for step in trace.steps:
+            yield step.network

@@ -203,6 +203,21 @@ class TestSimulateAndExplore:
         replayed = replay_trace_jsonl(str(trace_file))
         assert len(replayed.steps) == len(lines) - 1
 
+    def test_simulate_prints_per_kind_counts(self, capsys):
+        code = cli.main(["simulate", "--churn-steps", "40", "--seed", "2", "--max-members", "12"])
+        assert code == cli.EXIT_OK
+        summary, events = capsys.readouterr().out.splitlines()
+        assert events.startswith("events: ")
+        counts = dict(field.split("=") for field in events.split()[1:])
+        assert list(counts) == [
+            "JoinLookup", "Join", "StabilizeFromOldSuccessor",
+            "StabilizeFromNewSuccessor", "Rectify", "Fail",
+        ]
+        fields = dict(field.split("=") for field in summary.split()[1:])
+        assert sum(map(int, counts.values())) == (
+            int(fields["churn_events"]) + int(fields["repair_events"])
+        )
+
     def test_explore_command(self, capsys):
         code = cli.main(
             [

@@ -22,13 +22,15 @@ from chordcheck.events import (
     enabled_events,
     event_from_dict,
     event_to_dict,
+    fail_guard_holds,
+    failable,
     is_enabled,
     join_precondition_holds,
 )
 from chordcheck.measure import effective_enabled
 from chordcheck.checker import sample_valid_states
 
-from conftest import undersized_init_state, wrap_trap_state, make_net
+from conftest import make_net, oracle_states, undersized_init_state, wrap_trap_state
 
 PARAMS = RingParams(m=6, r=2)
 
@@ -229,6 +231,19 @@ class TestFail:
         with pytest.raises(EventNotEnabled):
             apply_fail(net, 19)
         assert apply_fail(net, 19, force=True).is_live(19) is False
+
+
+    def test_failable_matches_the_guard_oracle(self):
+        states = blocked = stranded = 0
+        for net in oracle_states():
+            expected = {n for n in net.live if fail_guard_holds(net, n)}
+            assert failable(net) == expected, net
+            states += 1
+            blocked += len(expected) < net.size
+            stranded += any(
+                not any(e in net.live for e in net.node(m).succ_list) for m in net.live
+            )
+        assert states > 14_000 and blocked > 0 and stranded > 0
 
 
 class TestEnabledEvents:

@@ -28,7 +28,13 @@ from chordcheck.measure import (
 from chordcheck.topology import is_ideal
 from chordcheck.checker import sample_valid_states
 
-from conftest import cross_term_state, make_net, two_bystander_state, wrap_trap_state
+from conftest import (
+    cross_term_state,
+    make_net,
+    oracle_states,
+    two_bystander_state,
+    wrap_trap_state,
+)
 
 PARAMS = RingParams(m=6, r=2)
 
@@ -175,6 +181,19 @@ class TestErrorVector:
             )
             assert sum(vec) == total_error(net)
             assert (not any(vec)) == is_ideal(net)
+
+    def test_matches_per_role_pointer_error_sums(self):
+        nonzero = 0
+        for net in oracle_states():
+            r = net.params.r
+            level_roles = [(ROLE_PRED, succ_role(1))] + [(succ_role(k),) for k in range(2, r + 1)]
+            expected = tuple(
+                sum(pointer_error(net, n, role) for n in net.live for role in roles)
+                for roles in level_roles
+            )
+            assert error_vector(net) == expected, net
+            nonzero += any(expected)
+        assert nonzero > 0
 
 
 class TestMeasureCrossTerm:

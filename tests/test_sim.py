@@ -1,12 +1,19 @@
 """Churn-then-quiesce simulation: convergence, fairness, and trace streaming."""
 
+import hashlib
+import json
+from collections import Counter
+
 import pytest
 
+from chordcheck.events import EventKind, EventNotEnabled, event_to_dict
 from chordcheck.ident import RingParams
 from chordcheck.invariants import is_valid
 from chordcheck.measure import total_error, visible_state
 from chordcheck.topology import is_ideal
 from chordcheck import sim
+
+from conftest import pinned_sim_configs
 
 
 def run(seed=0, churn=60, r=2, max_members=16, **kw):
@@ -87,6 +94,47 @@ class TestConvergence:
         assert is_ideal(net)
 
 
+PINNED_CONFIGS = pinned_sim_configs()
+
+# Per pinned configuration: event counts by kind (JoinLookup, Join,
+# StabilizeFromOldSuccessor, StabilizeFromNewSuccessor, Rectify, Fail), step
+# count and the sha256 of the (event, tag) sequence.
+PINNED_TRACES = [
+    ((11, 8, 18, 3, 15, 6), 61,
+     "7fad5db1e5a5bb2cad17c67694590d42b105044f085c3d7e30440563f6077211"),
+    ((23, 22, 63, 14, 56, 15), 193,
+     "d473ccd361e8575e2ecef96601c3db9b5d680f6daf2a1cf5c5d666cae265e51c"),
+    ((19, 19, 55, 25, 41, 9), 168,
+     "528e2f76478ab0f78f97d02df1623420ad2974afd39321172e8959fde94d5bc9"),
+    ((33, 32, 50, 2, 48, 31), 196,
+     "a32edcfa4104be75fc97ec8f59a6084c15616852c2cda8cf1c741e832b8dcd88"),
+    ((52, 50, 184, 117, 84, 22), 509,
+     "604a0cfae7ac7bc59e6d7c401f0ae386f589679c5ae31c5cf2b769e988f25a81"),
+    ((48, 48, 142, 79, 94, 21), 432,
+     "e0250191c5758c322cd00a75a56c7167a8999a4e687dea44a31c97f79635903c"),
+]
+
+
+class TestDeterminism:
+    """Any change in how the simulator consumes its random stream fails here."""
+
+    @pytest.mark.parametrize(
+        "config, pinned",
+        zip(PINNED_CONFIGS, PINNED_TRACES),
+        ids=[f"m{c.params.m}-r{c.params.r}-seed{c.seed}" for c in PINNED_CONFIGS],
+    )
+    def test_trace_is_pinned(self, config, pinned):
+        counts, steps, digest = pinned
+        trace = sim.run_simulation(config)
+        kinds = Counter(s.event.kind for s in trace.steps)
+        h = hashlib.sha256()
+        for step in trace.steps:
+            h.update(json.dumps([event_to_dict(step.event), step.tag], sort_keys=True).encode())
+        assert tuple(kinds[kind] for kind in EventKind) == counts
+        assert len(trace.steps) == steps
+        assert h.hexdigest() == digest
+
+
 class TestTraceStructure:
     def test_snapshots_change_one_node_at_a_time(self):
         trace = run(seed=13, churn=70)
@@ -140,6 +188,43 @@ class TestTraceStreaming:
         for a, b in zip(replayed.steps, trace.steps):
             assert a.network == b.network
             assert a.event == b.event
+
+    def test_fail_of_a_base_member_raises_on_replay(self, tmp_path):
+        trace = run(seed=21, churn=50)
+        path = tmp_path / "trace.jsonl"
+        sim.write_trace_jsonl(trace, str(path))
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        base_member = min(trace.initial.base)
+        lines[-1]["event"] = {"kind": "Fail", "node": base_member}
+        path.write_text("".join(json.dumps(rec) + "\n" for rec in lines))
+        with pytest.raises(EventNotEnabled, match="stable-base"):
+            sim.replay_trace_jsonl(str(path))
+
+    def test_forced_fails_round_trip(self, tmp_path):
+        trace = run(seed=0, churn=80, allow_base_fail=True)
+        path = tmp_path / "trace.jsonl"
+        sim.write_trace_jsonl(trace, str(path), snapshot_interval=5)
+        records = [json.loads(line) for line in path.read_text().splitlines()[1:]]
+        forced = [rec["event"]["node"] for rec in records if rec.get("force")]
+        assert forced and set(forced) <= trace.initial.base
+        replayed = sim.replay_trace_jsonl(str(path))
+        assert [s.network for s in replayed.steps] == [s.network for s in trace.steps]
+
+    def test_churn_stops_once_every_member_has_failed(self):
+        trace = run(seed=0, churn=80, allow_base_fail=True)
+        assert trace.final().size == 0
+        assert len(trace.steps) < 80
+
+    def test_malformed_snapshot_is_rejected(self, tmp_path):
+        trace = run(seed=21, churn=50)
+        path = tmp_path / "trace.jsonl"
+        sim.write_trace_jsonl(trace, str(path), snapshot_interval=1)
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        live = next(rec for rec in lines[1]["snapshot"]["nodes"] if rec["live"])
+        live["succList"] = live["succList"][:1]
+        path.write_text("".join(json.dumps(rec) + "\n" for rec in lines))
+        with pytest.raises(ValueError, match="successors"):
+            sim.replay_trace_jsonl(str(path))
 
     def test_divergence_guard_config(self):
         with pytest.raises(sim.DivergenceError):

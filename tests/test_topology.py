@@ -20,7 +20,7 @@ from chordcheck.invariants import is_valid
 from chordcheck.measure import total_error
 from chordcheck.checker import sample_valid_states
 
-from conftest import valid_with_appendage_chain, wrap_trap_state, make_net
+from conftest import make_net, oracle_states, valid_with_appendage_chain, wrap_trap_state
 
 PARAMS = RingParams(m=6, r=2)
 
@@ -110,6 +110,10 @@ class TestIsIdeal:
         broken = net.with_node(replace(net.node(7), pred=None))
         assert not is_ideal(broken)
 
+    def test_fewer_than_r_plus_one_members_not_ideal(self):
+        net = make_net(6, 2, base=[], nodes={10: (20, (20, 10)), 20: (10, (10, 20))})
+        assert not is_ideal(net)
+
     def test_ideal_iff_zero_error(self):
         for net in sample_valid_states(RingParams(6, 2), 8, 200, seed=9):
             assert is_ideal(net) == (total_error(net) == 0)
@@ -118,6 +122,24 @@ class TestIsIdeal:
         for net in sample_valid_states(RingParams(6, 2), 8, 200, seed=13):
             if is_ideal(net):
                 assert is_valid(net)
+
+
+    def test_matches_the_globally_correct_oracle(self):
+        def ideal_by_oracle(net):
+            r = net.params.r
+            return net.size >= r + 1 and all(
+                net.node(n).succ_list
+                == tuple(globally_correct_succ(net, n, i) for i in range(1, r + 1))
+                and net.node(n).pred == globally_correct_pred(net, n)
+                for n in net.live
+            )
+
+        verdicts = set()
+        for net in oracle_states():
+            verdict = is_ideal(net)
+            assert verdict == ideal_by_oracle(net), net
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
 
 
 class TestLookupSucc:
