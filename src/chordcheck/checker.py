@@ -18,28 +18,25 @@ from dataclasses import dataclass, field, replace
 from .ident import RingParams, between, clockwise_distance
 from .netstate import Network, NodeState, network_to_dict
 from .events import (
+    ALL_KINDS,
     Event,
     EventKind,
     FaultFlags,
     apply_event,
-    apply_stabilize_from_new_successor,
     enabled_events,
     event_to_dict,
-    failable,
-    is_enabled,
     join_precondition_holds,
 )
 from .invariants import (
-    TRIAL_INVARIANTS,
+    PREDICATES,
     conjuncts,
     conjuncts_reference,
     is_valid,
     list_properties,
+    trial_predicate_name,
 )
 from .measure import effective_enabled, error_vector
-from .topology import best_successor, globally_correct_pred, is_ideal
-
-ALL_KINDS = tuple(EventKind)
+from .topology import globally_correct_pred, is_ideal
 
 EXHAUSTION_MAX_NODES = 4
 EXHAUSTION_R = 2
@@ -370,7 +367,7 @@ def sample_trial_states(
     params: RingParams, max_nodes: int, count: int, seed: int, trial: str
 ):
     """Sampled networks satisfying a named trial invariant (no stable base)."""
-    predicate = TRIAL_INVARIANTS[trial]
+    predicate = PREDICATES[trial_predicate_name(trial)][0]
     rng = random.Random(seed)
     produced = 0
     attempts = 0
@@ -431,55 +428,61 @@ def enumerate_raw_list_states(params: RingParams, max_nodes: int):
 # --- lemma checks ------------------------------------------------------------
 
 
+# The kinds whose acquired value (a join's looked-up successor, an
+# adoption's candidate) is swept, and the field that stores it.
+_ACQUIRED = {
+    EventKind.JOIN: "pending_new_succ",
+    EventKind.STABILIZE_FROM_NEW_SUCCESSOR: "pending_candidate",
+}
+
+
+def _acquired_sweep(net: Network, kind: EventKind):
+    """(prepared network, event) for every value the event could have acquired.
+
+    A join is prepared with every live successor the stable-base precondition
+    allows. An adoption is prepared with every tracked candidate between the
+    node and its successor: the stored candidate is whatever predecessor value
+    the queried successor held, so dead identifiers are swept too, a correct
+    kernel times out on them, and the canary kernels must be caught adopting.
+    """
+    live = net.live_idents()
+    tracked = sorted(net.nodes)
+    if kind is EventKind.JOIN:
+        pairs = (
+            (j, v)
+            for j in tracked
+            if not net.is_live(j)
+            for v in live
+            if join_precondition_holds(net, j, v)
+        )
+    else:
+        pairs = (
+            (n, c)
+            for n in live
+            for c in tracked
+            if c != n and between(n, c, net.nodes[n].succ_list[0])
+        )
+    field = _ACQUIRED[kind]
+    for n, value in pairs:
+        state = net.nodes.get(n) or NodeState(ident=n, succ_list=())
+        yield net.with_node(replace(state, **{field: value})), Event(kind, n)
+
+
 def preservation_cases(net: Network, kinds=ALL_KINDS):
     """(prepared network, event) pairs covering every enabled event of the kinds.
 
-    Acquired values are swept: a join is prepared with every live successor
-    candidate allowed by the stable-base precondition, and a stabilize
-    adoption with every live candidate between the node and its successor.
+    Kind by kind in `EventKind` order: the acquired values of joins and
+    adoptions are swept, and every other kind is read from `enabled_events`.
     """
-    kinds = set(kinds)
-    live = net.live_idents()
-    non_live = tuple(i for i in sorted(net.nodes) if not net.is_live(i))
-
-    if EventKind.JOIN_LOOKUP in kinds:
-        for j in non_live:
-            ev = Event(EventKind.JOIN_LOOKUP, j)
-            if is_enabled(net, ev):
+    listed: dict[EventKind, list[Event]] = {}
+    for ev in enabled_events(net, kinds=[k for k in kinds if k not in _ACQUIRED]):
+        listed.setdefault(ev.kind, []).append(ev)
+    for kind in ALL_KINDS:
+        if kind in _ACQUIRED and kind in kinds:
+            yield from _acquired_sweep(net, kind)
+        else:
+            for ev in listed.get(kind, ()):
                 yield net, ev
-    if EventKind.JOIN in kinds:
-        for j in non_live:
-            for nsucc in live:
-                if not join_precondition_holds(net, j, nsucc):
-                    continue
-                state = net.nodes.get(j) or NodeState(ident=j, succ_list=())
-                prepared = net.with_node(replace(state, pending_new_succ=nsucc))
-                yield prepared, Event(EventKind.JOIN, j)
-    if EventKind.STABILIZE_FROM_OLD_SUCCESSOR in kinds:
-        for n in live:
-            if best_successor(net, n) is not None:
-                yield net, Event(EventKind.STABILIZE_FROM_OLD_SUCCESSOR, n)
-    if EventKind.STABILIZE_FROM_NEW_SUCCESSOR in kinds:
-        # The stored candidate is whatever predecessor value the queried
-        # successor held, so dead identifiers are swept too: a correct kernel
-        # times out on them, and the canary kernels must be caught adopting.
-        for n in live:
-            head = net.node(n).succ_list[0]
-            for c in sorted(net.nodes):
-                if c == n or not between(n, c, head):
-                    continue
-                prepared = net.with_node(replace(net.node(n), pending_candidate=c))
-                yield prepared, Event(EventKind.STABILIZE_FROM_NEW_SUCCESSOR, n)
-    if EventKind.RECTIFY in kinds:
-        for p in live:
-            head = net.node(p).succ_list[0]
-            if net.is_live(head):
-                yield net, Event(EventKind.RECTIFY, head, new_pred=p)
-    if EventKind.FAIL in kinds:
-        fails = failable(net) - net.base
-        for n in live:
-            if n in fails:
-                yield net, Event(EventKind.FAIL, n)
 
 
 def check_preservation(
@@ -528,10 +531,7 @@ def check_progress(states, bounds: dict | None = None) -> CheckReport:
 def _effective_steps(net: Network):
     """Each effective repair event paired with the state it leads to."""
     for ev in effective_enabled(net):
-        if ev.kind is EventKind.STABILIZE_FROM_NEW_SUCCESSOR:
-            yield ev, apply_stabilize_from_new_successor(net, ev.node)
-        else:
-            yield ev, apply_event(net, ev)
+        yield ev, apply_event(net, ev)
 
 
 MONOTONICITY_VIOLATION_CAP = 50_000
@@ -666,20 +666,11 @@ def explore_reachable(
     return report
 
 
-def _broken_conjunct_check(name: str | None):
-    if name is None:
-        return lambda net: True
-    if name == "orderedRing":
-        return lambda net: not conjuncts(net).ordered_ring
-    if name == "noConflictingDates":
-        from .invariants import trial_predicates
-
-        return lambda net: not trial_predicates(net).no_conflicting_dates
-    if name == "noEjects":
-        from .invariants import trial_predicates
-
-        return lambda net: not trial_predicates(net).no_ejects
-    raise ValueError(f"unknown conjunct {name!r}")
+_SEARCH_KINDS = (
+    EventKind.STABILIZE_FROM_OLD_SUCCESSOR,
+    EventKind.STABILIZE_FROM_NEW_SUCCESSOR,
+    EventKind.FAIL,
+)
 
 
 def search_trial_counterexample(
@@ -692,38 +683,21 @@ def search_trial_counterexample(
 ) -> tuple[Network, Event] | None:
     """Hunt for a state satisfying a trial invariant that one event breaks.
 
-    Sweeps fails, stabilize copies and stabilize adoptions over sampled
-    trial-invariant states; rectifies never touch list structure and cannot
-    break any of the structural conjuncts. `require_break` names a specific
-    conjunct that must be false afterwards, restricting which counterexample
-    shape counts.
+    Sweeps the preservation cases of stabilize copies, stabilize adoptions
+    and fails over sampled trial-invariant states; rectifies never touch
+    list structure and cannot break any of the structural conjuncts.
+    `require_break` names a registry predicate that must be false afterwards,
+    restricting which counterexample shape counts.
     """
-    predicate = TRIAL_INVARIANTS[trial]
-    broken = _broken_conjunct_check(require_break)
+    predicate = PREDICATES[trial_predicate_name(trial)][0]
+    broken = PREDICATES[require_break][0] if require_break else None
     if trial == "valid":
         states = sample_valid_states(params, max_nodes, max_states, seed)
     else:
         states = sample_trial_states(params, max_nodes, max_states, seed, trial)
     for net in states:
-        fails = failable(net) - net.base
-        for n in net.live_idents():
-            if n in fails:
-                ev = Event(EventKind.FAIL, n)
-                post = apply_event(net, ev)
-                if not predicate(post) and broken(post):
-                    return net, ev
-            if best_successor(net, n) is not None:
-                ev = Event(EventKind.STABILIZE_FROM_OLD_SUCCESSOR, n)
-                post = apply_event(net, ev)
-                if not predicate(post) and broken(post):
-                    return net, ev
-            head = net.node(n).succ_list[0]
-            for c in net.live_idents():
-                if not between(n, c, head):
-                    continue
-                prepared = net.with_node(replace(net.node(n), pending_candidate=c))
-                ev = Event(EventKind.STABILIZE_FROM_NEW_SUCCESSOR, n)
-                post = apply_event(prepared, ev)
-                if not predicate(post) and broken(post):
-                    return prepared, ev
+        for prepared, ev in preservation_cases(net, _SEARCH_KINDS):
+            post = apply_event(prepared, ev)
+            if not predicate(post) and (broken is None or not broken(post)):
+                return prepared, ev
     return None

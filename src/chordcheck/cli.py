@@ -22,18 +22,19 @@ from .netstate import (
     network_to_json,
     validate_network,
 )
-from .events import Event, EventKind, apply_event, event_from_dict, is_enabled
-from .invariants import (
-    conjuncts,
-    eight_conjunct_trial,
-    list_properties,
-    six_conjunct_trial,
-    trial_predicates,
+from .events import (
+    AssumptionBreach,
+    Event,
+    EventKind,
+    EventNotEnabled,
+    apply_event,
+    event_from_dict,
+    guard,
+    is_enabled,
 )
-from .measure import network_is_improvable, total_error
+from .invariants import PREDICATES, trial_predicate_name
 from . import checker
 from . import sim as simulation
-from .topology import is_ideal
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -101,55 +102,22 @@ def load_scenario(path: str) -> Scenario:
         return scenario_from_dict(json.load(fh))
 
 
-def _predicate_value(net: Network, name: str, args: tuple):
-    c = lambda: conjuncts(net)  # noqa: E731
-    if name == "atLeastOneRing":
-        return c().at_least_one_ring
-    if name == "atMostOneRing":
-        return c().at_most_one_ring
-    if name == "orderedRing":
-        return c().ordered_ring
-    if name == "connectedAppendages":
-        return c().connected_appendages
-    if name == "baseNotSkipped":
-        return c().base_not_skipped
-    if name == "valid":
-        return c().valid
-    if name == "ideal":
-        return is_ideal(net)
-    if name == "totalError":
-        return total_error(net)
-    if name == "networkIsImprovable":
-        return network_is_improvable(net)
-    if name == "noConflictingDates":
-        return trial_predicates(net).no_conflicting_dates
-    if name == "noEjects":
-        return trial_predicates(net).no_ejects
-    if name == "sixConjunct":
-        return six_conjunct_trial(net)
-    if name == "eightConjunct":
-        return eight_conjunct_trial(net)
-    if name == "noDuplicates":
-        if args:
-            return list_properties(net, args[0]).no_duplicates
-        return all(list_properties(net, n).no_duplicates for n in net.live)
-    if name == "orderedSuccessorLists":
-        if args:
-            return list_properties(net, args[0]).ordered_successor_lists
-        return all(list_properties(net, n).ordered_successor_lists for n in net.live)
-    if name == "live":
-        return net.is_live(args[0])
-    if name == "pred":
-        return net.node(args[0]).pred
-    if name == "succ":
-        return net.node(args[0]).succ_list[0]
-    if name == "succList":
-        return list(net.node(args[0]).succ_list)
-    if name == "pendingCandidate":
-        return net.node(args[0]).pending_candidate
-    if name == "pendingNewSucc":
-        return net.node(args[0]).pending_new_succ
-    raise KeyError(f"unknown predicate {name!r}")
+def _expectation_value(net: Network, exp: Expectation):
+    """Evaluate an expectation's predicate; ValueError names a bad name or argument."""
+    if exp.predicate not in PREDICATES:
+        raise ValueError(f"unknown predicate {exp.predicate!r}")
+    predicate, arities = PREDICATES[exp.predicate]
+    call = f"{exp.predicate}{list(exp.args)}"
+    if len(exp.args) not in arities:
+        counts = " or ".join(map(str, arities))
+        raise ValueError(f"{call}: takes {counts} arguments, got {len(exp.args)}")
+    for arg in exp.args:
+        if not isinstance(arg, int) or arg not in net.nodes:
+            raise ValueError(f"{call}: {arg!r} is not a tracked identifier")
+    try:
+        return predicate(net, *exp.args)
+    except ValueError as err:
+        raise ValueError(f"{call}: {err}") from None
 
 
 @dataclass
@@ -176,8 +144,8 @@ def replay_scenario(scenario: Scenario) -> ReplayReport:
     def evaluate(step: int, current: Network) -> int:
         for exp in by_step.get(step, []):
             try:
-                actual = _predicate_value(current, exp.predicate, exp.args)
-            except KeyError as err:
+                actual = _expectation_value(current, exp)
+            except ValueError as err:
                 messages.append(f"step {step}: {err}")
                 return EXIT_PARSE
             if actual != exp.expected:
@@ -195,13 +163,17 @@ def replay_scenario(scenario: Scenario) -> ReplayReport:
 
     for i, scripted in enumerate(scenario.script, start=1):
         ev = scripted.event
-        if not scripted.force and not is_enabled(net, ev):
+        try:
+            # A guard that holds on an event that is not enabled means it times out.
+            if not scripted.force and not is_enabled(net, ev):
+                raise EventNotEnabled(guard(net, ev) or "its query times out")
+            net = apply_event(net, ev, force=scripted.force)
+        except (EventNotEnabled, AssumptionBreach) as err:
             messages.append(
-                f"step {i}: scripted event {ev.kind.value}({ev.node}) not enabled; state:\n"
+                f"step {i}: scripted event {ev.kind.value}({ev.node}) not enabled: {err}; state:\n"
                 + network_to_json(net, indent=2)
             )
             return ReplayReport(EXIT_DISABLED_EVENT, messages)
-        net = apply_event(net, ev, force=scripted.force)
         code = evaluate(i, net)
         if code != EXIT_OK:
             return ReplayReport(code, messages)
@@ -322,11 +294,7 @@ def _cmd_check(args) -> int:
             print(f"trial-search[{trial}]: no counterexample within bounds")
             return EXIT_CHECK_FAILED
         net, ev = found
-        trial_predicate_name = {
-            "six-conjunct": "sixConjunct",
-            "eight-conjunct": "eightConjunct",
-            "valid": "valid",
-        }[trial]
+        predicate = trial_predicate_name(trial)
         # The artifact doubles as a replayable scenario.
         artifact = {
             "trial": trial,
@@ -336,8 +304,8 @@ def _cmd_check(args) -> int:
             "initialState": network_to_dict(net),
             "script": [{"kind": ev.kind.value, "node": ev.node}],
             "expectations": [
-                {"step": 0, "predicate": trial_predicate_name, "expected": True},
-                {"step": 1, "predicate": trial_predicate_name, "expected": False},
+                {"step": 0, "predicate": predicate, "expected": True},
+                {"step": 1, "predicate": predicate, "expected": False},
             ],
             "event": {"kind": ev.kind.value, "node": ev.node},
         }
@@ -412,6 +380,11 @@ def _cmd_explore(args) -> int:
             print("explore: provide --net or --base", file=sys.stderr)
             return EXIT_USAGE
         net = init_network(RingParams(m=args.m, r=args.r), args.base)
+    space = net.params.space
+    for j in args.joiners:
+        if not 0 <= j < space:
+            print(f"explore: joiner {j} outside the identifier space [0, {space})", file=sys.stderr)
+            return EXIT_USAGE
     report = checker.explore_reachable(
         net,
         max_joins=args.joins,

@@ -5,12 +5,17 @@ Every event is executed by a single node and alters only that node's state
 time out; queries to live nodes deterministically succeed. Notification is
 modeled by enabling: Rectify(n, p) is enabled whenever live p has n as the
 head of its successor list.
+
+Each kind's precondition is written once, as the guard in `_KINDS`:
+`apply_event` raises its reason, and `is_enabled` is "the guard holds and the
+event does not time out". `enabled_events` is the one listing of candidates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import NamedTuple
 
 from .ident import between
 from .netstate import Network, NodeState
@@ -25,12 +30,18 @@ class EventKind(Enum):
     RECTIFY = "Rectify"
     FAIL = "Fail"
 
+    # Members are singletons, so identity hashing is exact, and it keeps the
+    # per-event table lookups at C speed.
+    __hash__ = object.__hash__
 
+
+ALL_KINDS = tuple(EventKind)
 _KIND_ORDER = {kind: i for i, kind in enumerate(EventKind)}
 
 
-@dataclass(frozen=True, slots=True)
-class Event:
+class Event(NamedTuple):
+    """One event; a named tuple, since candidate listing builds many of them."""
+
     kind: EventKind
     node: int
     new_pred: int | None = None  # Rectify only: the notifying node
@@ -64,147 +75,9 @@ class FaultFlags:
 _NO_FAULTS = FaultFlags()
 
 
-def apply_join_lookup(net: Network, joining: int, known: int | None = None) -> Network:
-    """The joiner asks a member for its proper successor, recording the answer.
-
-    A dead contact times out and leaves the state unchanged (retry later).
-    One join at a time per node: a pending lookup result blocks a new lookup.
-    """
-    if net.is_live(joining):
-        raise EventNotEnabled(f"{joining} is already a member")
-    if not 0 <= joining < net.params.space:
-        raise ValueError(f"identifier {joining} outside the space")
-    existing = net.nodes.get(joining)
-    if existing is not None and existing.pending_new_succ is not None:
-        raise EventNotEnabled(f"{joining} already has a join in progress")
-    if known is not None and not net.is_live(known):
-        return net  # timeout, retry later
-    result = lookup_succ(net, joining)
-    if result is None or not net.is_live(result):
-        raise EventNotEnabled("no ring member to answer the lookup")
-    # A rejoining identifier re-initializes its variables.
-    state = NodeState(ident=joining, succ_list=(), pending_new_succ=result)
-    return net.with_node(state)
-
-
 def join_precondition_holds(net: Network, joining: int, new_succ: int) -> bool:
     """No stable-base member lies between the joiner and its new successor."""
     return not any(between(joining, b, new_succ) for b in net.base)
-
-
-def apply_join(net: Network, joining: int, faults: FaultFlags = _NO_FAULTS) -> Network:
-    """Complete a join: copy the new successor's list and become a member.
-
-    A dead lookup result times out, clearing the intermediate so the join can
-    be retried. A base member between the joiner and its target blocks the
-    join entirely (the precondition contains no mutable term, so interleaved
-    events cannot invalidate it once it holds).
-    """
-    state = net.nodes.get(joining)
-    if net.is_live(joining) or state is None or state.pending_new_succ is None:
-        raise EventNotEnabled(f"{joining} has no join in progress")
-    new_succ = state.pending_new_succ
-    if not net.is_live(new_succ):
-        return net.with_node(replace(state, pending_new_succ=None))  # timeout, retry
-    if not join_precondition_holds(net, joining, new_succ):
-        raise EventNotEnabled(f"a base member lies between {joining} and {new_succ}")
-    if faults.short_join:
-        succ_list = (new_succ,) * net.params.r
-    else:
-        succ_list = (new_succ,) + net.node(new_succ).succ_list[:-1]
-    joined = NodeState(ident=joining, succ_list=succ_list, pred=None)
-    return net.with_node(joined, live=True)
-
-
-def apply_stabilize_from_old_successor(net: Network, n: int) -> Network:
-    """Query the first live successor, adopt its list, and acquire its predecessor.
-
-    Dead list prefixes are skipped in one atomic step, mirroring the retry
-    loop of the stabilize operation. The acquired predecessor is held as the
-    adoption candidate for a following StabilizeFromNewSuccessor.
-    """
-    if not net.is_live(n):
-        raise EventNotEnabled(f"{n} is not a live member")
-    h = best_successor(net, n)
-    if h is None:
-        raise AssumptionBreach(f"{n} has no live successor in its list")
-    h_state = net.node(h)
-    state = net.node(n)
-    new_list = (h,) + h_state.succ_list[: net.params.r - 1]
-    return net.with_node(
-        replace(state, succ_list=new_list, pending_candidate=h_state.pred)
-    )
-
-
-_UNSET = object()
-
-
-def apply_stabilize_from_new_successor(
-    net: Network,
-    n: int,
-    candidate: int | None | object = _UNSET,
-    faults: FaultFlags = _NO_FAULTS,
-) -> Network:
-    """Adopt the acquired predecessor as the new first successor if it is closer.
-
-    The candidate defaults to the stored intermediate; when none is stored the
-    value a fresh stabilize would acquire (the first live successor's current
-    predecessor) is used, which makes the call behave like the full stabilize
-    operation completing through its adoption branch.
-
-    A dead candidate times out (intermediate cleared, list kept); a candidate
-    that is not between the node and its successor clears the intermediate
-    without adoption.
-    """
-    if not net.is_live(n):
-        raise EventNotEnabled(f"{n} is not a live member")
-    state = net.node(n)
-    if candidate is not _UNSET:
-        c = candidate
-        ref_head = state.succ_list[0]
-    elif state.pending_candidate is not None:
-        c = state.pending_candidate
-        ref_head = state.succ_list[0]
-    else:
-        h = best_successor(net, n)
-        if h is None:
-            raise AssumptionBreach(f"{n} has no live successor in its list")
-        c = net.node(h).pred
-        ref_head = h
-    if c is None:
-        raise EventNotEnabled(f"{n} acquired no predecessor to adopt")
-    if not net.is_live(c) and not faults.unchecked_adoption:
-        return net.with_node(replace(state, pending_candidate=None))  # timeout
-    if not between(n, c, ref_head):
-        return net.with_node(replace(state, pending_candidate=None))
-    new_list = (c,) + net.node(c).succ_list[: net.params.r - 1]
-    return net.with_node(
-        replace(state, succ_list=new_list, pending_candidate=None)
-    )
-
-
-def apply_rectify(net: Network, n: int, new_pred: int) -> Network:
-    """Adopt a notifying predecessor if the current one is gone or farther away.
-
-    Enabled only when the notifier is live and has n at the head of its list
-    (it would notify n after stabilizing). A rectify that changes nothing is
-    legal but not effective.
-    """
-    if not net.is_live(n):
-        raise EventNotEnabled(f"{n} is not a live member")
-    if not net.is_live(new_pred):
-        raise EventNotEnabled(f"notifier {new_pred} is not live")
-    if net.node(new_pred).succ_list[0] != n:
-        raise EventNotEnabled(f"{new_pred} would not notify {n}")
-    state = net.node(n)
-    cur = state.pred
-    if cur is None or not net.is_live(cur) or between(cur, new_pred, n):
-        new_val: int | None = new_pred
-    else:
-        new_val = cur
-    # Executing any event other than the stabilize pair invalidates a held
-    # stabilize intermediate.
-    return net.with_node(replace(state, pred=new_val, pending_candidate=None))
 
 
 def fail_guard_holds(net: Network, n: int) -> bool:
@@ -246,119 +119,295 @@ def failable(net: Network) -> frozenset[int]:
     return candidates - critical
 
 
-def apply_fail(net: Network, n: int, force: bool = False) -> Network:
-    """Remove a member, retaining its last state read-only.
+def _live_successor(net: Network, n: int) -> int:
+    h = best_successor(net, n)
+    if h is None:
+        raise AssumptionBreach(f"{n} has no live successor in its list")
+    return h
 
-    Base members never fail, and a fail that would strand some member with an
-    all-dead list is not enabled; `force` bypasses both guards for scripted
-    demonstrations of assumption violations.
-    """
+
+# --- guards: the reason an event may not occur, or None ------------------------
+
+
+def _member_guard(net: Network, ev: Event) -> str | None:
+    return None if net.is_live(ev.node) else f"{ev.node} is not a live member"
+
+
+def _join_lookup_guard(net: Network, ev: Event) -> str | None:
+    j = ev.node
+    if net.is_live(j):
+        return f"{j} is already a member"
+    if not 0 <= j < net.params.space:
+        return f"identifier {j} outside the space"
+    existing = net.nodes.get(j)
+    if existing is not None and existing.pending_new_succ is not None:
+        return f"{j} already has a join in progress"
+    if _contact_dead(net, ev):
+        return None  # the query times out before any member answers
+    result = lookup_succ(net, j)
+    if result is None or not net.is_live(result):
+        return "no ring member to answer the lookup"
+    return None
+
+
+def _join_guard(net: Network, ev: Event) -> str | None:
+    # The precondition contains no mutable term, so interleaved events cannot
+    # invalidate it once it holds.
+    j = ev.node
+    state = net.nodes.get(j)
+    if net.is_live(j) or state is None or state.pending_new_succ is None:
+        return f"{j} has no join in progress"
+    target = state.pending_new_succ
+    if net.is_live(target) and not join_precondition_holds(net, j, target):
+        return f"a base member lies between {j} and {target}"
+    return None
+
+
+def _adoption_guard(net: Network, ev: Event) -> str | None:
+    n = ev.node
     if not net.is_live(n):
-        raise EventNotEnabled(f"{n} is not a live member")
-    if not force:
-        if n in net.base:
-            raise EventNotEnabled(f"{n} is a stable-base member")
-        if not fail_guard_holds(net, n):
-            raise EventNotEnabled(f"failing {n} would strand a member")
-    return net.without_member(n)
+        return f"{n} is not a live member"
+    if net.nodes[n].pending_candidate is None:
+        # No stored candidate: the one a fresh stabilize would acquire.
+        h = best_successor(net, n)
+        if h is not None and net.nodes[h].pred is None:
+            return f"{n} acquired no predecessor to adopt"
+    return None
+
+
+def _rectify_guard(net: Network, ev: Event) -> str | None:
+    # Notification is modeled by enabling: a live notifier with n at the head
+    # of its list would notify n after stabilizing.
+    n, p = ev.node, ev.new_pred
+    if not net.is_live(n):
+        return f"{n} is not a live member"
+    if p is None:
+        return f"Rectify of {n} names no notifier (newPred)"
+    if not net.is_live(p):
+        return f"notifier {p} is not live"
+    if net.node(p).succ_list[0] != n:
+        return f"{p} would not notify {n}"
+    return None
+
+
+def _fail_guard(net: Network, ev: Event) -> str | None:
+    n = ev.node
+    if not net.is_live(n):
+        return f"{n} is not a live member"
+    if n in net.base:
+        return f"{n} is a stable-base member"
+    if not fail_guard_holds(net, n):
+        return f"failing {n} would strand a member"
+    return None
+
+
+# --- timeouts: an event whose guard holds but whose query goes to a dead node ----
+#
+# It is not counted enabled. It still applies, as a retry that clears the
+# intermediate it waited on, except a stabilize whose every successor entry
+# is dead: that member is stranded, and applying it raises AssumptionBreach.
+
+
+def _stranded(net: Network, ev: Event) -> bool:
+    return best_successor(net, ev.node) is None
+
+
+def _contact_dead(net: Network, ev: Event) -> bool:
+    return ev.known is not None and not net.is_live(ev.known)
+
+
+def _join_target_dead(net: Network, ev: Event) -> bool:
+    return not net.is_live(net.nodes[ev.node].pending_new_succ)
+
+
+def _no_closer_candidate(net: Network, ev: Event) -> bool:
+    # An unset candidate counts too: only a stored one makes the step enabled.
+    state = net.node(ev.node)
+    c = state.pending_candidate
+    return c is None or not net.is_live(c) or not between(ev.node, c, state.succ_list[0])
+
+
+# --- effects, applied once the guard holds -----------------------------------------
+
+
+def _join_lookup(net: Network, ev: Event, faults: FaultFlags) -> Network:
+    if _contact_dead(net, ev):
+        return net  # timeout, retry later
+    # A rejoining identifier re-initializes its variables.
+    result = lookup_succ(net, ev.node)
+    return net.with_node(NodeState(ident=ev.node, succ_list=(), pending_new_succ=result))
+
+
+def _join(net: Network, ev: Event, faults: FaultFlags) -> Network:
+    state = net.nodes[ev.node]
+    new_succ = state.pending_new_succ
+    if not net.is_live(new_succ):
+        return net.with_node(replace(state, pending_new_succ=None))  # timeout, retry
+    if faults.short_join:
+        succ_list = (new_succ,) * net.params.r
+    else:
+        succ_list = (new_succ,) + net.node(new_succ).succ_list[:-1]
+    joined = NodeState(ident=ev.node, succ_list=succ_list, pred=None)
+    return net.with_node(joined, live=True)
+
+
+def _stabilize_from_old_successor(net: Network, ev: Event, faults: FaultFlags) -> Network:
+    # Dead list prefixes are skipped in one atomic step, mirroring the retry
+    # loop of the stabilize operation.
+    n = ev.node
+    h = _live_successor(net, n)
+    h_state = net.node(h)
+    new_list = (h,) + h_state.succ_list[: net.params.r - 1]
+    return net.with_node(
+        replace(net.node(n), succ_list=new_list, pending_candidate=h_state.pred)
+    )
+
+
+def _stabilize_from_new_successor(net: Network, ev: Event, faults: FaultFlags) -> Network:
+    # A dead candidate times out, and one that is not between the node and
+    # its successor is dropped; both clear the intermediate and keep the list.
+    n = ev.node
+    state = net.node(n)
+    c, ref_head = state.pending_candidate, state.succ_list[0]
+    if c is None:
+        ref_head = _live_successor(net, n)
+        c = net.node(ref_head).pred
+    timed_out = not net.is_live(c) and not faults.unchecked_adoption
+    if timed_out or not between(n, c, ref_head):
+        return net.with_node(replace(state, pending_candidate=None))
+    new_list = (c,) + net.node(c).succ_list[: net.params.r - 1]
+    return net.with_node(replace(state, succ_list=new_list, pending_candidate=None))
+
+
+def _rectify(net: Network, ev: Event, faults: FaultFlags) -> Network:
+    n, p = ev.node, ev.new_pred
+    state = net.node(n)
+    cur = state.pred
+    if cur is None or not net.is_live(cur) or between(cur, p, n):
+        cur = p
+    # Executing any event other than the stabilize pair invalidates a held
+    # stabilize intermediate.
+    return net.with_node(replace(state, pred=cur, pending_candidate=None))
+
+
+def _fail(net: Network, ev: Event, faults: FaultFlags) -> Network:
+    return net.without_member(ev.node)
+
+
+# The single source of each kind's precondition: (guard, timeout or None
+# for kinds that never time out, effect).
+_KINDS = {
+    EventKind.JOIN_LOOKUP: (_join_lookup_guard, _contact_dead, _join_lookup),
+    EventKind.JOIN: (_join_guard, _join_target_dead, _join),
+    EventKind.STABILIZE_FROM_OLD_SUCCESSOR: (_member_guard, _stranded, _stabilize_from_old_successor),
+    EventKind.STABILIZE_FROM_NEW_SUCCESSOR: (_adoption_guard, _no_closer_candidate, _stabilize_from_new_successor),
+    EventKind.RECTIFY: (_rectify_guard, None, _rectify),
+    EventKind.FAIL: (_fail_guard, None, _fail),
+}
+
+
+def guard(net: Network, event: Event) -> str | None:
+    """Why the event may not occur in this snapshot, or None if it may."""
+    return _KINDS[event.kind][0](net, event)
 
 
 def apply_event(
     net: Network, event: Event, faults: FaultFlags = _NO_FAULTS, force: bool = False
 ) -> Network:
-    if event.kind is EventKind.JOIN_LOOKUP:
-        return apply_join_lookup(net, event.node, event.known)
-    if event.kind is EventKind.JOIN:
-        return apply_join(net, event.node, faults)
-    if event.kind is EventKind.STABILIZE_FROM_OLD_SUCCESSOR:
-        return apply_stabilize_from_old_successor(net, event.node)
-    if event.kind is EventKind.STABILIZE_FROM_NEW_SUCCESSOR:
-        return apply_stabilize_from_new_successor(net, event.node, faults=faults)
-    if event.kind is EventKind.RECTIFY:
-        assert event.new_pred is not None
-        return apply_rectify(net, event.node, event.new_pred)
-    if event.kind is EventKind.FAIL:
-        return apply_fail(net, event.node, force=force)
-    raise ValueError(f"unknown event kind {event.kind}")
+    """Apply the event, raising EventNotEnabled with the guard's reason if it may not occur.
+
+    A stabilize of a member with no live successor raises AssumptionBreach.
+    `force` bypasses the Fail guards (base permanence and the strand check)
+    for scripted demonstrations of assumption violations; the executor must
+    still be a live member, and every other kind keeps its guard.
+    """
+    check, _, effect = _KINDS[event.kind]
+    if force and event.kind is EventKind.FAIL:
+        check = _member_guard
+    reason = check(net, event)
+    if reason is not None:
+        raise EventNotEnabled(reason)
+    return effect(net, event, faults)
 
 
 def is_enabled(net: Network, event: Event) -> bool:
-    kind, n = event.kind, event.node
-    if kind is EventKind.JOIN_LOOKUP:
-        if net.is_live(n):
-            return False
-        existing = net.nodes.get(n)
-        if existing is not None and existing.pending_new_succ is not None:
-            return False
-        if event.known is not None and not net.is_live(event.known):
-            return False
-        result = lookup_succ(net, n)
-        return result is not None and net.is_live(result)
-    if kind is EventKind.JOIN:
-        state = net.nodes.get(n)
-        if net.is_live(n) or state is None or state.pending_new_succ is None:
-            return False
-        target = state.pending_new_succ
-        return net.is_live(target) and join_precondition_holds(net, n, target)
-    if kind is EventKind.STABILIZE_FROM_OLD_SUCCESSOR:
-        return net.is_live(n) and best_successor(net, n) is not None
-    if kind is EventKind.STABILIZE_FROM_NEW_SUCCESSOR:
-        if not net.is_live(n):
-            return False
-        state = net.node(n)
-        c = state.pending_candidate
-        return (
-            c is not None
-            and net.is_live(c)
-            and between(n, c, state.succ_list[0])
-        )
-    if kind is EventKind.RECTIFY:
-        p = event.new_pred
-        return (
-            p is not None
-            and net.is_live(n)
-            and net.is_live(p)
-            and net.node(p).succ_list[0] == n
-        )
-    if kind is EventKind.FAIL:
-        return net.is_live(n) and n not in net.base and fail_guard_holds(net, n)
-    return False
+    """The guard holds and the event does not time out."""
+    check, times_out, _ = _KINDS[event.kind]
+    return check(net, event) is None and not (times_out and times_out(net, event))
+
+
+def apply_join_lookup(net: Network, joining: int, known: int | None = None) -> Network:
+    """The joiner asks a member (`known`) for its proper successor, recording the answer."""
+    return apply_event(net, Event(EventKind.JOIN_LOOKUP, joining, known=known))
+
+
+def apply_join(net: Network, joining: int, faults: FaultFlags = _NO_FAULTS) -> Network:
+    """Complete a join: copy the new successor's list and become a member."""
+    return apply_event(net, Event(EventKind.JOIN, joining), faults)
+
+
+def apply_stabilize_from_old_successor(net: Network, n: int) -> Network:
+    """Query the first live successor, adopt its list, and acquire its predecessor."""
+    return apply_event(net, Event(EventKind.STABILIZE_FROM_OLD_SUCCESSOR, n))
+
+
+def apply_stabilize_from_new_successor(
+    net: Network, n: int, faults: FaultFlags = _NO_FAULTS
+) -> Network:
+    """Adopt the acquired predecessor as the new first successor if it is closer.
+
+    With no stored candidate, the one a fresh stabilize would acquire is used,
+    completing the full stabilize operation through its adoption branch.
+    """
+    return apply_event(net, Event(EventKind.STABILIZE_FROM_NEW_SUCCESSOR, n), faults)
+
+
+def apply_rectify(net: Network, n: int, new_pred: int) -> Network:
+    """Adopt a notifying predecessor if the current one is gone or farther away."""
+    return apply_event(net, Event(EventKind.RECTIFY, n, new_pred=new_pred))
+
+
+def apply_fail(net: Network, n: int, force: bool = False) -> Network:
+    """Remove a member, retaining its last state read-only."""
+    return apply_event(net, Event(EventKind.FAIL, n), force=force)
 
 
 def enabled_events(
-    net: Network, joiners: tuple[int, ...] | None = None
+    net: Network, joiners: tuple[int, ...] | None = None, kinds=ALL_KINDS
 ) -> list[Event]:
-    """All events whose preconditions hold, in deterministic order.
+    """Every enabled event of the given kinds, in listing order.
 
-    `joiners` names the identifiers considered as join candidates; by default
-    every non-live identifier already tracked by the network is considered.
+    The order is fixed: each joiner's JoinLookup and Join, then each live
+    member's two stabilize steps and its Fail, then the Rectify that each
+    live member would send to the head of its list. `joiners` names the
+    identifiers considered as join candidates; by default every non-live
+    identifier the network tracks.
     """
     if joiners is None:
         joiners = tuple(i for i in sorted(net.nodes) if not net.is_live(i))
-    events: list[Event] = []
-    for j in joiners:
-        ev = Event(EventKind.JOIN_LOOKUP, j)
-        if is_enabled(net, ev):
-            events.append(ev)
-        ev = Event(EventKind.JOIN, j)
-        if is_enabled(net, ev):
-            events.append(ev)
-    fails = failable(net) - net.base
+    joiner_kinds = [k for k in (EventKind.JOIN_LOOKUP, EventKind.JOIN) if k in kinds]
+    member_kinds = [
+        k
+        for k in (EventKind.STABILIZE_FROM_OLD_SUCCESSOR, EventKind.STABILIZE_FROM_NEW_SUCCESSOR)
+        if k in kinds
+    ]
+    # `failable` applies the Fail guard to every member in one pass.
+    fails = failable(net) - net.base if EventKind.FAIL in kinds else frozenset()
+    candidates = [Event(k, j) for j in joiners for k in joiner_kinds]
+    events = [ev for ev in candidates if is_enabled(net, ev)]
     for n in net.live_idents():
-        ev = Event(EventKind.STABILIZE_FROM_OLD_SUCCESSOR, n)
-        if is_enabled(net, ev):
-            events.append(ev)
-        ev = Event(EventKind.STABILIZE_FROM_NEW_SUCCESSOR, n)
-        if is_enabled(net, ev):
-            events.append(ev)
+        for k in member_kinds:
+            ev = Event(k, n)
+            if is_enabled(net, ev):
+                events.append(ev)
         if n in fails:
             events.append(Event(EventKind.FAIL, n))
-    for p in net.live_idents():
-        head = net.node(p).succ_list[0]
-        ev = Event(EventKind.RECTIFY, head, new_pred=p)
-        if is_enabled(net, ev):
-            events.append(ev)
-    return sorted(events, key=Event.sort_key)
+    if EventKind.RECTIFY in kinds:
+        for p in net.live_idents():
+            ev = Event(EventKind.RECTIFY, net.nodes[p].succ_list[0], new_pred=p)
+            if is_enabled(net, ev):
+                events.append(ev)
+    return events
 
 
 # --- serialization ----------------------------------------------------------

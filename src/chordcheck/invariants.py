@@ -3,6 +3,9 @@
 Validity is the conjunction of AtLeastOneRing, AtMostOneRing, OrderedRing,
 ConnectedAppendages and BaseNotSkipped. None of the conjuncts read
 predecessor pointers; they constrain successor-list structure only.
+
+`PREDICATES` is the one table of named predicates, read by scenario
+expectations, the trial-invariant samplers and the counterexample search.
 """
 
 from __future__ import annotations
@@ -11,8 +14,10 @@ from dataclasses import dataclass
 from itertools import pairwise
 
 from .ident import between
+from .measure import effective_enabled, total_error
 from .netstate import Network, extended_succ_list
 from .topology import best_successor_map, ring_cycle, ring_members, _cycle_is_ordered, _walk
+from .topology import is_ideal
 
 
 @dataclass(frozen=True)
@@ -203,8 +208,42 @@ def eight_conjunct_trial(net: Network) -> bool:
     return t.no_conflicting_dates and t.no_ejects
 
 
-TRIAL_INVARIANTS = {
-    "six-conjunct": six_conjunct_trial,
-    "eight-conjunct": eight_conjunct_trial,
-    "valid": is_valid,
+# Every predicate a scenario expectation can name: name -> (function of the
+# network and the arguments, the argument counts it accepts). Arguments are
+# tracked identifiers; the two list properties judge one live member, or
+# every live member when given none.
+PREDICATES = {
+    "atLeastOneRing": (lambda net: conjuncts(net).at_least_one_ring, (0,)),
+    "atMostOneRing": (lambda net: conjuncts(net).at_most_one_ring, (0,)),
+    "orderedRing": (lambda net: conjuncts(net).ordered_ring, (0,)),
+    "connectedAppendages": (lambda net: conjuncts(net).connected_appendages, (0,)),
+    "baseNotSkipped": (lambda net: conjuncts(net).base_not_skipped, (0,)),
+    "valid": (is_valid, (0,)),
+    "ideal": (is_ideal, (0,)),
+    "totalError": (total_error, (0,)),
+    "networkIsImprovable": (lambda net: bool(effective_enabled(net)), (0,)),
+    "noConflictingDates": (lambda net: trial_predicates(net).no_conflicting_dates, (0,)),
+    "noEjects": (lambda net: trial_predicates(net).no_ejects, (0,)),
+    "sixConjunct": (six_conjunct_trial, (0,)),
+    "eightConjunct": (eight_conjunct_trial, (0,)),
+    "noDuplicates": (
+        lambda net, *n: all(list_properties(net, x).no_duplicates for x in n or net.live),
+        (0, 1),
+    ),
+    "orderedSuccessorLists": (
+        lambda net, *n: all(list_properties(net, x).ordered_successor_lists for x in n or net.live),
+        (0, 1),
+    ),
+    "live": (lambda net, n: net.is_live(n), (1,)),
+    "pred": (lambda net, n: net.node(n).pred, (1,)),
+    "succ": (lambda net, n: net.node(n).succ_list[0], (1,)),
+    "succList": (lambda net, n: list(net.node(n).succ_list), (1,)),
+    "pendingCandidate": (lambda net, n: net.node(n).pending_candidate, (1,)),
+    "pendingNewSucc": (lambda net, n: net.node(n).pending_new_succ, (1,)),
 }
+
+
+def trial_predicate_name(trial: str) -> str:
+    """The registry name of a command-line trial name: six-conjunct -> sixConjunct."""
+    first, *rest = trial.split("-")
+    return first + "".join(word.capitalize() for word in rest)

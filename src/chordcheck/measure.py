@@ -168,7 +168,3 @@ def effective_enabled(net: Network) -> list[Event]:
         if cur is None or not net.is_live(cur) or between(cur, p, n):
             events.append(Event(EventKind.RECTIFY, n, new_pred=p))
     return sorted(events, key=Event.sort_key)
-
-
-def network_is_improvable(net: Network) -> bool:
-    return bool(effective_enabled(net))

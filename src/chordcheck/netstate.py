@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Iterable, Mapping
 
 from .ident import RingParams
 
@@ -56,10 +56,6 @@ class Network:
 
     def live_idents(self) -> tuple[int, ...]:
         return tuple(sorted(self.live))
-
-    def iter_live(self) -> Iterator[NodeState]:
-        for ident in sorted(self.live):
-            yield self.nodes[ident]
 
     def with_node(self, state: NodeState, live: bool | None = None) -> "Network":
         nodes = dict(self.nodes)
@@ -164,10 +160,6 @@ def extended_succ_list(net: Network, n: int) -> tuple[int, ...]:
         raise ValueError(f"{n} is not a live member")
     state = net.node(n)
     return (n,) + state.succ_list
-
-
-def is_live(net: Network, n: int) -> bool:
-    return net.is_live(n)
 
 
 @dataclass(frozen=True)

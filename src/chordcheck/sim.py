@@ -27,15 +27,12 @@ from .events import (
     Event,
     EventKind,
     apply_event,
-    apply_fail,
-    apply_rectify,
-    apply_stabilize_from_new_successor,
-    apply_stabilize_from_old_successor,
+    enabled_events,
     event_from_dict,
     event_to_dict,
     failable,
+    guard,
     is_enabled,
-    join_precondition_holds,
 )
 from .invariants import conjuncts
 from .measure import effective_enabled, total_error, visible_state
@@ -43,6 +40,15 @@ from .topology import is_ideal, structure
 
 CHURN = "churn"
 REPAIR = "repair"
+
+# Churn pool weights beside `SimConfig.join_weight`.
+FAIL_WEIGHT = 1.0
+REPAIR_WEIGHT = 3.0
+REPAIR_KINDS = (
+    EventKind.STABILIZE_FROM_OLD_SUCCESSOR,
+    EventKind.STABILIZE_FROM_NEW_SUCCESSOR,
+    EventKind.RECTIFY,
+)
 
 
 class DivergenceError(Exception):
@@ -54,18 +60,12 @@ class SimConfig:
     params: RingParams
     churn_steps: int
     seed: int
-    base_ids: tuple[int, ...] | None = None
     join_weight: float = 2.0
-    fail_weight: float = 1.0
-    repair_weight: float = 3.0
     max_members: int | None = None
-    fairness_window: int = 1
     step_ceiling: int = 10**6
     allow_base_fail: bool = False  # experimentation only; breaks the theorem's premise
 
     def __post_init__(self) -> None:
-        if self.fairness_window < 1:
-            raise ValueError("fairness window must be at least 1")
         if self.churn_steps < 0:
             raise ValueError("churn steps must be non-negative")
 
@@ -93,28 +93,11 @@ def _kth_unblocked(k: int, blocked: list[int]) -> int:
     return k
 
 
-def _repair_pool(net: Network, live: tuple[int, ...]) -> list[Event]:
-    """Every enabled stabilize and rectify, in the order the scheduler draws from."""
-    repairs: list[Event] = []
-    for n in live:
-        repairs.append(Event(EventKind.STABILIZE_FROM_OLD_SUCCESSOR, n))
-        ev = Event(EventKind.STABILIZE_FROM_NEW_SUCCESSOR, n)
-        if is_enabled(net, ev):
-            repairs.append(ev)
-    for p in live:
-        head = net.node(p).succ_list[0]
-        ev = Event(EventKind.RECTIFY, head, new_pred=p)
-        if is_enabled(net, ev):
-            repairs.append(ev)
-    return repairs
-
-
 def run_simulation(config: SimConfig) -> Trace:
     """Run churn then fair repair; returns the full tagged trace."""
     rng = random.Random(config.seed)
     params = config.params
-    base = tuple(config.base_ids) if config.base_ids else _default_base(params, rng)
-    net = init_network(params, base)
+    net = init_network(params, _default_base(params, rng))
     steps: list[TraceStep] = []
     initial = net
 
@@ -133,11 +116,9 @@ def run_simulation(config: SimConfig) -> Trace:
                 for i in sorted(net.nodes)
                 if not net.is_live(i) and net.nodes[i].pending_new_succ is not None
             ]
-            for j in pending:
-                target = net.nodes[j].pending_new_succ
-                if not net.is_live(target) or join_precondition_holds(net, j, target):
-                    # Completable, or a dead result that times out and clears.
-                    joins.append(Event(EventKind.JOIN, j))
+            # Completable, or a dead result that times out and clears.
+            joins = [Event(EventKind.JOIN, j) for j in pending]
+            joins = [ev for ev in joins if guard(net, ev) is None]
             # A fresh joiner is any identifier neither live nor mid-join, and
             # it needs a live contact: with allow_base_fail every member can fail.
             blocked = sorted([*live, *pending])
@@ -159,8 +140,8 @@ def run_simulation(config: SimConfig) -> Trace:
             (w, p)
             for w, p, nonempty in (
                 (config.join_weight, joins, joins),
-                (config.fail_weight, fails, fails),
-                (config.repair_weight, None, live),
+                (FAIL_WEIGHT, fails, fails),
+                (REPAIR_WEIGHT, None, live),
             )
             if nonempty and w > 0
         ]
@@ -175,35 +156,33 @@ def run_simulation(config: SimConfig) -> Trace:
                 break
             roll -= w
         if pool is None:
-            pool = _repair_pool(net, live)
+            pool = enabled_events(net, joiners=(), kinds=REPAIR_KINDS)
         ev = _pick(rng, pool)
-        if ev.kind is EventKind.FAIL:
-            net = record(ev, apply_fail(net, ev.node, force=config.allow_base_fail), CHURN)
-        else:
-            net = record(ev, apply_event(net, ev), CHURN)
+        net = record(ev, apply_event(net, ev, force=config.allow_base_fail), CHURN)
 
-    # Phase 2: repair only, scheduled by bounded round-robin sweeps so every
-    # enabled effective event fires within one sweep of the fairness window.
+    # Phase 2: repair only, scheduled by round-robin sweeps so every enabled
+    # effective event fires within one sweep.
     applied = 0
     while effective_enabled(net):
         order = list(net.live_idents())
         rng.shuffle(order)
         for n in order:
             before = visible_state(net, n)
-            post = apply_stabilize_from_old_successor(net, n)
+            sfos = Event(EventKind.STABILIZE_FROM_OLD_SUCCESSOR, n)
+            post = apply_event(net, sfos)
             sfns = Event(EventKind.STABILIZE_FROM_NEW_SUCCESSOR, n)
             will_adopt = is_enabled(post, sfns)
             if visible_state(post, n) != before or will_adopt:
-                net = record(Event(EventKind.STABILIZE_FROM_OLD_SUCCESSOR, n), post, REPAIR)
+                net = record(sfos, post, REPAIR)
                 applied += 1
                 if will_adopt:
-                    net = record(sfns, apply_stabilize_from_new_successor(net, n), REPAIR)
+                    net = record(sfns, apply_event(net, sfns), REPAIR)
                     applied += 1
             head = net.node(n).succ_list[0]
             rect = Event(EventKind.RECTIFY, head, new_pred=n)
             if is_enabled(net, rect):
                 target_before = visible_state(net, head)
-                post = apply_rectify(net, head, n)
+                post = apply_event(net, rect)
                 if visible_state(post, head) != target_before:
                     net = record(rect, post, REPAIR)
                     applied += 1
@@ -215,14 +194,19 @@ def run_simulation(config: SimConfig) -> Trace:
     return Trace(initial=initial, steps=tuple(steps))
 
 
-def phase2_initial_error(trace: Trace) -> int:
-    """Total error at the start of the repair-only phase."""
+def _repair_start(trace: Trace) -> Network:
+    """The network the repair-only phase starts from: the last churn network."""
     net = trace.initial
     for step in trace.steps:
         if step.tag == REPAIR:
             break
         net = step.network
-    return total_error(net)
+    return net
+
+
+def phase2_initial_error(trace: Trace) -> int:
+    """Total error at the start of the repair-only phase."""
+    return total_error(_repair_start(trace))
 
 
 def convergence_steps(trace: Trace) -> int:
@@ -230,12 +214,7 @@ def convergence_steps(trace: Trace) -> int:
 
     Raises if the trace never reaches the ideal state or fails to stay there.
     """
-    prev = trace.initial
-    for step in trace.steps:
-        if step.tag == REPAIR:
-            break
-        prev = step.network
-
+    prev = _repair_start(trace)
     effective = 0
     converged_at: int | None = None
     repair_steps = [s for s in trace.steps if s.tag == REPAIR]
@@ -251,8 +230,9 @@ def convergence_steps(trace: Trace) -> int:
             raise DivergenceError("network left the ideal state during repair")
         prev = step.network
 
-    final = repair_steps[-1].network if repair_steps else trace.initial
-    if converged_at is None and not is_ideal(final):
+    # Repair follows churn, so the last step is the last churn step when
+    # the repair phase is empty.
+    if converged_at is None and not is_ideal(trace.final()):
         raise DivergenceError("trace never reached the ideal state")
     return effective
 

@@ -29,6 +29,9 @@ from chordcheck.measure import effective_enabled, total_error
 from chordcheck.topology import is_ideal
 from chordcheck import checker
 
+import events_oracle as oracle
+from conftest import oracle_states
+
 SMALL = RingParams(m=3, r=2)
 WIDE = RingParams(m=6, r=2)
 
@@ -354,3 +357,26 @@ class TestTrialSearch:
             "valid", WIDE, 7, seed=0, max_states=1500
         )
         assert found is None
+
+
+class TestOneCandidateListing:
+    """Preservation cases and the trial search against the old listing loops (`events_oracle`)."""
+
+    def test_preservation_cases_match_in_order(self):
+        # Every fourth oracle state: predecessors vary fastest in the
+        # enumeration, and no listing reads them.
+        cases = 0
+        for net in itertools.islice(oracle_states(), 0, None, 4):
+            old = list(oracle.preservation_cases(net))
+            assert list(checker.preservation_cases(net)) == old, net
+            cases += len(old)
+        assert cases > 30_000
+
+    @pytest.mark.parametrize(
+        "trial, max_states, require_break",
+        [("six-conjunct", 5000, "orderedRing"), ("eight-conjunct", 5000, "noEjects"), ("valid", 300, None)],
+    )
+    def test_trial_search_finds_the_same_counterexample(self, trial, max_states, require_break):
+        for seed in (0, 1):
+            args = (trial, WIDE, 7, seed, max_states, require_break)
+            assert checker.search_trial_counterexample(*args) == oracle.search_trial_counterexample(*args)

@@ -1,6 +1,7 @@
 """CLI behavior: subcommands, exit codes, scenario replay, DOT export."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -59,6 +60,58 @@ class TestReplayScenarios:
         path = tmp_path / "malformed.json"
         path.write_text(json.dumps(scenario))
         assert cli.main(["replay", str(path)]) == cli.EXIT_PARSE
+
+    def _replay(self, tmp_path, capsys, script=(), expectations=()):
+        scenario = {
+            "params": {"m": 6, "r": 2},
+            "base": [7, 19, 33],
+            "script": list(script),
+            "expectations": list(expectations),
+        }
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        code = cli.main(["replay", str(path)])
+        out = capsys.readouterr()
+        assert "Traceback" not in out.err
+        return code, out.out
+
+    def test_forced_join_without_lookup_exit_3(self, tmp_path, capsys):
+        code, out = self._replay(tmp_path, capsys, [{"kind": "Join", "node": 10, "force": True}])
+        assert code == cli.EXIT_DISABLED_EVENT
+        assert "10 has no join in progress" in out
+
+    def test_forced_rectify_without_notifier_exit_3(self, tmp_path, capsys):
+        code, out = self._replay(tmp_path, capsys, [{"kind": "Rectify", "node": 19, "force": True}])
+        assert code == cli.EXIT_DISABLED_EVENT
+        assert "names no notifier" in out
+
+    def test_forced_fail_still_bypasses_the_fail_guards(self, tmp_path, capsys):
+        code, _ = self._replay(
+            tmp_path, capsys, [{"kind": "Fail", "node": 7, "force": True}],
+            [{"step": 1, "predicate": "live", "args": [7], "expected": False}],
+        )
+        assert code == cli.EXIT_OK
+
+    def test_disabled_event_prints_the_guard_reason(self, tmp_path, capsys):
+        code, out = self._replay(tmp_path, capsys, [{"kind": "Fail", "node": 7}])
+        assert code == cli.EXIT_DISABLED_EVENT
+        assert "7 is a stable-base member" in out
+
+    @pytest.mark.parametrize(
+        "expectation, named",
+        [
+            ({"predicate": "pred"}, "pred[]"),
+            ({"predicate": "ideal", "args": [7]}, "ideal[7]"),
+            ({"predicate": "noDuplicates", "args": [7, 19]}, "noDuplicates[7, 19]"),
+            ({"predicate": "succ", "args": [42]}, "succ[42]: 42 is not a tracked identifier"),
+            ({"predicate": "live", "args": ["7"]}, "live['7']"),
+            ({"predicate": "bogus"}, "unknown predicate 'bogus'"),
+        ],
+    )
+    def test_bad_predicate_call_exit_2(self, tmp_path, capsys, expectation, named):
+        code, out = self._replay(tmp_path, capsys, expectations=[{"step": 0, "expected": 1, **expectation}])
+        assert code == cli.EXIT_PARSE
+        assert named in out
 
     def test_unknown_flag_exit_64(self):
         assert cli.main(["replay", "--bogus"]) == cli.EXIT_USAGE
@@ -218,6 +271,13 @@ class TestSimulateAndExplore:
             int(fields["churn_events"]) + int(fields["repair_events"])
         )
 
+    def test_explore_joiner_outside_the_space_exit_64(self, capsys):
+        code = cli.main(["explore", "--base", "7,19,33", "--joins", "1", "--joiners", "99"])
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "99" in err and "Traceback" not in err
+
     def test_explore_command(self, capsys):
         code = cli.main(
             [
@@ -227,3 +287,12 @@ class TestSimulateAndExplore:
         )
         assert code == cli.EXIT_OK
         assert "explored" in capsys.readouterr().out
+
+
+def test_readme_lists_every_registry_predicate_with_its_arity():
+    from chordcheck.invariants import PREDICATES
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    rows = re.findall(r"^\| `(\w+)` \| ([0-9 or]+) \|$", readme, flags=re.M)
+    listed = {name: tuple(int(n) for n in counts.split(" or ")) for name, counts in rows}
+    assert listed == {name: arities for name, (_, arities) in PREDICATES.items()}

@@ -1,6 +1,8 @@
 """Event semantics: enabling, application, atomicity, and the join handshake."""
 
+import itertools
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -12,6 +14,7 @@ from chordcheck.events import (
     Event,
     EventKind,
     EventNotEnabled,
+    FaultFlags,
     apply_event,
     apply_fail,
     apply_join,
@@ -29,7 +32,10 @@ from chordcheck.events import (
 )
 from chordcheck.measure import effective_enabled
 from chordcheck.checker import sample_valid_states
+from chordcheck.topology import best_successor
+from chordcheck import sim
 
+import events_oracle as oracle
 from conftest import make_net, oracle_states, undersized_init_state, wrap_trap_state
 
 PARAMS = RingParams(m=6, r=2)
@@ -303,3 +309,98 @@ class TestEventSerialization:
             Event(EventKind.FAIL, 3),
         ):
             assert event_from_dict(event_to_dict(ev)) == ev
+
+
+def _candidate_events(net):
+    """Every kind at every tracked identifier, plus the edge cases of each guard.
+
+    Joiners include an out-of-space and an untracked identifier, and the
+    first departed node also asks through a live and a dead contact. Rectify
+    is sent from each live member to the head of its list, from each node to
+    itself, without a notifier and from a dead notifier.
+    """
+    space = net.params.space
+    tracked = sorted(net.nodes)
+    live = net.live_idents()
+    dead = [i for i in tracked if not net.is_live(i)]
+    untracked = next(i for i in range(space + 1) if i not in net.nodes)
+    for j in tracked + [untracked, space]:
+        yield Event(EventKind.JOIN_LOOKUP, j)
+        yield Event(EventKind.JOIN, j)
+    for j in dead[:1]:
+        for known in (live[0], j):
+            yield Event(EventKind.JOIN_LOOKUP, j, known=known)
+    for n in tracked + [untracked]:
+        yield Event(EventKind.STABILIZE_FROM_OLD_SUCCESSOR, n)
+        yield Event(EventKind.STABILIZE_FROM_NEW_SUCCESSOR, n)
+        yield Event(EventKind.FAIL, n)
+        yield Event(EventKind.RECTIFY, n, new_pred=n)
+    for p in live:
+        yield Event(EventKind.RECTIFY, net.node(p).succ_list[0], new_pred=p)
+    for p in [None, *dead[:1]]:
+        yield Event(EventKind.RECTIFY, live[0], new_pred=p)
+
+
+def _timeout_states():
+    """A join whose looked-up successor died, and a stored candidate that died."""
+    net = make_net(
+        6, 2, base=[7, 33, 50],
+        nodes={7: (50, (19, 33)), 19: (7, (33, 50)), 33: (19, (50, 7)), 50: (33, (7, 19))},
+    )
+    net = apply_join_lookup(net, 10, known=7)
+    net = net.with_node(replace(net.node(33), pending_candidate=19))
+    yield apply_fail(net, 19)
+
+
+def _outcome(apply, net, ev, **kw):
+    try:
+        return apply(net, ev, **kw)
+    except Exception as err:  # noqa: BLE001 - the exception type is the outcome
+        return type(err)
+
+
+class TestGuardTableMatchesTheOracle:
+    """The guard table against the guards as written before it (`events_oracle`).
+
+    The old code left two inputs unguarded, and only there do the outcomes
+    differ: a JoinLookup outside the identifier space was enabled but raised
+    ValueError, and a Rectify without a notifier raised AssertionError. Both
+    are now guard failures: not enabled, and EventNotEnabled.
+    """
+
+    def test_enabling_and_outcomes_agree_on_every_candidate(self):
+        faulty = FaultFlags(unchecked_adoption=True, short_join=True)
+        seen = Counter()
+        for net in itertools.chain(oracle_states(), _timeout_states()):
+            for ev in _candidate_events(net):
+                old, new = _outcome(oracle.apply_event, net, ev), _outcome(apply_event, net, ev)
+                enabled = is_enabled(net, ev)
+                if ev.kind is EventKind.JOIN_LOOKUP and not 0 <= ev.node < net.params.space:
+                    assert (old, new, enabled) == (ValueError, EventNotEnabled, False)
+                elif ev.kind is EventKind.RECTIFY and ev.new_pred is None:
+                    assert (old, new, enabled) == (AssertionError, EventNotEnabled, False)
+                else:
+                    assert new == old, (net, ev)
+                    assert enabled == oracle.is_enabled(net, ev), (net, ev)
+                if ev.kind is EventKind.FAIL:
+                    forced = _outcome(apply_event, net, ev, force=True)
+                    assert forced == _outcome(oracle.apply_event, net, ev, force=True)
+                if ev.kind in (EventKind.JOIN, EventKind.STABILIZE_FROM_NEW_SUCCESSOR):
+                    faulted = _outcome(apply_event, net, ev, faults=faulty)
+                    assert faulted == _outcome(oracle.apply_event, net, ev, faults=faulty)
+                outcome = new if isinstance(new, type) else "timeout" if not enabled else "applied"
+                seen[ev.kind, outcome if new != net else "unchanged"] += 1
+        # Every kind is seen enabled and refused; every timeout kind times out.
+        for kind in EventKind:
+            assert seen[kind, "applied"] and seen[kind, EventNotEnabled], kind
+        assert seen[EventKind.STABILIZE_FROM_OLD_SUCCESSOR, AssumptionBreach]
+        for kind in (EventKind.JOIN_LOOKUP, EventKind.JOIN, EventKind.STABILIZE_FROM_NEW_SUCCESSOR):
+            assert seen[kind, "timeout"] or seen[kind, "unchanged"], kind
+
+    def test_listing_matches_the_old_listing_loops(self):
+        for net in oracle_states():
+            assert sorted(enabled_events(net), key=Event.sort_key) == oracle.enabled_events(net)
+            if all(best_successor(net, n) is not None for n in net.live):
+                # The simulator's repair pool, in the order it draws from.
+                pool = enabled_events(net, joiners=(), kinds=sim.REPAIR_KINDS)
+                assert pool == oracle._repair_pool(net, net.live_idents())

@@ -19,7 +19,6 @@ from chordcheck.measure import (
     effective_enabled,
     error_report,
     error_vector,
-    network_is_improvable,
     pointer_error,
     succ_role,
     total_error,
@@ -123,7 +122,7 @@ class TestEffectiveEnabled:
     def test_ideal_network_not_improvable(self):
         net = init_network(PARAMS, [7, 19, 33])
         assert effective_enabled(net) == []
-        assert not network_is_improvable(net)
+        assert not bool(effective_enabled(net))
 
     def test_dead_successor_makes_stabilize_effective(self):
         net = apply_event(wrap_trap_state(), Event(EventKind.FAIL, 3))
@@ -142,7 +141,7 @@ class TestEffectiveEnabled:
     def test_valid_non_ideal_states_improvable(self):
         for net in sample_valid_states(RingParams(6, 2), 9, 300, seed=19):
             if not is_ideal(net):
-                assert network_is_improvable(net)
+                assert bool(effective_enabled(net))
 
     def test_only_repair_kinds_count(self):
         repair = {

@@ -9,7 +9,6 @@ from chordcheck.ident import RingParams
 from chordcheck.netstate import (
     extended_succ_list,
     init_network,
-    is_live,
     network_from_dict,
     network_from_json,
     network_to_dict,
@@ -123,17 +122,17 @@ class TestExtendedSuccList:
 class TestLiveness:
     def test_base_member_live_after_init(self):
         net = init_network(PARAMS, [7, 19, 33])
-        assert is_live(net, 7)
+        assert net.is_live(7)
 
     def test_dead_after_fail(self):
         net = wrap_trap_state()
         net = apply_fail(net, 3)
-        assert not is_live(net, 3)
+        assert not net.is_live(3)
         assert 3 in net.nodes  # last state retained
 
     def test_never_joined_identifier(self):
         net = init_network(PARAMS, [7, 19, 33])
-        assert not is_live(net, 42)
+        assert not net.is_live(42)
 
 
 class TestSerialization:

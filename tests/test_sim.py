@@ -6,8 +6,16 @@ from collections import Counter
 
 import pytest
 
-from chordcheck.events import EventKind, EventNotEnabled, event_to_dict
+from chordcheck.events import (
+    Event,
+    EventKind,
+    EventNotEnabled,
+    apply_event,
+    event_to_dict,
+    is_enabled,
+)
 from chordcheck.ident import RingParams
+from chordcheck.netstate import Trace, TraceStep, init_network
 from chordcheck.invariants import is_valid
 from chordcheck.measure import total_error, visible_state
 from chordcheck.topology import is_ideal
@@ -28,10 +36,6 @@ def run(seed=0, churn=60, r=2, max_members=16, **kw):
 
 
 class TestConfig:
-    def test_rejects_bad_fairness_window(self):
-        with pytest.raises(ValueError):
-            sim.SimConfig(params=RingParams(6, 2), churn_steps=1, seed=0, fairness_window=0)
-
     def test_rejects_negative_churn(self):
         with pytest.raises(ValueError):
             sim.SimConfig(params=RingParams(6, 2), churn_steps=-1, seed=0)
@@ -43,6 +47,32 @@ class TestConvergence:
         assert trace.steps == ()
         assert is_ideal(trace.final())
         assert sim.convergence_steps(trace) == 0
+
+    def test_churn_ending_non_ideal_without_repair_diverges(self):
+        # With an empty repair phase the last churn network is judged.
+        net = init_network(RingParams(6, 2), [7, 19, 33])
+        steps = []
+        for ev in (Event(EventKind.JOIN_LOOKUP, 10, known=7), Event(EventKind.JOIN, 10)):
+            net = apply_event(net, ev)
+            steps.append(TraceStep(event=ev, network=net, tag=sim.CHURN))
+        assert not is_ideal(net)
+        with pytest.raises(sim.DivergenceError):
+            sim.convergence_steps(Trace(initial=init_network(RingParams(6, 2), [7, 19, 33]), steps=tuple(steps)))
+
+    def test_churn_schedules_joins_whose_target_died(self):
+        # The churn Join pool is "the guard holds": a Join whose looked-up
+        # successor died is not enabled, but it is scheduled, and it clears
+        # the lookup so the join can be retried.
+        cfg = sim.SimConfig(params=RingParams(6, 2), churn_steps=179, seed=6, max_members=18)
+        trace = sim.run_simulation(cfg)
+        prev, timeouts = trace.initial, 0
+        for step in trace.steps:
+            if step.event.kind is EventKind.JOIN and not is_enabled(prev, step.event):
+                assert step.network.nodes[step.event.node].pending_new_succ is None
+                assert not step.network.is_live(step.event.node)
+                timeouts += 1
+            prev = step.network
+        assert timeouts
 
     def test_scripted_style_join_converges(self):
         trace = run(seed=5, churn=40)
