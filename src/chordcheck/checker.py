@@ -487,31 +487,51 @@ def preservation_cases(net: Network, kinds=ALL_KINDS):
 
 def check_preservation(
     states,
-    event_kinds=ALL_KINDS,
-    invariant=is_valid,
     faults: FaultFlags | None = None,
     bounds: dict | None = None,
-    lemma: str = "EventPreservesValidity",
     stop_at: int | None = None,
 ) -> CheckReport:
-    """Assert the invariant survives every enabled event of the given kinds."""
-    report = CheckReport(lemma=lemma, bounds=bounds or {})
+    """Assert validity survives every enabled event.
+
+    The verdict of a state whose cases all passed is reused for the states
+    that follow it and differ from it only in predecessors (equal
+    `Network.pred_free_key`). That is sound because no listed guard reads a
+    predecessor, the join and adoption sweeps supply their acquired values,
+    the only effect that writes `pred` is Rectify's, and validity does not
+    read it. A state of a violating shape is checked in full, so violation
+    counts and `stop_at` see every state. `info["cases"]` counts the cases of
+    every state, `info["shapes"]` the states whose cases were applied, and
+    `info["casesApplied"]` the cases applied.
+    """
+    report = CheckReport(lemma="EventPreservesValidity", bounds=bounds or {})
     faults = faults or FaultFlags()
-    cases = 0
+    applied = reused = shapes = 0
+    clean_key, clean_cases = None, 0
+
+    def finish() -> CheckReport:
+        report.info.update(cases=applied + reused, shapes=shapes, casesApplied=applied)
+        return report
+
     for net in states:
         report.states_checked += 1
-        for prepared, ev in preservation_cases(net, event_kinds):
-            cases += 1
+        key = net.pred_free_key()
+        if key == clean_key:
+            reused += clean_cases
+            continue
+        shapes += 1
+        first_case, violations = applied, report.violation_count
+        for prepared, ev in preservation_cases(net):
+            applied += 1
             post = apply_event(prepared, ev, faults=faults)
-            if not invariant(post):
+            if not is_valid(post):
                 report.add_violation(
                     prepared, ev, f"invariant broken after event: {conjuncts(post).to_dict()}"
                 )
                 if stop_at and report.violation_count >= stop_at:
-                    report.info["cases"] = cases
-                    return report
-    report.info["cases"] = cases
-    return report
+                    return finish()
+        clean_key = key if report.violation_count == violations else None
+        clean_cases = applied - first_case
+    return finish()
 
 
 def check_progress(states, bounds: dict | None = None) -> CheckReport:
@@ -611,11 +631,10 @@ def explore_reachable(
     max_depth: int,
     joiners: tuple[int, ...] = (),
     max_states: int = 200_000,
-    invariant=is_valid,
 ) -> CheckReport:
     """Breadth-first exploration of every interleaving within the event budget.
 
-    The invariant is asserted at every reached state. Join budget counts
+    Validity is asserted at every reached state. Join budget counts
     membership changes; lookups are free but only offered while joins remain.
     """
     report = CheckReport(
@@ -637,7 +656,7 @@ def explore_reachable(
             return
         seen.add(key)
         report.states_checked += 1
-        if not invariant(net):
+        if not is_valid(net):
             report.add_violation(net, None, "invariant broken at reachable state")
         queue.append((net, joins, fails, depth))
 

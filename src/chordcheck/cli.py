@@ -70,29 +70,75 @@ class Scenario:
     expectations: tuple[Expectation, ...]
 
 
+_TYPE_NAMES = {
+    int: "an integer",
+    str: "a string",
+    list: "a list",
+    dict: "an object",
+    bool: "true or false",
+}
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _field(rec, key: str, kind: type, where: str, optional: bool = False):
+    """rec[key] if it has the JSON type `kind`; ValueError naming the field otherwise.
+
+    An optional field may be absent or null. JSON true and false are not integers.
+    """
+    if not isinstance(rec, dict):
+        raise ValueError(f"{where} is not an object")
+    value = rec.get(key)
+    if value is None:
+        if optional:
+            return None
+        raise ValueError(f"{where} has no {key}")
+    if not (_is_int(value) if kind is int else isinstance(value, kind)):
+        raise ValueError(f"{where}: {key} {value!r} is not {_TYPE_NAMES[kind]}")
+    return value
+
+
+def _scripted_event(rec, where: str) -> ScriptedEvent:
+    _field(rec, "kind", str, where)
+    _field(rec, "node", int, where)
+    for key in ("newPred", "known"):
+        _field(rec, key, int, where, optional=True)
+    force = _field(rec, "force", bool, where, optional=True)
+    return ScriptedEvent(event=event_from_dict(rec), force=bool(force))
+
+
+def _expectation(rec, where: str) -> Expectation:
+    step = _field(rec, "step", int, where)
+    predicate = _field(rec, "predicate", str, where)
+    args = _field(rec, "args", list, where, optional=True) or []
+    if "expected" not in rec:
+        raise ValueError(f"{where} has no expected")
+    return Expectation(step=step, predicate=predicate, args=tuple(args), expected=rec["expected"])
+
+
 def scenario_from_dict(data: dict) -> Scenario:
-    params = RingParams(m=data["params"]["m"], r=data["params"]["r"])
+    """Build a scenario; ValueError names the first malformed field."""
+    params = _field(data, "params", dict, "scenario")
+    params = RingParams(m=_field(params, "m", int, "params"), r=_field(params, "r", int, "params"))
+    base = _field(data, "base", list, "scenario", optional=True) or []
+    for b in base:
+        if not _is_int(b):
+            raise ValueError(f"base entry {b!r} is not an integer")
     initial = data.get("initialState")
-    initial_state = None
-    if initial:
-        initial_state = network_from_dict(initial)
-        validate_network(initial_state)
+    initial_state = _network_from_record(initial) if initial else None
+    script = _field(data, "script", list, "scenario")
+    expectations = _field(data, "expectations", list, "scenario", optional=True) or []
     return Scenario(
         params=params,
-        base=tuple(data.get("base", [])),
+        base=tuple(base),
         initial_state=initial_state,
         script=tuple(
-            ScriptedEvent(event=event_from_dict(rec), force=bool(rec.get("force")))
-            for rec in data["script"]
+            _scripted_event(rec, f"script step {i}") for i, rec in enumerate(script, 1)
         ),
         expectations=tuple(
-            Expectation(
-                step=rec["step"],
-                predicate=rec["predicate"],
-                args=tuple(rec.get("args", [])),
-                expected=rec["expected"],
-            )
-            for rec in data.get("expectations", [])
+            _expectation(rec, f"expectation {i}") for i, rec in enumerate(expectations, 1)
         ),
     )
 
@@ -346,26 +392,34 @@ def _cmd_check(args) -> int:
         report = checker.check_implications(raw_states(), bounds=bounds)
 
     status = "pass" if report.passed else f"FAIL ({report.violation_count} violations)"
-    print(
-        f"{report.lemma}: {status} over {report.states_checked} states "
-        f"(bounds {bounds})"
-    )
+    summary = f"{report.lemma}: {status} over {report.states_checked} states"
+    if "casesApplied" in report.info:
+        info = report.info
+        summary += (
+            f", {info['cases']} cases ({info['casesApplied']} applied"
+            f" over {info['shapes']} shapes)"
+        )
+    print(f"{summary} (bounds {bounds})")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
-def _load_network(path: str) -> Network:
-    """Read and validate a network file; malformed content raises ValueError."""
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+def _network_from_record(data) -> Network:
+    """Build and validate a network record; malformed content raises ValueError."""
     try:
         net = network_from_dict(data)
     except (AttributeError, KeyError, TypeError) as err:
         raise ValueError(f"malformed network record: {err!r}") from err
     validate_network(net)
     return net
+
+
+def _load_network(path: str) -> Network:
+    """Read and validate a network file; malformed content raises ValueError."""
+    with open(path, encoding="utf-8") as fh:
+        return _network_from_record(json.load(fh))
 
 
 def _cmd_explore(args) -> int:

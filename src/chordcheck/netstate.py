@@ -90,6 +90,21 @@ class Network:
             ),
         )
 
+    def pred_free_key(self) -> tuple:
+        """Hashable form of everything but predecessors.
+
+        Two networks with equal keys differ at most in their `pred` values.
+        """
+        return (
+            self.params,
+            self.base,
+            self.live,
+            tuple(
+                (s.ident, s.succ_list, s.pending_new_succ, s.pending_candidate)
+                for s in (self.nodes[i] for i in sorted(self.nodes))
+            ),
+        )
+
 
 def init_network(params: RingParams, base_ids: Iterable[int]) -> Network:
     """Build an ideal ring over exactly r+1 base members.

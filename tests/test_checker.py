@@ -1,6 +1,7 @@
 """State generation, lemma checks, exploration, and counterexample search."""
 
 import itertools
+from dataclasses import replace
 
 import pytest
 
@@ -172,6 +173,73 @@ class TestPreservation:
         assert not report.passed
         v = report.violations[0]
         assert v.event.kind in (EventKind.JOIN, EventKind.FAIL)
+
+
+@pytest.fixture(scope="module")
+def n4_states():
+    return list(checker.enumerate_valid_states(SMALL, 4))
+
+
+class TestShapeReuse:
+    """The reused sweep against one `check_preservation([s])` per state, which reuses nothing."""
+
+    @pytest.mark.parametrize(
+        "faults, violations",
+        [
+            (None, 0),
+            (FaultFlags(unchecked_adoption=True), 500),
+            (FaultFlags(short_join=True), 2000),
+        ],
+    )
+    def test_reused_sweep_matches_per_state_checks(self, n4_states, faults, violations):
+        reused = checker.check_preservation(iter(n4_states), faults=faults)
+        singles = [checker.check_preservation([net], faults=faults) for net in n4_states]
+        assert reused.states_checked == sum(r.states_checked for r in singles) == 12064
+        assert reused.info["cases"] == sum(r.info["cases"] for r in singles) == 111384
+        assert reused.violation_count == sum(r.violation_count for r in singles) == violations
+        first = next((r.violations[0] for r in singles if r.violations), None)
+        assert (reused.violations[0] if reused.violations else None) == first
+
+    def test_stop_at_sees_the_same_first_violation(self, n4_states):
+        faults = FaultFlags(short_join=True)
+        stopped = checker.check_preservation(iter(n4_states), faults=faults, stop_at=1)
+        full = checker.check_preservation(iter(n4_states), faults=faults)
+        assert stopped.violation_count == 1
+        assert stopped.violations[0] == full.violations[0]
+
+    def test_each_pred_free_key_is_one_contiguous_run(self, n4_states):
+        # The one-entry memo only pays off, and is only exercised, when a
+        # shape's predecessor assignments follow each other.
+        runs = [key for key, _ in itertools.groupby(net.pred_free_key() for net in n4_states)]
+        assert len(runs) == len(set(runs)) == 33
+
+    def test_key_separates_everything_but_predecessors(self):
+        net = init_network(WIDE, [7, 19, 33])
+        state = net.node(7)
+        joiner = NodeState(ident=10, succ_list=())
+        net = net.with_node(joiner)
+        same = net.with_node(replace(state, pred=None))
+        assert same.pred_free_key() == net.pred_free_key()
+        variants = [
+            replace(net, base=frozenset({7, 19, 10})),
+            net.without_member(7),
+            net.with_node(replace(state, succ_list=(33, 19))),
+            net.with_node(replace(state, pending_candidate=10)),
+            net.with_node(replace(joiner, pending_new_succ=19)),
+        ]
+        for other in variants:
+            assert other.pred_free_key() != net.pred_free_key()
+
+    def test_a_differing_pending_value_is_checked_again(self):
+        # A stored lookup answer disables the joiner's JoinLookup, so the
+        # two states have different cases.
+        net = init_network(WIDE, [7, 19, 33]).with_node(NodeState(ident=10, succ_list=()))
+        pending = net.with_node(NodeState(ident=10, succ_list=(), pending_new_succ=19))
+        reused = checker.check_preservation([net, pending])
+        singles = [checker.check_preservation([s]) for s in (net, pending)]
+        assert singles[0].info["cases"] != singles[1].info["cases"]
+        assert reused.info["cases"] == sum(r.info["cases"] for r in singles)
+        assert reused.info["shapes"] == 2
 
 
 class TestProgress:

@@ -113,6 +113,31 @@ class TestReplayScenarios:
         assert code == cli.EXIT_PARSE
         assert named in out
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda s: s["expectations"][1].update(args=5), "expectation 2: args 5 is not a list"),
+            (lambda s: s["script"][0].update(node="x"), "script step 1: node 'x' is not an integer"),
+            (lambda s: s["params"].update(r="2"), "params: r '2' is not an integer"),
+            (lambda s: s["script"][3].update(newPred=[10]), "newPred [10] is not an integer"),
+            (lambda s: s["script"][0].update(known="7"), "known '7' is not an integer"),
+            (lambda s: s["script"][0].update(force=1), "force 1 is not true or false"),
+            (lambda s: s["expectations"][0].update(step="0"), "step '0' is not an integer"),
+            (lambda s: s["expectations"][0].update(predicate=None), "expectation 1 has no predicate"),
+            (lambda s: s.update(base=[7, "19", 33]), "base entry '19' is not an integer"),
+            (lambda s: s.update(script={}), "script {} is not a list"),
+        ],
+    )
+    def test_mistyped_scenario_field_exit_2(self, tmp_path, capsys, edit, message):
+        scenario = json.loads((SCENARIOS / "fig2.json").read_text())
+        edit(scenario)
+        path = tmp_path / "mistyped.json"
+        path.write_text(json.dumps(scenario))
+        assert cli.main(["replay", str(path)]) == cli.EXIT_PARSE
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("cannot parse scenario: ") and message in err
+
     def test_unknown_flag_exit_64(self):
         assert cli.main(["replay", "--bogus"]) == cli.EXIT_USAGE
 
@@ -200,6 +225,15 @@ class TestCheckCommand:
         data = json.loads(report_file.read_text())
         assert data["passed"] is True
         assert data["bounds"]["seed"] == 1
+
+    def test_preservation_exhaustive_reports_applied_cases(self, tmp_path, capsys):
+        report_file = tmp_path / "report.json"
+        code = cli.main(["check", "preservation", "--n", "4", "--out", str(report_file)])
+        assert code == cli.EXIT_OK
+        assert "12064 states, 111384 cases (286 applied over 33 shapes)" in capsys.readouterr().out
+        data = json.loads(report_file.read_text())
+        assert data["statesChecked"] == 12064
+        assert data["info"] == {"cases": 111384, "shapes": 33, "casesApplied": 286}
 
     def test_monotonicity_exhaustive(self, tmp_path):
         report_file = tmp_path / "report.json"
