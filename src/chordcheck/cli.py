@@ -17,10 +17,9 @@ from .ident import RingParams
 from .netstate import (
     Network,
     init_network,
-    network_from_dict,
+    network_from_record,
     network_to_dict,
     network_to_json,
-    validate_network,
 )
 from .events import (
     AssumptionBreach,
@@ -101,12 +100,12 @@ def _field(rec, key: str, kind: type, where: str, optional: bool = False):
 
 
 def _scripted_event(rec, where: str) -> ScriptedEvent:
-    _field(rec, "kind", str, where)
-    _field(rec, "node", int, where)
-    for key in ("newPred", "known"):
-        _field(rec, key, int, where, optional=True)
+    try:
+        event = event_from_dict(rec)
+    except ValueError as err:
+        raise ValueError(f"{where}: {err}") from None
     force = _field(rec, "force", bool, where, optional=True)
-    return ScriptedEvent(event=event_from_dict(rec), force=bool(force))
+    return ScriptedEvent(event=event, force=bool(force))
 
 
 def _expectation(rec, where: str) -> Expectation:
@@ -127,7 +126,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         if not _is_int(b):
             raise ValueError(f"base entry {b!r} is not an integer")
     initial = data.get("initialState")
-    initial_state = _network_from_record(initial) if initial else None
+    initial_state = network_from_record(initial) if initial else None
     script = _field(data, "script", list, "scenario")
     expectations = _field(data, "expectations", list, "scenario", optional=True) or []
     return Scenario(
@@ -317,8 +316,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _usage_error(command: str, err) -> int:
+    print(f"{command}: {err}", file=sys.stderr)
+    return EXIT_USAGE
+
+
 def _cmd_init(args) -> int:
-    net = init_network(RingParams(m=args.m, r=args.r), args.base)
+    try:
+        net = init_network(RingParams(m=args.m, r=args.r), args.base)
+    except ValueError as err:
+        return _usage_error("init", err)
     text = network_to_json(net, indent=2)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -330,9 +337,19 @@ def _cmd_init(args) -> int:
 
 def _cmd_check(args) -> int:
     r = args.r
+    # trial-search always samples; it ignores --mode.
+    exhaustive = args.mode == "exhaustive" and args.target != "trial-search"
+    try:
+        params = RingParams(m=args.m or (3 if exhaustive else 6), r=r)
+        if exhaustive:
+            checker.require_exhaustible(params, args.n)
+        elif not r + 1 <= args.n <= params.space:
+            raise ValueError(f"--n must lie in [r+1, 2^m] = [{r + 1}, {params.space}]")
+    except ValueError as err:
+        return _usage_error(f"check {args.target}", err)
+
     if args.target == "trial-search":
         trial = args.trial or "six-conjunct"
-        params = RingParams(m=args.m or 6, r=r)
         found = checker.search_trial_counterexample(
             trial, params, max_nodes=args.n, seed=args.seed, max_states=args.samples
         )
@@ -361,19 +378,11 @@ def _cmd_check(args) -> int:
         print(f"trial-search[{trial}]: counterexample written to {out}")
         return EXIT_OK
 
-    if args.mode == "exhaustive":
-        params = RingParams(m=args.m or 3, r=r)
-        if args.target != "implications":
-            try:
-                checker.require_exhaustible(params, args.n)
-            except ValueError as err:
-                print(f"check {args.target}: {err}", file=sys.stderr)
-                return EXIT_USAGE
+    if exhaustive:
         bounds = {"n": args.n, "r": r, "mode": "exhaustive", "seed": None}
         make_states = lambda: checker.enumerate_valid_states(params, args.n)  # noqa: E731
         raw_states = lambda: checker.enumerate_raw_list_states(params, args.n)  # noqa: E731
     else:
-        params = RingParams(m=args.m or 6, r=r)
         bounds = {"n": args.n, "r": r, "mode": "random", "seed": args.seed}
         make_states = lambda: checker.sample_valid_states(  # noqa: E731
             params, args.n, args.samples, args.seed
@@ -406,20 +415,10 @@ def _cmd_check(args) -> int:
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
-def _network_from_record(data) -> Network:
-    """Build and validate a network record; malformed content raises ValueError."""
-    try:
-        net = network_from_dict(data)
-    except (AttributeError, KeyError, TypeError) as err:
-        raise ValueError(f"malformed network record: {err!r}") from err
-    validate_network(net)
-    return net
-
-
 def _load_network(path: str) -> Network:
     """Read and validate a network file; malformed content raises ValueError."""
     with open(path, encoding="utf-8") as fh:
-        return _network_from_record(json.load(fh))
+        return network_from_record(json.load(fh))
 
 
 def _cmd_explore(args) -> int:
@@ -431,14 +430,15 @@ def _cmd_explore(args) -> int:
             return EXIT_PARSE
     else:
         if not args.base:
-            print("explore: provide --net or --base", file=sys.stderr)
-            return EXIT_USAGE
-        net = init_network(RingParams(m=args.m, r=args.r), args.base)
+            return _usage_error("explore", "provide --net or --base")
+        try:
+            net = init_network(RingParams(m=args.m, r=args.r), args.base)
+        except ValueError as err:
+            return _usage_error("explore", err)
     space = net.params.space
     for j in args.joiners:
         if not 0 <= j < space:
-            print(f"explore: joiner {j} outside the identifier space [0, {space})", file=sys.stderr)
-            return EXIT_USAGE
+            return _usage_error("explore", f"joiner {j} outside the identifier space [0, {space})")
     report = checker.explore_reachable(
         net,
         max_joins=args.joins,
@@ -458,12 +458,15 @@ def _cmd_explore(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    config = simulation.SimConfig(
-        params=RingParams(m=args.m, r=args.r),
-        churn_steps=args.churn_steps,
-        seed=args.seed,
-        max_members=args.max_members,
-    )
+    try:
+        config = simulation.SimConfig(
+            params=RingParams(m=args.m, r=args.r),
+            churn_steps=args.churn_steps,
+            seed=args.seed,
+            max_members=args.max_members,
+        )
+    except ValueError as err:
+        return _usage_error("simulate", err)
     try:
         trace = simulation.run_simulation(config)
     except simulation.DivergenceError as err:

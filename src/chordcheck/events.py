@@ -8,11 +8,15 @@ head of its successor list.
 
 Each kind's precondition is written once, as the guard in `_KINDS`:
 `apply_event` raises its reason, and `is_enabled` is "the guard holds and the
-event does not time out". `enabled_events` is the one listing of candidates.
+event does not time out". `enabled_events` is the one listing of candidates,
+read by the checker, the explorer and the simulator alike. A `Join` whose
+looked-up successor has died is an enabled step that clears the lookup, so
+the explorer takes that branch wherever the simulator can.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import NamedTuple
@@ -80,21 +84,12 @@ def join_precondition_holds(net: Network, joining: int, new_succ: int) -> bool:
     return not any(between(joining, b, new_succ) for b in net.base)
 
 
-def fail_guard_holds(net: Network, n: int) -> bool:
-    """Every remaining member keeps a live successor entry after n fails."""
-    remaining = net.live - {n}
-    for m in remaining:
-        if not any(e in remaining for e in net.node(m).succ_list):
-            return False
-    return True
-
-
 def failable(net: Network) -> frozenset[int]:
-    """The members n for which `fail_guard_holds(net, n)`, from one pass over the lists.
+    """The members whose fail leaves every other member a live successor entry.
 
-    A member whose only live entry is some other member e makes e critical:
-    e's fail would strand it. A member with no live entry is stranded already,
-    so it blocks every fail but its own. `fail_guard_holds` is the oracle.
+    One pass over the lists: a member whose only live entry is some other
+    member e makes e critical, since e's fail would strand it. A member with
+    no live entry is stranded already, so it blocks every fail but its own.
     """
     live = net.live
     nodes = net.nodes
@@ -196,7 +191,7 @@ def _fail_guard(net: Network, ev: Event) -> str | None:
         return f"{n} is not a live member"
     if n in net.base:
         return f"{n} is a stable-base member"
-    if not fail_guard_holds(net, n):
+    if n not in failable(net):
         return f"failing {n} would strand a member"
     return None
 
@@ -206,6 +201,8 @@ def _fail_guard(net: Network, ev: Event) -> str | None:
 # It is not counted enabled. It still applies, as a retry that clears the
 # intermediate it waited on, except a stabilize whose every successor entry
 # is dead: that member is stranded, and applying it raises AssumptionBreach.
+# A Join has no timeout test: when its looked-up successor has died, it is
+# an enabled step that clears the lookup, as the simulator schedules it.
 
 
 def _stranded(net: Network, ev: Event) -> bool:
@@ -214,10 +211,6 @@ def _stranded(net: Network, ev: Event) -> bool:
 
 def _contact_dead(net: Network, ev: Event) -> bool:
     return ev.known is not None and not net.is_live(ev.known)
-
-
-def _join_target_dead(net: Network, ev: Event) -> bool:
-    return not net.is_live(net.nodes[ev.node].pending_new_succ)
 
 
 def _no_closer_candidate(net: Network, ev: Event) -> bool:
@@ -242,7 +235,7 @@ def _join(net: Network, ev: Event, faults: FaultFlags) -> Network:
     state = net.nodes[ev.node]
     new_succ = state.pending_new_succ
     if not net.is_live(new_succ):
-        return net.with_node(replace(state, pending_new_succ=None))  # timeout, retry
+        return net.with_node(replace(state, pending_new_succ=None))  # clear, look up again
     if faults.short_join:
         succ_list = (new_succ,) * net.params.r
     else:
@@ -298,7 +291,7 @@ def _fail(net: Network, ev: Event, faults: FaultFlags) -> Network:
 # for kinds that never time out, effect).
 _KINDS = {
     EventKind.JOIN_LOOKUP: (_join_lookup_guard, _contact_dead, _join_lookup),
-    EventKind.JOIN: (_join_guard, _join_target_dead, _join),
+    EventKind.JOIN: (_join_guard, None, _join),
     EventKind.STABILIZE_FROM_OLD_SUCCESSOR: (_member_guard, _stranded, _stabilize_from_old_successor),
     EventKind.STABILIZE_FROM_NEW_SUCCESSOR: (_adoption_guard, _no_closer_candidate, _stabilize_from_new_successor),
     EventKind.RECTIFY: (_rectify_guard, None, _rectify),
@@ -372,20 +365,24 @@ def apply_fail(net: Network, n: int, force: bool = False) -> Network:
     return apply_event(net, Event(EventKind.FAIL, n), force=force)
 
 
+# A joiner's one possible step, indexed by whether it holds a lookup result:
+# the JoinLookup guard refuses a second lookup, and a Join needs one.
+_JOIN_STEP = (EventKind.JOIN_LOOKUP, EventKind.JOIN)
+
+
 def enabled_events(
-    net: Network, joiners: tuple[int, ...] | None = None, kinds=ALL_KINDS
+    net: Network, joiners: Sequence[int] | None = None, kinds=ALL_KINDS
 ) -> list[Event]:
     """Every enabled event of the given kinds, in listing order.
 
-    The order is fixed: each joiner's JoinLookup and Join, then each live
-    member's two stabilize steps and its Fail, then the Rectify that each
-    live member would send to the head of its list. `joiners` names the
-    identifiers considered as join candidates; by default every non-live
-    identifier the network tracks.
+    The order is fixed: each joiner's one join step (JoinLookup, or Join once
+    it holds a lookup result), then each live member's two stabilize steps
+    and its Fail, then the Rectify that each live member would send to the
+    head of its list. `joiners` names the identifiers considered as join
+    candidates; by default every non-live identifier the network tracks.
     """
     if joiners is None:
-        joiners = tuple(i for i in sorted(net.nodes) if not net.is_live(i))
-    joiner_kinds = [k for k in (EventKind.JOIN_LOOKUP, EventKind.JOIN) if k in kinds]
+        joiners = [i for i in sorted(net.nodes) if i not in net.live]
     member_kinds = [
         k
         for k in (EventKind.STABILIZE_FROM_OLD_SUCCESSOR, EventKind.STABILIZE_FROM_NEW_SUCCESSOR)
@@ -393,8 +390,12 @@ def enabled_events(
     ]
     # `failable` applies the Fail guard to every member in one pass.
     fails = failable(net) - net.base if EventKind.FAIL in kinds else frozenset()
-    candidates = [Event(k, j) for j in joiners for k in joiner_kinds]
-    events = [ev for ev in candidates if is_enabled(net, ev)]
+    events = []
+    for j in joiners:
+        state = net.nodes.get(j)
+        kind = _JOIN_STEP[state is not None and state.pending_new_succ is not None]
+        if kind in kinds and is_enabled(net, ev := Event(kind, j)):
+            events.append(ev)
     for n in net.live_idents():
         for k in member_kinds:
             ev = Event(k, n)
@@ -422,10 +423,23 @@ def event_to_dict(event: Event) -> dict:
     return rec
 
 
-def event_from_dict(rec: dict) -> Event:
-    return Event(
-        kind=EventKind(rec["kind"]),
-        node=rec["node"],
-        new_pred=rec.get("newPred"),
-        known=rec.get("known"),
-    )
+def event_from_dict(rec) -> Event:
+    """Build an event from its record; ValueError names the first malformed field.
+
+    `kind` must name an event kind and `node` must be an integer, as must
+    `newPred` and `known` when present and not null. JSON true and false are
+    not integers.
+    """
+    if not isinstance(rec, dict):
+        raise ValueError(f"event {rec!r} is not an object")
+    try:
+        kind = EventKind(rec.get("kind"))
+    except ValueError:
+        raise ValueError(f"kind {rec.get('kind')!r} is not an event kind") from None
+    for key in ("node", "newPred", "known"):
+        value = rec.get(key)
+        if (value is not None or key == "node") and (
+            not isinstance(value, int) or isinstance(value, bool)
+        ):
+            raise ValueError(f"{key} {value!r} is not an integer")
+    return Event(kind, rec["node"], rec.get("newPred"), rec.get("known"))

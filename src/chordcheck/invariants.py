@@ -160,7 +160,7 @@ def must_pre_date(net: Network, n1: int, n2: int) -> bool:
 
 
 def trial_predicates(net: Network) -> TrialPredicates:
-    ring = ring_members(net)
+    ring = _walk(net).ring
     appendages = frozenset(net.live) - ring
 
     # Collect, per ring member, what it mentions and which ring members it skips.

@@ -240,6 +240,16 @@ def network_from_dict(data: dict) -> Network:
     )
 
 
+def network_from_record(data: Any) -> Network:
+    """Build and validate a network record; malformed content raises ValueError."""
+    try:
+        net = network_from_dict(data)
+    except (AttributeError, KeyError, TypeError) as err:
+        raise ValueError(f"malformed network record: {err!r}") from err
+    validate_network(net)
+    return net
+
+
 def network_to_json(net: Network, indent: int | None = None) -> str:
     return json.dumps(network_to_dict(net), indent=indent, sort_keys=True)
 

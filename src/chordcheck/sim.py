@@ -1,9 +1,9 @@
 """Deterministic churn-then-quiesce simulation.
 
-Phase 1 applies randomly chosen enabled events of every kind under the fail
-guard and base permanence. Phase 2 schedules only repair events, weakly
-fairly, until no effective repair remains; the theorem says that point is the
-ideal state and that it stays ideal.
+Phase 1 applies randomly chosen events, each drawn from `enabled_events`,
+plus a fresh JoinLookup by a random identifier. Phase 2 schedules only
+repair events, weakly fairly, until no effective repair remains; the theorem
+says that point is the ideal state and that it stays ideal.
 """
 
 from __future__ import annotations
@@ -19,9 +19,8 @@ from .netstate import (
     Trace,
     TraceStep,
     init_network,
-    network_from_dict,
+    network_from_record,
     network_to_dict,
-    validate_network,
 )
 from .events import (
     Event,
@@ -30,8 +29,6 @@ from .events import (
     enabled_events,
     event_from_dict,
     event_to_dict,
-    failable,
-    guard,
     is_enabled,
 )
 from .invariants import conjuncts
@@ -63,7 +60,6 @@ class SimConfig:
     join_weight: float = 2.0
     max_members: int | None = None
     step_ceiling: int = 10**6
-    allow_base_fail: bool = False  # experimentation only; breaks the theorem's premise
 
     def __post_init__(self) -> None:
         if self.churn_steps < 0:
@@ -111,28 +107,18 @@ def run_simulation(config: SimConfig) -> Trace:
         live = net.live_idents()
         joins: list[Event] = []
         if len(live) < cap:
-            pending = [
-                i
-                for i in sorted(net.nodes)
-                if not net.is_live(i) and net.nodes[i].pending_new_succ is not None
-            ]
-            # Completable, or a dead result that times out and clears.
-            joins = [Event(EventKind.JOIN, j) for j in pending]
-            joins = [ev for ev in joins if guard(net, ev) is None]
-            # A fresh joiner is any identifier neither live nor mid-join, and
-            # it needs a live contact: with allow_base_fail every member can fail.
-            blocked = sorted([*live, *pending])
-            if live and len(blocked) < params.space:
+            # Every pending joiner's Join is enabled: it completes, or it
+            # clears a lookup whose successor has died.
+            joins = enabled_events(net, kinds=(EventKind.JOIN,))
+            # A fresh joiner is any identifier neither live nor mid-join; the
+            # base never fails, so a live contact always exists.
+            blocked = sorted([*live, *(ev.node for ev in joins)])
+            if len(blocked) < params.space:
                 j = _kth_unblocked(rng.randrange(params.space - len(blocked)), blocked)
                 ev = Event(EventKind.JOIN_LOOKUP, j, known=_pick(rng, live))
                 if is_enabled(net, ev):
                     joins.append(ev)
-        ok = failable(net)
-        fails = [
-            Event(EventKind.FAIL, n)
-            for n in live
-            if n in ok and (config.allow_base_fail or n not in net.base)
-        ]
+        fails = enabled_events(net, joiners=(), kinds=(EventKind.FAIL,))
 
         # The repair pool holds a stabilize for every member, so it is
         # non-empty exactly when a member is live: it is built only if picked.
@@ -158,7 +144,7 @@ def run_simulation(config: SimConfig) -> Trace:
         if pool is None:
             pool = enabled_events(net, joiners=(), kinds=REPAIR_KINDS)
         ev = _pick(rng, pool)
-        net = record(ev, apply_event(net, ev, force=config.allow_base_fail), CHURN)
+        net = record(ev, apply_event(net, ev), CHURN)
 
     # Phase 2: repair only, scheduled by round-robin sweeps so every enabled
     # effective event fires within one sweep.
@@ -249,7 +235,6 @@ def write_trace_jsonl(trace: Trace, path: str, snapshot_interval: int = 0) -> No
             "snapshotInterval": snapshot_interval,
         }
         fh.write(json.dumps(header, sort_keys=True) + "\n")
-        prev = trace.initial
         for i, step in enumerate(trace.steps, start=1):
             rec = {
                 "type": "step",
@@ -260,36 +245,44 @@ def write_trace_jsonl(trace: Trace, path: str, snapshot_interval: int = 0) -> No
                 "valid": conjuncts(step.network).valid,
                 "ideal": is_ideal(step.network),
             }
-            if step.event.kind is EventKind.FAIL and not is_enabled(prev, step.event):
-                rec["force"] = True
-            prev = step.network
             if snapshot_interval and (i % snapshot_interval == 0 or i == len(trace.steps)):
                 rec["snapshot"] = network_to_dict(step.network)
                 rec["structure"] = structure(step.network).to_dict()
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
+def _entry(rec, key: str):
+    if not isinstance(rec, dict) or key not in rec:
+        raise ValueError(f"the record has no {key!r}")
+    return rec[key]
+
+
 def replay_trace_jsonl(path: str) -> Trace:
     """Re-apply a streamed trace, checking any embedded snapshots bit-exactly.
 
-    Only steps recorded with `"force": true` bypass the fail guards; any other
-    disabled event raises `EventNotEnabled`. The initial network and every
-    snapshot must pass `validate_network`, or ValueError is raised.
+    A disabled event raises `EventNotEnabled`. A line that is not a JSON
+    record with a well-formed `initial` network (the header) or `event`
+    (each step), or whose snapshot fails `validate_network`, raises
+    ValueError naming the line.
     """
     with open(path, encoding="utf-8") as fh:
-        lines = [json.loads(line) for line in fh if line.strip()]
-    header = lines[0]
-    net = network_from_dict(header["initial"])
-    validate_network(net)
+        lines = [(i, text) for i, text in enumerate(fh, start=1) if text.strip()]
+    initial: Network | None = None
     steps: list[TraceStep] = []
-    initial = net
-    for rec in lines[1:]:
-        ev = event_from_dict(rec["event"])
-        net = apply_event(net, ev, force=rec.get("force") is True)
-        if "snapshot" in rec:
-            expected = network_from_dict(rec["snapshot"])
-            validate_network(expected)
-            if expected != net:
-                raise ValueError(f"snapshot mismatch at step {rec['step']}")
+    for lineno, text in lines:
+        try:
+            rec = json.loads(text)
+            if initial is None:
+                net = initial = network_from_record(_entry(rec, "initial"))
+                continue
+            ev = event_from_dict(_entry(rec, "event"))
+            expected = network_from_record(rec["snapshot"]) if "snapshot" in rec else None
+        except ValueError as err:
+            raise ValueError(f"trace line {lineno}: {err}") from None
+        net = apply_event(net, ev)
+        if expected is not None and expected != net:
+            raise ValueError(f"trace line {lineno}: snapshot mismatch")
         steps.append(TraceStep(event=ev, network=net, tag=rec.get("tag")))
+    if initial is None:
+        raise ValueError("the trace has no header line")
     return Trace(initial=initial, steps=tuple(steps))

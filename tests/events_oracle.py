@@ -4,7 +4,8 @@ Each precondition was stated twice, once in `is_enabled` and once as the
 raises of each `apply_*`, and candidates were listed separately by
 `enabled_events`, the simulator's repair pool, the preservation sweep and
 the counterexample search. The code is kept here unchanged as the oracle
-for `chordcheck.events`' guard table and its one candidate listing.
+for `chordcheck.events`' guard table and its one candidate listing, with
+`fail_guard_holds`, the from-scratch Fail guard that `failable` replaced.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from chordcheck.events import (
     EventNotEnabled,
     FaultFlags,
     failable,
-    fail_guard_holds,
     join_precondition_holds,
 )
 from chordcheck.ident import RingParams, between
@@ -40,6 +40,18 @@ TRIAL_INVARIANTS = {
     "eight-conjunct": eight_conjunct_trial,
     "valid": is_valid,
 }
+
+
+def fail_guard_holds(net: Network, n: int) -> bool:
+    """Every remaining member keeps a live successor entry after n fails.
+
+    The from-scratch oracle of `chordcheck.events.failable`.
+    """
+    remaining = net.live - {n}
+    for m in remaining:
+        if not any(e in remaining for e in net.node(m).succ_list):
+            return False
+    return True
 
 
 def apply_join_lookup(net: Network, joining: int, known: int | None = None) -> Network:

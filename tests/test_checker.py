@@ -31,7 +31,7 @@ from chordcheck.topology import is_ideal
 from chordcheck import checker
 
 import events_oracle as oracle
-from conftest import oracle_states
+from conftest import make_net, oracle_states
 
 SMALL = RingParams(m=3, r=2)
 WIDE = RingParams(m=6, r=2)
@@ -334,6 +334,23 @@ class TestExploreReachable:
         assert report.passed
         reached = _collect_reachable_nets(net, joiners=(), depth=12)
         assert any(is_ideal(s) for s in reached)
+
+    def test_join_whose_target_died_reaches_the_timed_out_state(self, monkeypatch):
+        # 10 looked up 19 as its successor, then 19 failed: the Join clears
+        # the lookup, and exploration takes that branch.
+        net = make_net(
+            6, 2, base=[7, 33, 50],
+            nodes={7: (50, (19, 33)), 19: (7, (33, 50)), 33: (19, (50, 7)), 50: (33, (7, 19))},
+        )
+        net = apply_join_lookup(net, 10, known=7)
+        assert net.node(10).pending_new_succ == 19
+        net = apply_event(net, Event(EventKind.FAIL, 19))
+        timed_out = net.with_node(replace(net.node(10), pending_new_succ=None))
+        reached = []
+        monkeypatch.setattr(checker, "is_valid", lambda s: reached.append(s) or is_valid(s))
+        report = checker.explore_reachable(net, max_joins=1, max_fails=0, max_depth=1, joiners=(10,))
+        assert report.passed
+        assert timed_out in reached
 
     def test_truncation_flag(self):
         init = init_network(WIDE, [7, 19, 33])

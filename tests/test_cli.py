@@ -145,6 +145,26 @@ class TestReplayScenarios:
         assert cli.main(["frobnicate"]) == cli.EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        ("simulate --r 0", "r must be at least 2"),
+        ("simulate --m 1", "m must be at least 3"),
+        ("simulate --churn-steps -1", "churn steps must be non-negative"),
+        ("init --base 1,1", "distinct"),
+        ("explore --base 7,19", "r+1=3 members"),
+        ("check progress --mode random --n 2", "[r+1, 2^m]"),
+        ("check trial-search --n 2", "[r+1, 2^m]"),
+        ("check implications --mode exhaustive --n 9", "exhaustion ceiling"),
+    ],
+)
+def test_bad_flag_value_exit_64_with_one_line(argv, named, capsys):
+    assert cli.main(argv.split()) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith(argv.split()[0]) and named in err
+
+
 class TestExportDot:
     def test_ideal_three_ring_edge_counts(self):
         net = init_network(RingParams(6, 2), [7, 19, 33])

@@ -25,8 +25,8 @@ from chordcheck.events import (
     enabled_events,
     event_from_dict,
     event_to_dict,
-    fail_guard_holds,
     failable,
+    guard,
     is_enabled,
     join_precondition_holds,
 )
@@ -242,8 +242,10 @@ class TestFail:
     def test_failable_matches_the_guard_oracle(self):
         states = blocked = stranded = 0
         for net in oracle_states():
-            expected = {n for n in net.live if fail_guard_holds(net, n)}
+            expected = {n for n in net.live if oracle.fail_guard_holds(net, n)}
             assert failable(net) == expected, net
+            guarded = {n for n in net.live if guard(net, Event(EventKind.FAIL, n)) is None}
+            assert guarded == expected - net.base, net
             states += 1
             blocked += len(expected) < net.size
             stranded += any(
@@ -310,6 +312,25 @@ class TestEventSerialization:
         ):
             assert event_from_dict(event_to_dict(ev)) == ev
 
+    @pytest.mark.parametrize(
+        "rec, message",
+        [
+            ([{"kind": "Fail", "node": 3}], "event [{'kind': 'Fail', 'node': 3}] is not an object"),
+            ({"node": 3}, "kind None is not an event kind"),
+            ({"kind": "Leave", "node": 3}, "kind 'Leave' is not an event kind"),
+            ({"kind": ["Fail"], "node": 3}, "kind ['Fail'] is not an event kind"),
+            ({"kind": "Fail"}, "node None is not an integer"),
+            ({"kind": "Fail", "node": "3"}, "node '3' is not an integer"),
+            ({"kind": "Fail", "node": True}, "node True is not an integer"),
+            ({"kind": "Rectify", "node": 3, "newPred": "1"}, "newPred '1' is not an integer"),
+            ({"kind": "JoinLookup", "node": 3, "known": 1.5}, "known 1.5 is not an integer"),
+        ],
+    )
+    def test_malformed_record_raises_value_error_naming_the_field(self, rec, message):
+        with pytest.raises(ValueError) as err:
+            event_from_dict(rec)
+        assert str(err.value) == message
+
 
 def _candidate_events(net):
     """Every kind at every tracked identifier, plus the edge cases of each guard.
@@ -352,6 +373,16 @@ def _timeout_states():
     yield apply_fail(net, 19)
 
 
+def _join_target_dead(net, j):
+    state = net.nodes.get(j)
+    return (
+        not net.is_live(j)
+        and state is not None
+        and state.pending_new_succ is not None
+        and not net.is_live(state.pending_new_succ)
+    )
+
+
 def _outcome(apply, net, ev, **kw):
     try:
         return apply(net, ev, **kw)
@@ -365,7 +396,10 @@ class TestGuardTableMatchesTheOracle:
     The old code left two inputs unguarded, and only there do the outcomes
     differ: a JoinLookup outside the identifier space was enabled but raised
     ValueError, and a Rectify without a notifier raised AssertionError. Both
-    are now guard failures: not enabled, and EventNotEnabled.
+    are now guard failures: not enabled, and EventNotEnabled. One difference
+    is intended: a Join whose looked-up successor has died was not enabled
+    in the oracle, and is now an enabled step with the same outcome (the
+    lookup is cleared).
     """
 
     def test_enabling_and_outcomes_agree_on_every_candidate(self):
@@ -379,6 +413,10 @@ class TestGuardTableMatchesTheOracle:
                     assert (old, new, enabled) == (ValueError, EventNotEnabled, False)
                 elif ev.kind is EventKind.RECTIFY and ev.new_pred is None:
                     assert (old, new, enabled) == (AssertionError, EventNotEnabled, False)
+                elif ev.kind is EventKind.JOIN and _join_target_dead(net, ev.node):
+                    assert new == old and new.nodes[ev.node].pending_new_succ is None
+                    assert (enabled, oracle.is_enabled(net, ev)) == (True, False)
+                    seen[ev.kind, "target dead"] += 1
                 else:
                     assert new == old, (net, ev)
                     assert enabled == oracle.is_enabled(net, ev), (net, ev)
@@ -394,7 +432,8 @@ class TestGuardTableMatchesTheOracle:
         for kind in EventKind:
             assert seen[kind, "applied"] and seen[kind, EventNotEnabled], kind
         assert seen[EventKind.STABILIZE_FROM_OLD_SUCCESSOR, AssumptionBreach]
-        for kind in (EventKind.JOIN_LOOKUP, EventKind.JOIN, EventKind.STABILIZE_FROM_NEW_SUCCESSOR):
+        assert seen[EventKind.JOIN, "target dead"]
+        for kind in (EventKind.JOIN_LOOKUP, EventKind.STABILIZE_FROM_NEW_SUCCESSOR):
             assert seen[kind, "timeout"] or seen[kind, "unchanged"], kind
 
     def test_listing_matches_the_old_listing_loops(self):

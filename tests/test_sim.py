@@ -60,16 +60,18 @@ class TestConvergence:
             sim.convergence_steps(Trace(initial=init_network(RingParams(6, 2), [7, 19, 33]), steps=tuple(steps)))
 
     def test_churn_schedules_joins_whose_target_died(self):
-        # The churn Join pool is "the guard holds": a Join whose looked-up
-        # successor died is not enabled, but it is scheduled, and it clears
-        # the lookup so the join can be retried.
+        # A Join whose looked-up successor died is an enabled step: the churn
+        # Join pool draws it from `enabled_events`, and it clears the lookup
+        # so the join can be retried.
         cfg = sim.SimConfig(params=RingParams(6, 2), churn_steps=179, seed=6, max_members=18)
         trace = sim.run_simulation(cfg)
         prev, timeouts = trace.initial, 0
         for step in trace.steps:
-            if step.event.kind is EventKind.JOIN and not is_enabled(prev, step.event):
-                assert step.network.nodes[step.event.node].pending_new_succ is None
-                assert not step.network.is_live(step.event.node)
+            ev = step.event
+            if ev.kind is EventKind.JOIN and not prev.is_live(prev.nodes[ev.node].pending_new_succ):
+                assert is_enabled(prev, ev)
+                assert step.network.nodes[ev.node].pending_new_succ is None
+                assert not step.network.is_live(ev.node)
                 timeouts += 1
             prev = step.network
         assert timeouts
@@ -230,21 +232,6 @@ class TestTraceStreaming:
         with pytest.raises(EventNotEnabled, match="stable-base"):
             sim.replay_trace_jsonl(str(path))
 
-    def test_forced_fails_round_trip(self, tmp_path):
-        trace = run(seed=0, churn=80, allow_base_fail=True)
-        path = tmp_path / "trace.jsonl"
-        sim.write_trace_jsonl(trace, str(path), snapshot_interval=5)
-        records = [json.loads(line) for line in path.read_text().splitlines()[1:]]
-        forced = [rec["event"]["node"] for rec in records if rec.get("force")]
-        assert forced and set(forced) <= trace.initial.base
-        replayed = sim.replay_trace_jsonl(str(path))
-        assert [s.network for s in replayed.steps] == [s.network for s in trace.steps]
-
-    def test_churn_stops_once_every_member_has_failed(self):
-        trace = run(seed=0, churn=80, allow_base_fail=True)
-        assert trace.final().size == 0
-        assert len(trace.steps) < 80
-
     def test_malformed_snapshot_is_rejected(self, tmp_path):
         trace = run(seed=21, churn=50)
         path = tmp_path / "trace.jsonl"
@@ -254,6 +241,29 @@ class TestTraceStreaming:
         live["succList"] = live["succList"][:1]
         path.write_text("".join(json.dumps(rec) + "\n" for rec in lines))
         with pytest.raises(ValueError, match="successors"):
+            sim.replay_trace_jsonl(str(path))
+
+    @pytest.mark.parametrize(
+        "edit, line, message",
+        [
+            (lambda lines: lines[3]["event"].update(node="7"), 4, "node '7' is not an integer"),
+            (lambda lines: lines[2].update(event=["Fail", 7]), 3, "is not an object"),
+            (lambda lines: lines[2].pop("event"), 3, "no 'event'"),
+            (lambda lines: lines[0].pop("initial"), 1, "no 'initial'"),
+            (lambda lines: lines.insert(2, "{not json"), 3, "Expecting property name"),
+        ],
+        ids=["string-node", "list-event", "missing-event", "missing-initial", "not-json"],
+    )
+    def test_malformed_line_raises_value_error_naming_it(self, tmp_path, edit, line, message):
+        trace = run(seed=21, churn=50)
+        path = tmp_path / "trace.jsonl"
+        sim.write_trace_jsonl(trace, str(path))
+        lines = [json.loads(text) for text in path.read_text().splitlines()]
+        edit(lines)
+        path.write_text("".join(
+            (text if isinstance(text, str) else json.dumps(text)) + "\n" for text in lines
+        ))
+        with pytest.raises(ValueError, match=f"^trace line {line}: .*{message}"):
             sim.replay_trace_jsonl(str(path))
 
     def test_divergence_guard_config(self):
