@@ -634,8 +634,9 @@ def explore_reachable(
 ) -> CheckReport:
     """Breadth-first exploration of every interleaving within the event budget.
 
-    Validity is asserted at every reached state. Join budget counts
-    membership changes; lookups are free but only offered while joins remain.
+    Validity is asserted at every reached state. The join budget counts
+    members that join; lookups, and Joins that clear a dead lookup, are free
+    but only offered while joins remain.
     """
     report = CheckReport(
         lemma="ReachableStatesValid",
@@ -669,16 +670,11 @@ def explore_reachable(
         for ev in enabled_events(net, joiners=allowed_joiners):
             if ev.kind is EventKind.FAIL and fails >= max_fails:
                 continue
-            if ev.kind is EventKind.JOIN and joins >= max_joins:
-                continue
             post = apply_event(net, ev)
             transitions += 1
-            visit(
-                post,
-                joins + (1 if ev.kind is EventKind.JOIN else 0),
-                fails + (1 if ev.kind is EventKind.FAIL else 0),
-                depth + 1,
-            )
+            # A Join that only clears a dead lookup changes no membership.
+            joined = ev.kind is EventKind.JOIN and post.is_live(ev.node)
+            visit(post, joins + joined, fails + (ev.kind is EventKind.FAIL), depth + 1)
     report.info.update(
         {"states": len(seen), "transitions": transitions, "truncated": truncated}
     )

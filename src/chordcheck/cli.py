@@ -62,9 +62,7 @@ class Expectation:
 
 @dataclass(frozen=True)
 class Scenario:
-    params: RingParams
-    base: tuple[int, ...]
-    initial_state: Network | None
+    initial: Network
     script: tuple[ScriptedEvent, ...]
     expectations: tuple[Expectation, ...]
 
@@ -126,13 +124,12 @@ def scenario_from_dict(data: dict) -> Scenario:
         if not _is_int(b):
             raise ValueError(f"base entry {b!r} is not an integer")
     initial = data.get("initialState")
-    initial_state = network_from_record(initial) if initial else None
+    # Without an explicit state, the scenario starts from the ideal base ring.
+    initial = network_from_record(initial) if initial else init_network(params, base)
     script = _field(data, "script", list, "scenario")
     expectations = _field(data, "expectations", list, "scenario", optional=True) or []
     return Scenario(
-        params=params,
-        base=tuple(base),
-        initial_state=initial_state,
+        initial=initial,
         script=tuple(
             _scripted_event(rec, f"script step {i}") for i, rec in enumerate(script, 1)
         ),
@@ -177,11 +174,7 @@ class ReplayReport:
 
 def replay_scenario(scenario: Scenario) -> ReplayReport:
     messages: list[str] = []
-    if scenario.initial_state is not None:
-        net = scenario.initial_state
-    else:
-        net = init_network(scenario.params, scenario.base)
-
+    net = scenario.initial
     by_step: dict[int, list[Expectation]] = {}
     for exp in scenario.expectations:
         by_step.setdefault(exp.step, []).append(exp)

@@ -121,6 +121,30 @@ def _live_successor(net: Network, n: int) -> int:
     return h
 
 
+# --- the repair rules, each written once ----------------------------------------
+#
+# The effects below, `measure.effective_enabled` and the simulator's repair
+# phase all read them, so a repair is judged by the rule it applies.
+
+
+def _copied_list(net: Network, h: int) -> tuple[int, ...]:
+    """The successor list a member takes from its live successor h."""
+    return (h,) + net.nodes[h].succ_list[: net.params.r - 1]
+
+
+def _adopts(net: Network, n: int, c: int | None, head: int) -> bool:
+    """A stabilize of n adopts candidate c: c is live and strictly between n and head."""
+    return c is not None and net.is_live(c) and between(n, c, head)
+
+
+def _rectified_pred(net: Network, n: int, p: int) -> int:
+    """The predecessor n keeps after p notifies it."""
+    cur = net.nodes[n].pred
+    if cur is None or not net.is_live(cur) or between(cur, p, n):
+        return p
+    return cur
+
+
 # --- guards: the reason an event may not occur, or None ------------------------
 
 
@@ -216,8 +240,7 @@ def _contact_dead(net: Network, ev: Event) -> bool:
 def _no_closer_candidate(net: Network, ev: Event) -> bool:
     # An unset candidate counts too: only a stored one makes the step enabled.
     state = net.node(ev.node)
-    c = state.pending_candidate
-    return c is None or not net.is_live(c) or not between(ev.node, c, state.succ_list[0])
+    return not _adopts(net, ev.node, state.pending_candidate, state.succ_list[0])
 
 
 # --- effects, applied once the guard holds -----------------------------------------
@@ -239,7 +262,7 @@ def _join(net: Network, ev: Event, faults: FaultFlags) -> Network:
     if faults.short_join:
         succ_list = (new_succ,) * net.params.r
     else:
-        succ_list = (new_succ,) + net.node(new_succ).succ_list[:-1]
+        succ_list = _copied_list(net, new_succ)
     joined = NodeState(ident=ev.node, succ_list=succ_list, pred=None)
     return net.with_node(joined, live=True)
 
@@ -249,10 +272,8 @@ def _stabilize_from_old_successor(net: Network, ev: Event, faults: FaultFlags) -
     # loop of the stabilize operation.
     n = ev.node
     h = _live_successor(net, n)
-    h_state = net.node(h)
-    new_list = (h,) + h_state.succ_list[: net.params.r - 1]
     return net.with_node(
-        replace(net.node(n), succ_list=new_list, pending_candidate=h_state.pred)
+        replace(net.node(n), succ_list=_copied_list(net, h), pending_candidate=net.nodes[h].pred)
     )
 
 
@@ -265,22 +286,20 @@ def _stabilize_from_new_successor(net: Network, ev: Event, faults: FaultFlags) -
     if c is None:
         ref_head = _live_successor(net, n)
         c = net.node(ref_head).pred
-    timed_out = not net.is_live(c) and not faults.unchecked_adoption
-    if timed_out or not between(n, c, ref_head):
+    # The unchecked_adoption canary drops the liveness check.
+    adopts = between(n, c, ref_head) if faults.unchecked_adoption else _adopts(net, n, c, ref_head)
+    if not adopts:
         return net.with_node(replace(state, pending_candidate=None))
-    new_list = (c,) + net.node(c).succ_list[: net.params.r - 1]
-    return net.with_node(replace(state, succ_list=new_list, pending_candidate=None))
+    return net.with_node(replace(state, succ_list=_copied_list(net, c), pending_candidate=None))
 
 
 def _rectify(net: Network, ev: Event, faults: FaultFlags) -> Network:
     n, p = ev.node, ev.new_pred
-    state = net.node(n)
-    cur = state.pred
-    if cur is None or not net.is_live(cur) or between(cur, p, n):
-        cur = p
     # Executing any event other than the stabilize pair invalidates a held
     # stabilize intermediate.
-    return net.with_node(replace(state, pred=cur, pending_candidate=None))
+    return net.with_node(
+        replace(net.node(n), pred=_rectified_pred(net, n, p), pending_candidate=None)
+    )
 
 
 def _fail(net: Network, ev: Event, faults: FaultFlags) -> Network:

@@ -236,7 +236,8 @@ PREDICATES = {
     ),
     "live": (lambda net, n: net.is_live(n), (1,)),
     "pred": (lambda net, n: net.node(n).pred, (1,)),
-    "succ": (lambda net, n: net.node(n).succ_list[0], (1,)),
+    # A joiner holds no list until its Join: its successor is null.
+    "succ": (lambda net, n: (net.node(n).succ_list or (None,))[0], (1,)),
     "succList": (lambda net, n: list(net.node(n).succ_list), (1,)),
     "pendingCandidate": (lambda net, n: net.node(n).pending_candidate, (1,)),
     "pendingNewSucc": (lambda net, n: net.node(n).pending_new_succ, (1,)),

@@ -24,9 +24,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ident import between, clockwise_rank
+from .ident import clockwise_rank
 from .netstate import Network
-from .events import Event, EventKind
+from .events import Event, EventKind, _adopts, _copied_list, _rectified_pred
 from .topology import best_successor
 
 ROLE_PRED = "pred"
@@ -138,33 +138,25 @@ def visible_state(net: Network, n: int) -> tuple:
 def effective_enabled(net: Network) -> list[Event]:
     """Repair events that can occur now and would change their executor's pointers.
 
-    Evaluated over pointer state alone: the stabilize adoption candidate is
-    the value a stabilize running now would acquire (the first live
-    successor's current predecessor), matching the progress lemmas' reading.
+    Evaluated over pointer state alone, with the kernel's own repair rules:
+    the stabilize adoption candidate is the value a stabilize running now
+    would acquire (the first live successor's current predecessor), matching
+    the progress lemmas' reading. An adoption always changes the list, since
+    it replaces the head with a live member other than the first live one.
     """
     events: list[Event] = []
-    r = net.params.r
-    for n in net.live_idents():
-        state = net.node(n)
+    nodes = net.nodes
+    live = net.live_idents()
+    for n in live:
         h = best_successor(net, n)
         if h is None:
             continue  # assumption breach; unreachable from valid states
-        new_list = (h,) + net.node(h).succ_list[: r - 1]
-        if new_list != state.succ_list:
+        if _copied_list(net, h) != nodes[n].succ_list:
             events.append(Event(EventKind.STABILIZE_FROM_OLD_SUCCESSOR, n))
-        c = net.node(h).pred
-        if c is not None and net.is_live(c) and between(n, c, h):
-            adopted = (c,) + net.node(c).succ_list[: r - 1]
-            if adopted != state.succ_list:
-                events.append(Event(EventKind.STABILIZE_FROM_NEW_SUCCESSOR, n))
-    for p in net.live_idents():
-        head = net.node(p).succ_list[0]
-        if not net.is_live(head):
-            continue
-        n = head
-        cur = net.node(n).pred
-        if cur == p:
-            continue
-        if cur is None or not net.is_live(cur) or between(cur, p, n):
+        if _adopts(net, n, nodes[h].pred, h):
+            events.append(Event(EventKind.STABILIZE_FROM_NEW_SUCCESSOR, n))
+    for p in live:
+        n = nodes[p].succ_list[0]
+        if net.is_live(n) and _rectified_pred(net, n, p) != nodes[n].pred:
             events.append(Event(EventKind.RECTIFY, n, new_pred=p))
     return sorted(events, key=Event.sort_key)

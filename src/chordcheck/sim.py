@@ -25,6 +25,10 @@ from .netstate import (
 from .events import (
     Event,
     EventKind,
+    _adopts,
+    _copied_list,
+    _live_successor,
+    _rectified_pred,
     apply_event,
     enabled_events,
     event_from_dict,
@@ -33,7 +37,7 @@ from .events import (
 )
 from .invariants import conjuncts
 from .measure import effective_enabled, total_error, visible_state
-from .topology import is_ideal, structure
+from .topology import _cycle_is_ordered, _walk, is_ideal
 
 CHURN = "churn"
 REPAIR = "repair"
@@ -48,6 +52,10 @@ REPAIR_KINDS = (
 )
 
 
+# Phase 2 gives up after this many applied repair events.
+STEP_CEILING = 10**6
+
+
 class DivergenceError(Exception):
     """Phase 2 exceeded its step ceiling without quiescing."""
 
@@ -59,7 +67,6 @@ class SimConfig:
     seed: int
     join_weight: float = 2.0
     max_members: int | None = None
-    step_ceiling: int = 10**6
 
     def __post_init__(self) -> None:
         if self.churn_steps < 0:
@@ -147,35 +154,33 @@ def run_simulation(config: SimConfig) -> Trace:
         net = record(ev, apply_event(net, ev), CHURN)
 
     # Phase 2: repair only, scheduled by round-robin sweeps so every enabled
-    # effective event fires within one sweep.
+    # effective event fires within one sweep. Each step is decided by the
+    # kernel's repair rules before it is applied, so only recorded events
+    # are applied.
     applied = 0
     while effective_enabled(net):
         order = list(net.live_idents())
         rng.shuffle(order)
         for n in order:
-            before = visible_state(net, n)
-            sfos = Event(EventKind.STABILIZE_FROM_OLD_SUCCESSOR, n)
-            post = apply_event(net, sfos)
-            sfns = Event(EventKind.STABILIZE_FROM_NEW_SUCCESSOR, n)
-            will_adopt = is_enabled(post, sfns)
-            if visible_state(post, n) != before or will_adopt:
-                net = record(sfos, post, REPAIR)
+            h = _live_successor(net, n)
+            # The stabilize is kept when its copy changes the list or its
+            # acquired candidate will be adopted.
+            adopts = _adopts(net, n, net.nodes[h].pred, h)
+            if adopts or _copied_list(net, h) != net.nodes[n].succ_list:
+                sfos = Event(EventKind.STABILIZE_FROM_OLD_SUCCESSOR, n)
+                net = record(sfos, apply_event(net, sfos), REPAIR)
                 applied += 1
-                if will_adopt:
+                if adopts:
+                    sfns = Event(EventKind.STABILIZE_FROM_NEW_SUCCESSOR, n)
                     net = record(sfns, apply_event(net, sfns), REPAIR)
                     applied += 1
-            head = net.node(n).succ_list[0]
-            rect = Event(EventKind.RECTIFY, head, new_pred=n)
-            if is_enabled(net, rect):
-                target_before = visible_state(net, head)
-                post = apply_event(net, rect)
-                if visible_state(post, head) != target_before:
-                    net = record(rect, post, REPAIR)
-                    applied += 1
-            if applied > config.step_ceiling:
-                raise DivergenceError(
-                    f"repair phase exceeded {config.step_ceiling} steps"
-                )
+            head = net.nodes[n].succ_list[0]
+            if net.is_live(head) and _rectified_pred(net, head, n) != net.nodes[head].pred:
+                rect = Event(EventKind.RECTIFY, head, new_pred=n)
+                net = record(rect, apply_event(net, rect), REPAIR)
+                applied += 1
+            if applied > STEP_CEILING:
+                raise DivergenceError(f"repair phase exceeded {STEP_CEILING} steps")
 
     return Trace(initial=initial, steps=tuple(steps))
 
@@ -246,8 +251,13 @@ def write_trace_jsonl(trace: Trace, path: str, snapshot_interval: int = 0) -> No
                 "ideal": is_ideal(step.network),
             }
             if snapshot_interval and (i % snapshot_interval == 0 or i == len(trace.steps)):
+                walk = _walk(step.network)
                 rec["snapshot"] = network_to_dict(step.network)
-                rec["structure"] = structure(step.network).to_dict()
+                rec["structure"] = {
+                    "ringMembers": sorted(walk.ring),
+                    "appendageMembers": sorted(step.network.live - walk.ring),
+                    "orderedRingFlag": _cycle_is_ordered(walk.cycle),
+                }
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 

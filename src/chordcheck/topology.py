@@ -6,25 +6,10 @@ out of scope since correctness of ring maintenance does not depend on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .ident import between, clockwise_distance
 from .netstate import Network
-
-
-@dataclass(frozen=True)
-class StructureReport:
-    ring_members: frozenset[int]
-    appendage_members: frozenset[int]
-    ordered_ring_flag: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "ringMembers": sorted(self.ring_members),
-            "appendageMembers": sorted(self.appendage_members),
-            "orderedRingFlag": self.ordered_ring_flag,
-        }
 
 
 def best_successor(net: Network, n: int) -> int | None:
@@ -146,15 +131,6 @@ def _walk(net: Network) -> _Walk:
             cur = bs[cur]
         cycle = tuple(seq)
     return _Walk(frozenset(ring), cycle_count, cycle, all(ends_on_ring.values()))
-
-
-def structure(net: Network) -> StructureReport:
-    walk = _walk(net)
-    return StructureReport(
-        ring_members=walk.ring,
-        appendage_members=frozenset(net.live) - walk.ring,
-        ordered_ring_flag=_cycle_is_ordered(walk.cycle),
-    )
 
 
 def globally_correct_succ(net: Network, n: int, i: int) -> int:

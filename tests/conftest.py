@@ -156,21 +156,27 @@ def two_bystander_state():
     )
 
 
-def pinned_sim_configs():
-    """Six seeded simulations whose traces `tests/test_sim.py` pins.
-
-    Criterion 7's mix at seeds 0-3, then two join-heavy m=12, r=3 runs
-    that fill a member cap of 32.
-    """
-    configs = [
+def convergence_configs(seeds=range(200)):
+    """Criterion 7's seeded churn mix at m=6: r alternates 2 and 3, churn
+    length and member cap vary with the seed."""
+    return [
         sim.SimConfig(
             params=RingParams(6, 2 + seed % 2),
             churn_steps=50 + (seed * 97) % 151,
             seed=seed,
             max_members=12 + seed % 9,
         )
-        for seed in range(4)
+        for seed in seeds
     ]
+
+
+def pinned_sim_configs():
+    """Six seeded simulations whose traces `tests/test_sim.py` pins.
+
+    Criterion 7's mix at seeds 0-3, then two join-heavy m=12, r=3 runs
+    that fill a member cap of 32.
+    """
+    configs = convergence_configs(range(4))
     configs += [
         sim.SimConfig(
             params=RingParams(12, 3), churn_steps=192, seed=seed, join_weight=6.0, max_members=32
@@ -190,7 +196,12 @@ def oracle_states():
     yield from enumerate_valid_states(RingParams(3, 2), 4)
     yield from sample_raw_states(RingParams(6, 3), 9, 2000, seed=0)
     for config in pinned_sim_configs():
-        trace = sim.run_simulation(config)
-        yield trace.initial
-        for step in trace.steps:
-            yield step.network
+        yield from sim_networks(config)
+
+
+def sim_networks(config):
+    """Every network of one simulation: the initial one, then one per step."""
+    trace = sim.run_simulation(config)
+    yield trace.initial
+    for step in trace.steps:
+        yield step.network

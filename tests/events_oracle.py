@@ -5,7 +5,10 @@ raises of each `apply_*`, and candidates were listed separately by
 `enabled_events`, the simulator's repair pool, the preservation sweep and
 the counterexample search. The code is kept here unchanged as the oracle
 for `chordcheck.events`' guard table and its one candidate listing, with
-`fail_guard_holds`, the from-scratch Fail guard that `failable` replaced.
+`fail_guard_holds`, the from-scratch Fail guard that `failable` replaced,
+and `effective_enabled`, which restated the kernel's stabilize copy,
+adoption test and rectify choice before `chordcheck.measure` read them
+from `chordcheck.events`.
 """
 
 from __future__ import annotations
@@ -305,6 +308,41 @@ def enabled_events(
         ev = Event(EventKind.RECTIFY, head, new_pred=p)
         if is_enabled(net, ev):
             events.append(ev)
+    return sorted(events, key=Event.sort_key)
+
+
+def effective_enabled(net: Network) -> list[Event]:
+    """Repair events that can occur now and would change their executor's pointers.
+
+    Evaluated over pointer state alone: the stabilize adoption candidate is
+    the value a stabilize running now would acquire (the first live
+    successor's current predecessor), matching the progress lemmas' reading.
+    """
+    events: list[Event] = []
+    r = net.params.r
+    for n in net.live_idents():
+        state = net.node(n)
+        h = best_successor(net, n)
+        if h is None:
+            continue  # assumption breach; unreachable from valid states
+        new_list = (h,) + net.node(h).succ_list[: r - 1]
+        if new_list != state.succ_list:
+            events.append(Event(EventKind.STABILIZE_FROM_OLD_SUCCESSOR, n))
+        c = net.node(h).pred
+        if c is not None and net.is_live(c) and between(n, c, h):
+            adopted = (c,) + net.node(c).succ_list[: r - 1]
+            if adopted != state.succ_list:
+                events.append(Event(EventKind.STABILIZE_FROM_NEW_SUCCESSOR, n))
+    for p in net.live_idents():
+        head = net.node(p).succ_list[0]
+        if not net.is_live(head):
+            continue
+        n = head
+        cur = net.node(n).pred
+        if cur == p:
+            continue
+        if cur is None or not net.is_live(cur) or between(cur, p, n):
+            events.append(Event(EventKind.RECTIFY, n, new_pred=p))
     return sorted(events, key=Event.sort_key)
 
 

@@ -39,6 +39,8 @@ from chordcheck.measure import total_error, visible_state
 from chordcheck.topology import is_ideal
 from chordcheck import checker, cli, sim
 
+from conftest import convergence_configs
+
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 EXHAUSTIVE = RingParams(m=3, r=2)
@@ -245,15 +247,8 @@ def _run_persistence_check(net, events=100):
 def test_criterion_7_convergence_theorem():
     t0 = time.time()
     failures = []
-    for seed in range(200):
-        r = 2 + seed % 2
-        churn = 50 + (seed * 97) % 151
-        cfg = sim.SimConfig(
-            params=RingParams(6, r),
-            churn_steps=churn,
-            seed=seed,
-            max_members=12 + seed % 9,
-        )
+    for cfg in convergence_configs():
+        seed = cfg.seed
         trace = sim.run_simulation(cfg)
         final = trace.final()
         if not is_ideal(final):

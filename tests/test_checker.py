@@ -352,6 +352,38 @@ class TestExploreReachable:
         assert report.passed
         assert timed_out in reached
 
+    def test_a_join_that_clears_a_dead_lookup_is_not_charged(self, monkeypatch):
+        # 19 joins and enters the ring, 10 looks up 19, 19 fails and 10's
+        # Join clears the lookup: 10 retries and joins within a budget of 2.
+        applied = []
+
+        def recording_apply(net, ev):
+            post = apply_event(net, ev)
+            applied.append((net.canonical_key(), ev, post))
+            return post
+
+        monkeypatch.setattr(checker, "apply_event", recording_apply)
+        init = init_network(WIDE, [7, 33, 50])
+        report = checker.explore_reachable(
+            init, max_joins=2, max_fails=1, max_depth=9, joiners=(19, 10)
+        )
+        assert report.passed
+        assert not report.info["truncated"]
+
+        def posts(kind, pres, is_member):
+            return {
+                post.canonical_key()
+                for pre, ev, post in applied
+                if ev.kind is kind and ev.node == 10 and pre in pres
+                and post.is_live(10) is is_member and 19 in post.nodes and not post.is_live(19)
+            }
+
+        everything = {pre for pre, _, _ in applied}
+        cleared = posts(EventKind.JOIN, everything, False)
+        retried = posts(EventKind.JOIN_LOOKUP, cleared, False)
+        assert cleared and retried
+        assert posts(EventKind.JOIN, retried, True)
+
     def test_truncation_flag(self):
         init = init_network(WIDE, [7, 19, 33])
         report = checker.explore_reachable(

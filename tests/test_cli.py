@@ -1,5 +1,6 @@
 """CLI behavior: subcommands, exit codes, scenario replay, DOT export."""
 
+import itertools
 import json
 import re
 from pathlib import Path
@@ -343,10 +344,38 @@ class TestSimulateAndExplore:
         assert "explored" in capsys.readouterr().out
 
 
-def test_readme_lists_every_registry_predicate_with_its_arity():
+def test_every_predicate_answers_on_every_state_of_the_packaged_scenarios():
+    # Each registry predicate, on each tracked identifier of each state a
+    # packaged scenario passes through, gives a value or a named error.
+    from chordcheck.events import apply_event
     from chordcheck.invariants import PREDICATES
 
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    rows = re.findall(r"^\| `(\w+)` \| ([0-9 or]+) \|$", readme, flags=re.M)
-    listed = {name: tuple(int(n) for n in counts.split(" or ")) for name, counts in rows}
-    assert listed == {name: arities for name, (_, arities) in PREDICATES.items()}
+    for name in ("fig2.json", "fig3.json", "fig4.json"):
+        scenario = cli.load_scenario(str(SCENARIOS / name))
+        nets = [scenario.initial]
+        for scripted in scenario.script:
+            nets.append(apply_event(nets[-1], scripted.event, force=scripted.force))
+        for net in nets:
+            for predicate, (_, arities) in PREDICATES.items():
+                for arity in arities:
+                    for args in itertools.product(sorted(net.nodes), repeat=arity):
+                        expectation = cli.Expectation(0, predicate, args, expected=object())
+                        report = cli.replay_scenario(cli.Scenario(net, (), (expectation,)))
+                        assert report.exit_code in (cli.EXIT_EXPECTATION, cli.EXIT_PARSE)
+
+
+def test_readme_lists_every_registry_predicate_with_its_arity():
+    # Every row of README's predicate table, each once, in the form
+    # | `name` | 0 or 1 |, and the same names and arities as the registry.
+    from chordcheck.invariants import PREDICATES
+
+    lines = (Path(__file__).resolve().parent.parent / "README.md").read_text().splitlines()
+    start = lines.index("| predicate | arguments |")
+    assert lines[start + 1] == "| --- | --- |"
+    rows = []
+    for line in itertools.takewhile(lambda text: text.startswith("|"), lines[start + 2 :]):
+        row = re.fullmatch(r"\| `(\w+)` \| (\d+(?: or \d+)*) \|", line)
+        assert row, f"malformed predicate row {line!r}"
+        rows.append((row[1], tuple(int(n) for n in row[2].split(" or "))))
+    assert len(rows) == len(dict(rows))
+    assert dict(rows) == {name: arities for name, (_, arities) in PREDICATES.items()}

@@ -1,5 +1,7 @@
 """Pointer-error scoring, total error, and the effective-repair predicates."""
 
+import itertools
+
 import pytest
 
 from chordcheck.ident import RingParams
@@ -27,10 +29,13 @@ from chordcheck.measure import (
 from chordcheck.topology import is_ideal
 from chordcheck.checker import sample_valid_states
 
+import events_oracle as oracle
 from conftest import (
+    convergence_configs,
     cross_term_state,
     make_net,
     oracle_states,
+    sim_networks,
     two_bystander_state,
     wrap_trap_state,
 )
@@ -142,6 +147,19 @@ class TestEffectiveEnabled:
         for net in sample_valid_states(RingParams(6, 2), 9, 300, seed=19):
             if not is_ideal(net):
                 assert bool(effective_enabled(net))
+
+    def test_matches_the_oracle(self):
+        # Exhaustive m=3 states, raw m=6 states and the pinned simulations,
+        # sampled valid states at r=2 and r=3, and every network of
+        # criterion 7's simulations.
+        states = itertools.chain(
+            oracle_states(),
+            sample_valid_states(RingParams(6, 2), 9, 2000, seed=5),
+            sample_valid_states(RingParams(6, 3), 9, 2000, seed=6),
+            *(sim_networks(cfg) for cfg in convergence_configs()),
+        )
+        for net in states:
+            assert effective_enabled(net) == oracle.effective_enabled(net)
 
     def test_only_repair_kinds_count(self):
         repair = {

@@ -266,10 +266,10 @@ class TestTraceStreaming:
         with pytest.raises(ValueError, match=f"^trace line {line}: .*{message}"):
             sim.replay_trace_jsonl(str(path))
 
-    def test_divergence_guard_config(self):
+    def test_divergence_guard_config(self, monkeypatch):
+        monkeypatch.setattr(sim, "STEP_CEILING", 1)
         with pytest.raises(sim.DivergenceError):
             cfg = sim.SimConfig(
                 params=RingParams(6, 2), churn_steps=200, seed=23, max_members=18,
-                step_ceiling=1,
             )
             sim.run_simulation(cfg)
