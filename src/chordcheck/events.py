@@ -415,7 +415,8 @@ def enabled_events(
         kind = _JOIN_STEP[state is not None and state.pending_new_succ is not None]
         if kind in kinds and is_enabled(net, ev := Event(kind, j)):
             events.append(ev)
-    for n in net.live_idents():
+    live = net.live_idents()
+    for n in live:
         for k in member_kinds:
             ev = Event(k, n)
             if is_enabled(net, ev):
@@ -423,7 +424,7 @@ def enabled_events(
         if n in fails:
             events.append(Event(EventKind.FAIL, n))
     if EventKind.RECTIFY in kinds:
-        for p in net.live_idents():
+        for p in live:
             ev = Event(EventKind.RECTIFY, net.nodes[p].succ_list[0], new_pred=p)
             if is_enabled(net, ev):
                 events.append(ev)

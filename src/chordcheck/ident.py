@@ -10,17 +10,29 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+# The widest identifier space accepted: Chord's SHA-1 identifiers have 160 bits.
+MAX_M = 160
+
 
 @dataclass(frozen=True, slots=True)
 class RingParams:
-    """Ring configuration: identifier bit width m and successor-list length r."""
+    """Ring configuration: identifier bit width m and successor-list length r.
+
+    Both are checked before the space 2**m is built: ints, not bools, with
+    3 <= m <= MAX_M and r >= 2.
+    """
 
     m: int
     r: int
 
     def __post_init__(self) -> None:
+        for name, value in (("m", self.m), ("r", self.r)):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.m < 3:
             raise ValueError(f"m must be at least 3, got {self.m}")
+        if self.m > MAX_M:
+            raise ValueError(f"m must be at most {MAX_M}, got {self.m}")
         if self.r < 2:
             raise ValueError(f"r must be at least 2, got {self.r}")
         if self.r + 1 > 2**self.m:

@@ -2,8 +2,8 @@
 
 Phase 1 applies randomly chosen events, each drawn from `enabled_events`,
 plus a fresh JoinLookup by a random identifier. Phase 2 schedules only
-repair events, weakly fairly, until no effective repair remains; the theorem
-says that point is the ideal state and that it stays ideal.
+repair events, weakly fairly, until a whole sweep finds no effective repair;
+the theorem says that point is the ideal state and that it stays ideal.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .netstate import (
     network_to_dict,
 )
 from .events import (
+    AssumptionBreach,
     Event,
     EventKind,
     _adopts,
@@ -36,7 +37,7 @@ from .events import (
     is_enabled,
 )
 from .invariants import conjuncts
-from .measure import effective_enabled, total_error, visible_state
+from .measure import total_error, visible_state
 from .topology import _cycle_is_ordered, _walk, is_ideal
 
 CHURN = "churn"
@@ -156,9 +157,10 @@ def run_simulation(config: SimConfig) -> Trace:
     # Phase 2: repair only, scheduled by round-robin sweeps so every enabled
     # effective event fires within one sweep. Each step is decided by the
     # kernel's repair rules before it is applied, so only recorded events
-    # are applied.
-    applied = 0
-    while effective_enabled(net):
+    # are applied; a sweep that records none finds no effective repair left.
+    applied, swept = 0, -1
+    while applied != swept:
+        swept = applied
         order = list(net.live_idents())
         rng.shuffle(order)
         for n in order:
@@ -232,7 +234,7 @@ def convergence_steps(trace: Trace) -> int:
 
 
 def write_trace_jsonl(trace: Trace, path: str, snapshot_interval: int = 0) -> None:
-    """Line-delimited trace: per-step summary records, full snapshots on an interval."""
+    """Line-delimited trace: a record per step; snapshots, with their summaries, on an interval."""
     with open(path, "w", encoding="utf-8") as fh:
         header = {
             "type": "header",
@@ -241,15 +243,7 @@ def write_trace_jsonl(trace: Trace, path: str, snapshot_interval: int = 0) -> No
         }
         fh.write(json.dumps(header, sort_keys=True) + "\n")
         for i, step in enumerate(trace.steps, start=1):
-            rec = {
-                "type": "step",
-                "step": i,
-                "event": event_to_dict(step.event),
-                "tag": step.tag,
-                "totalError": total_error(step.network),
-                "valid": conjuncts(step.network).valid,
-                "ideal": is_ideal(step.network),
-            }
+            rec = {"type": "step", "step": i, "event": event_to_dict(step.event), "tag": step.tag}
             if snapshot_interval and (i % snapshot_interval == 0 or i == len(trace.steps)):
                 walk = _walk(step.network)
                 rec["snapshot"] = network_to_dict(step.network)
@@ -258,6 +252,9 @@ def write_trace_jsonl(trace: Trace, path: str, snapshot_interval: int = 0) -> No
                     "appendageMembers": sorted(step.network.live - walk.ring),
                     "orderedRingFlag": _cycle_is_ordered(walk.cycle),
                 }
+                rec["totalError"] = total_error(step.network)
+                rec["valid"] = conjuncts(step.network).valid
+                rec["ideal"] = is_ideal(step.network)
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
@@ -272,27 +269,28 @@ def replay_trace_jsonl(path: str) -> Trace:
 
     A disabled event raises `EventNotEnabled`. A line that is not a JSON
     record with a well-formed `initial` network (the header) or `event`
-    (each step), or whose snapshot fails `validate_network`, raises
-    ValueError naming the line.
+    (each step), whose event strands a member, or whose snapshot fails
+    `validate_network`, raises ValueError naming the line.
     """
-    with open(path, encoding="utf-8") as fh:
-        lines = [(i, text) for i, text in enumerate(fh, start=1) if text.strip()]
     initial: Network | None = None
     steps: list[TraceStep] = []
-    for lineno, text in lines:
-        try:
-            rec = json.loads(text)
-            if initial is None:
-                net = initial = network_from_record(_entry(rec, "initial"))
+    with open(path, encoding="utf-8") as fh:
+        for lineno, text in enumerate(fh, start=1):
+            if not text.strip():
                 continue
-            ev = event_from_dict(_entry(rec, "event"))
-            expected = network_from_record(rec["snapshot"]) if "snapshot" in rec else None
-        except ValueError as err:
-            raise ValueError(f"trace line {lineno}: {err}") from None
-        net = apply_event(net, ev)
-        if expected is not None and expected != net:
-            raise ValueError(f"trace line {lineno}: snapshot mismatch")
-        steps.append(TraceStep(event=ev, network=net, tag=rec.get("tag")))
+            try:
+                rec = json.loads(text)
+                if initial is None:
+                    net = initial = network_from_record(_entry(rec, "initial"))
+                    continue
+                ev = event_from_dict(_entry(rec, "event"))
+                expected = network_from_record(rec["snapshot"]) if "snapshot" in rec else None
+                net = apply_event(net, ev)
+            except (ValueError, AssumptionBreach) as err:
+                raise ValueError(f"trace line {lineno}: {err}") from None
+            if expected is not None and expected != net:
+                raise ValueError(f"trace line {lineno}: snapshot mismatch")
+            steps.append(TraceStep(event=ev, network=net, tag=rec.get("tag")))
     if initial is None:
         raise ValueError("the trace has no header line")
     return Trace(initial=initial, steps=tuple(steps))

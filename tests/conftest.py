@@ -67,6 +67,17 @@ def undersized_init_state():
     )
 
 
+def stranded_member_state():
+    """Ideal three-ring except that live 7 lists only 50, tracked but dead."""
+    return make_net(
+        6,
+        2,
+        base=[7, 19, 33],
+        nodes={7: (33, (50, 50)), 19: (7, (33, 7)), 33: (19, (7, 19))},
+        dead={50: (None, (7, 19))},
+    )
+
+
 def valid_with_appendage_chain():
     """Ordered ring {14, 23, 37, 48} with appendage chain 50 -> 53 -> 63 and 9."""
     return make_net(

@@ -127,6 +127,7 @@ class TestReplayScenarios:
             (lambda s: s["expectations"][0].update(predicate=None), "expectation 1 has no predicate"),
             (lambda s: s.update(base=[7, "19", 33]), "base entry '19' is not an integer"),
             (lambda s: s.update(script={}), "script {} is not a list"),
+            (lambda s: s["params"].update(m=10**12), "m must be at most 160"),
         ],
     )
     def test_mistyped_scenario_field_exit_2(self, tmp_path, capsys, edit, message):
@@ -151,6 +152,9 @@ class TestReplayScenarios:
     [
         ("simulate --r 0", "r must be at least 2"),
         ("simulate --m 1", "m must be at least 3"),
+        ("simulate --m 1000000000000", "m must be at most 160"),
+        ("check progress --m 1000000000000", "m must be at most 160"),
+        ("init --m 1000000000000 --base 7,19,33", "m must be at most 160"),
         ("simulate --churn-steps -1", "churn steps must be non-negative"),
         ("init --base 1,1", "distinct"),
         ("explore --base 7,19", "r+1=3 members"),
@@ -211,6 +215,16 @@ class TestNetworkFiles:
     def test_export_dot_rejects_empty_successor_list(self, empty_list_network, capsys):
         assert cli.main(["export-dot", str(empty_list_network)]) == cli.EXIT_PARSE
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["explore", "--net"], ["export-dot"]])
+    def test_huge_m_exit_2(self, tmp_path, capsys, argv):
+        # Rejected before the 2^m identifier space is built.
+        data = network_to_dict(init_network(RingParams(6, 2), [7, 19, 33]))
+        data["m"] = 10**12
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(data))
+        assert cli.main([*argv, str(path)]) == cli.EXIT_PARSE
+        assert "m must be at most 160" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text", ['{"m": 6}', "[1, 2]", '{"m": 6, "r": 2, "base": [], "nodes": [5]}'])
     def test_explore_rejects_malformed_records(self, tmp_path, text):

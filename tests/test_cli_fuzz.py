@@ -1,10 +1,12 @@
-"""The input boundary under mutation: every input gives a documented exit code.
+"""The input boundary under mutation: every input gives a documented outcome.
 
 Scenario files (`replay`), network files (`explore --net`, `export-dot`) and
 flag values are mutated at random, and `cli.main` must return one of the
-documented exit codes without raising. Integers stay within a few bits of
-the valid ranges, so a mutated input never asks for a huge identifier
-space or a long run.
+documented exit codes without raising. Trace files are mutated likewise, and
+`sim.replay_trace_jsonl` may raise only ValueError or EventNotEnabled.
+Integers stay within a few bits of the valid ranges, so a mutated input
+never asks for a long run; the huge identifier widths that are tried are
+rejected before their space is built.
 """
 
 import contextlib
@@ -16,13 +18,13 @@ from pathlib import Path
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from chordcheck import cli
-from chordcheck.events import Event, EventKind, apply_event, apply_join_lookup
+from chordcheck import cli, sim
+from chordcheck.events import Event, EventKind, EventNotEnabled, apply_event, apply_join_lookup
 from chordcheck.ident import RingParams
 from chordcheck.invariants import PREDICATES
 from chordcheck.netstate import init_network, network_to_dict
 
-from conftest import wrap_trap_state
+from conftest import stranded_member_state, wrap_trap_state
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 EXIT_CODES = {
@@ -153,9 +155,10 @@ def _assert_documented(code, err):
 
 @FUZZ
 @given(_mutated_record(SCENARIO_RECORDS) | _edited_scenario())
-# Each of these once raised: a base outside the space, and the successor of
-# a joiner that holds no list yet.
+# Each of these once raised or hung: a base outside the space, the successor
+# of a joiner that holds no list yet, and a 10^12-bit identifier space.
 @example({"params": {"m": 6, "r": 2}, "base": [-1, 19, 33], "script": []})
+@example({"params": {"m": 10**12, "r": 2}, "base": [7, 19, 33], "script": []})
 @example(
     {
         "params": {"m": 6, "r": 2},
@@ -170,6 +173,7 @@ def test_mutated_scenarios_exit_with_a_documented_code(doc):
 
 @FUZZ
 @given(_mutated_record(NETWORK_RECORDS))
+@example({**NETWORK_RECORDS[0], "m": 10**12})
 def test_mutated_network_files_exit_with_a_documented_code(doc):
     _assert_documented(
         *_run_on_file(doc, ["explore", "--net"], ["--depth", "2", "--joins", "1", "--joiners", "10"])
@@ -206,3 +210,56 @@ def test_bad_flag_values_exit_with_a_documented_code(command, data):
             # Keep written files, trial-search's artifact included, out of the tree.
             argv += ["--out", str(Path(tmp) / "out.json")]
         _assert_documented(*_run(argv))
+
+
+def _written_trace():
+    """A short simulation's trace lines, with snapshots on every third step."""
+    config = sim.SimConfig(params=RingParams(6, 2), churn_steps=20, seed=21, max_members=8)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.jsonl"
+        sim.write_trace_jsonl(sim.run_simulation(config), str(path), snapshot_interval=3)
+        return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+TRACE_LINES = _written_trace()
+PARAM_VALUES = SMALL_INTS | st.sampled_from([160, 161, 10**12, 6.0, True, "6"])
+
+
+@st.composite
+def _mutated_trace(draw):
+    """A written trace with a few lines edited, as text, possibly truncated."""
+    lines = list(TRACE_LINES)
+    if draw(st.booleans()):
+        key = draw(st.sampled_from(["m", "r"]))
+        lines[0] = {**lines[0], "initial": {**lines[0]["initial"], key: draw(PARAM_VALUES)}}
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        if draw(st.booleans()):
+            # Drops, adds or retypes one entry at a drawn depth.
+            lines[i] = draw(_mutated(lines[i]))
+        elif isinstance(lines[i], dict):
+            lines[i] = {**lines[i], "event": draw(EVENT_RECORDS)}
+    text = "".join(json.dumps(rec) + "\n" for rec in lines)
+    if draw(st.booleans()):
+        text = text[: draw(st.integers(0, len(text)))]
+    return text
+
+
+STRANDED_TRACE = "".join(json.dumps(rec) + "\n" for rec in [
+    {"type": "header", "initial": network_to_dict(stranded_member_state())},
+    {"type": "step", "step": 1, "event": {"kind": "StabilizeFromOldSuccessor", "node": 7}},
+])
+
+
+@FUZZ
+@given(_mutated_trace())
+# This once escaped as AssumptionBreach: the stabilize strands member 7.
+@example(STRANDED_TRACE)
+def test_mutated_traces_raise_only_documented_errors(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.jsonl"
+        path.write_text(text)
+        try:
+            sim.replay_trace_jsonl(str(path))
+        except (ValueError, EventNotEnabled):
+            pass

@@ -5,7 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from chordcheck.ident import RingParams, between, clockwise_distance, clockwise_rank
+from chordcheck.ident import MAX_M, RingParams, between, clockwise_distance, clockwise_rank
 
 
 def walk_rank(frm, to, members, space=64):
@@ -30,6 +30,19 @@ class TestRingParams:
 
     def test_space(self):
         assert RingParams(m=6, r=2).space == 64
+
+    @pytest.mark.parametrize(
+        "m, r", [(6.0, 2), ("6", 2), (True, 2), (6, 2.0), (6, True), (None, 2)]
+    )
+    def test_rejects_non_integers(self, m, r):
+        with pytest.raises(ValueError, match="must be an integer"):
+            RingParams(m=m, r=r)
+
+    def test_bounds_m_before_building_the_space(self):
+        assert RingParams(m=MAX_M, r=2).space == 2**160
+        for m in (MAX_M + 1, 10**12):
+            with pytest.raises(ValueError, match=f"at most {MAX_M}"):
+                RingParams(m=m, r=2)
 
 
 class TestBetween:

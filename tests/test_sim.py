@@ -15,13 +15,13 @@ from chordcheck.events import (
     is_enabled,
 )
 from chordcheck.ident import RingParams
-from chordcheck.netstate import Trace, TraceStep, init_network
-from chordcheck.invariants import is_valid
-from chordcheck.measure import total_error, visible_state
+from chordcheck.netstate import Trace, TraceStep, init_network, network_to_dict
+from chordcheck.invariants import conjuncts, is_valid
+from chordcheck.measure import effective_enabled, total_error, visible_state
 from chordcheck.topology import is_ideal
 from chordcheck import sim
 
-from conftest import pinned_sim_configs
+from conftest import pinned_sim_configs, stranded_member_state
 
 
 def run(seed=0, churn=60, r=2, max_members=16, **kw):
@@ -165,6 +165,23 @@ class TestDeterminism:
         assert tuple(kinds[kind] for kind in EventKind) == counts
         assert len(trace.steps) == steps
         assert h.hexdigest() == digest
+        # Phase 2 stops only once no effective repair is left.
+        assert effective_enabled(trace.final()) == []
+
+    # sha256 of the whole trace file written with a snapshot on every line,
+    # for the first pinned configuration and the first m=12 one.
+    @pytest.mark.parametrize(
+        "index, digest",
+        [
+            (0, "488491afcc9e773ac58b209d5821c7383a68882c5d758b0ea5cc84baf46ebfa4"),
+            (4, "a006b577cb48674c87f0c0ac6452a106f270a91b08501188cac4368194c21c73"),
+        ],
+        ids=["m6-r2-seed0", "m12-r3-seed7"],
+    )
+    def test_snapshot_on_every_line_file_is_pinned(self, tmp_path, index, digest):
+        path = tmp_path / "trace.jsonl"
+        sim.write_trace_jsonl(sim.run_simulation(PINNED_CONFIGS[index]), str(path), snapshot_interval=1)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 class TestTraceStructure:
@@ -220,6 +237,41 @@ class TestTraceStreaming:
         for a, b in zip(replayed.steps, trace.steps):
             assert a.network == b.network
             assert a.event == b.event
+
+    def test_summaries_only_on_snapshot_lines(self, tmp_path):
+        trace = run(seed=21, churn=50)
+        path = tmp_path / "trace.jsonl"
+        sim.write_trace_jsonl(trace, str(path), snapshot_interval=7)
+        replayed = sim.replay_trace_jsonl(str(path))
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        snapshots = 0
+        for rec, step in zip(lines[1:], replayed.steps, strict=True):
+            if "snapshot" not in rec:
+                assert set(rec) == {"type", "step", "event", "tag"}
+                continue
+            snapshots += 1
+            net = step.network
+            assert rec["totalError"] == total_error(net)
+            assert rec["valid"] == conjuncts(net).valid
+            assert rec["ideal"] == is_ideal(net)
+        assert snapshots == len(trace.steps) // 7 + 1
+
+    def test_stranding_event_raises_value_error_naming_its_line(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        sim.write_trace_jsonl(Trace(initial=stranded_member_state(), steps=()), str(path))
+        event = {"kind": "StabilizeFromOldSuccessor", "node": 7}
+        with path.open("a") as fh:
+            fh.write(json.dumps({"type": "step", "step": 1, "event": event, "tag": None}) + "\n")
+        with pytest.raises(ValueError, match="^trace line 2: 7 has no live successor"):
+            sim.replay_trace_jsonl(str(path))
+
+    def test_header_with_huge_m_raises_value_error_naming_line_1(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        initial = network_to_dict(init_network(RingParams(6, 2), [7, 19, 33]))
+        initial["m"] = 10**12
+        path.write_text(json.dumps({"type": "header", "initial": initial}) + "\n")
+        with pytest.raises(ValueError, match="^trace line 1: .*at most 160"):
+            sim.replay_trace_jsonl(str(path))
 
     def test_fail_of_a_base_member_raises_on_replay(self, tmp_path):
         trace = run(seed=21, churn=50)
