@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .ident import RingParams, between, clockwise_distance
-from .netstate import Network, NodeState, network_to_dict
+from .netstate import Network, NodeState, network_to_dict, node_key
 from .events import (
     ALL_KINDS,
     Event,
@@ -24,6 +26,7 @@ from .events import (
     FaultFlags,
     apply_event,
     enabled_events,
+    event_delta,
     event_to_dict,
     join_precondition_holds,
 )
@@ -157,7 +160,7 @@ def enumerate_valid_states(params: RingParams, max_nodes: int):
                         for combo in itertools.product(*per_node):
                             nodes = {state.ident: state for state in combo}
                             nodes.update(placeholders)
-                            yield replace(net, nodes=nodes)
+                            yield Network(params, net.base, nodes, live_set)
 
 
 def count_valid_states_bruteforce(params: RingParams, max_nodes: int) -> int:
@@ -202,7 +205,9 @@ def count_valid_states_bruteforce(params: RingParams, max_nodes: int) -> int:
                     ):
                         continue
                     for base in itertools.combinations(live, r + 1):
-                        c2 = conjuncts_reference(replace(net, base=frozenset(base)))
+                        c2 = conjuncts_reference(
+                            Network(params, frozenset(base), nodes, live_set)
+                        )
                         if c2.base_not_skipped:
                             total += pred_choices**live_size
     return total
@@ -339,7 +344,7 @@ def _structured_network(
             pred = rng.choice(live)
         else:
             pred = rng.choice(dead)
-        nodes[x] = replace(nodes[x], pred=pred)
+        nodes[x] = NodeState(x, nodes[x].succ_list, pred)
 
     for d in dead:
         others = sorted((i for i in ids if i != d), key=lambda v: clockwise_distance(d, v, space))
@@ -429,11 +434,8 @@ def enumerate_raw_list_states(params: RingParams, max_nodes: int):
 
 
 # The kinds whose acquired value (a join's looked-up successor, an
-# adoption's candidate) is swept, and the field that stores it.
-_ACQUIRED = {
-    EventKind.JOIN: "pending_new_succ",
-    EventKind.STABILIZE_FROM_NEW_SUCCESSOR: "pending_candidate",
-}
+# adoption's candidate) is swept.
+_ACQUIRED = frozenset({EventKind.JOIN, EventKind.STABILIZE_FROM_NEW_SUCCESSOR})
 
 
 def _acquired_sweep(net: Network, kind: EventKind):
@@ -447,7 +449,8 @@ def _acquired_sweep(net: Network, kind: EventKind):
     """
     live = net.live_idents()
     tracked = sorted(net.nodes)
-    if kind is EventKind.JOIN:
+    is_join = kind is EventKind.JOIN
+    if is_join:
         pairs = (
             (j, v)
             for j in tracked
@@ -462,10 +465,13 @@ def _acquired_sweep(net: Network, kind: EventKind):
             for c in tracked
             if c != n and between(n, c, net.nodes[n].succ_list[0])
         )
-    field = _ACQUIRED[kind]
     for n, value in pairs:
         state = net.nodes.get(n) or NodeState(ident=n, succ_list=())
-        yield net.with_node(replace(state, **{field: value})), Event(kind, n)
+        if is_join:
+            state = NodeState(n, state.succ_list, state.pred, value, state.pending_candidate)
+        else:
+            state = NodeState(n, state.succ_list, state.pred, state.pending_new_succ, value)
+        yield net.with_node(state), Event(kind, n)
 
 
 def preservation_cases(net: Network, kinds=ALL_KINDS):
@@ -637,44 +643,61 @@ def explore_reachable(
     Validity is asserted at every reached state. The join budget counts
     members that join; lookups, and Joins that clear a dead lookup, are free
     but only offered while joins remain.
+
+    An event changes only its executor, so a successor is keyed without being
+    built: its `canonical_key` node entries are the parent's, with the
+    executor's entry replaced (or inserted, for a joiner's first lookup).
+    Params and base never change, so they are left out of the visited keys.
+    A network is built, and checked, only for a key not seen before.
     """
     report = CheckReport(
         lemma="ReachableStatesValid",
         bounds={"joins": max_joins, "fails": max_fails, "depth": max_depth},
     )
+    join, fail = EventKind.JOIN, EventKind.FAIL
     seen: set[tuple] = set()
-    queue: deque[tuple[Network, int, int, int]] = deque()
+    queue: deque[tuple[Network, tuple, int, int, int]] = deque()
     transitions = 0
     truncated = False
 
-    def visit(net: Network, joins: int, fails: int, depth: int) -> None:
+    def visit(parent: Network, delta, entries: tuple, joins: int, fails: int, depth: int) -> None:
         nonlocal truncated
-        key = (net.canonical_key(), joins, fails)
+        key = (entries, joins, fails)
         if key in seen:
             return
         if len(seen) >= max_states:
             truncated = True
             return
         seen.add(key)
+        net = parent if delta is None else parent.with_node(*delta)
         report.states_checked += 1
         if not is_valid(net):
             report.add_violation(net, None, "invariant broken at reachable state")
-        queue.append((net, joins, fails, depth))
+        queue.append((net, entries, joins, fails, depth))
 
-    visit(init, 0, 0, 0)
+    visit(init, None, init.canonical_key()[3], 0, 0, 0)
     while queue:
-        net, joins, fails, depth = queue.popleft()
+        net, entries, joins, fails, depth = queue.popleft()
         if depth >= max_depth:
             continue
         allowed_joiners = joiners if joins < max_joins else ()
         for ev in enabled_events(net, joiners=allowed_joiners):
-            if ev.kind is EventKind.FAIL and fails >= max_fails:
+            kind = ev.kind
+            if kind is fail and fails >= max_fails:
                 continue
-            post = apply_event(net, ev)
+            delta = event_delta(net, ev)
             transitions += 1
-            # A Join that only clears a dead lookup changes no membership.
-            joined = ev.kind is EventKind.JOIN and post.is_live(ev.node)
-            visit(post, joins + joined, fails + (ev.kind is EventKind.FAIL), depth + 1)
+            post_entries, joined = entries, False
+            if delta is not None:
+                state, live = delta
+                n = state.ident
+                # A Join that only clears a dead lookup changes no membership.
+                joined = live is True and kind is join
+                entry = node_key(state, n in net.live if live is None else live)
+                i = bisect_left(entries, n, key=itemgetter(0))
+                rest = i + 1 if i < len(entries) and entries[i][0] == n else i
+                post_entries = entries[:i] + (entry,) + entries[rest:]
+            visit(net, delta, post_entries, joins + joined, fails + (kind is fail), depth + 1)
     report.info.update(
         {"states": len(seen), "transitions": transitions, "truncated": truncated}
     )

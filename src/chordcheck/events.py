@@ -7,17 +7,21 @@ modeled by enabling: Rectify(n, p) is enabled whenever live p has n as the
 head of its successor list.
 
 Each kind's precondition is written once, as the guard in `_KINDS`:
-`apply_event` raises its reason, and `is_enabled` is "the guard holds and the
-event does not time out". `enabled_events` is the one listing of candidates,
-read by the checker, the explorer and the simulator alike. A `Join` whose
-looked-up successor has died is an enabled step that clears the lookup, so
-the explorer takes that branch wherever the simulator can.
+`event_delta` raises its reason, and `is_enabled` is "the guard holds and the
+event does not time out". Each effect returns only what the rule above lets
+it change: the executor's new state and its liveness change. `event_delta`
+returns that pair, so a caller can key the next state without building it,
+and `apply_event` builds the next network from it. `enabled_events` is the
+one listing of candidates, read by the checker, the explorer and the
+simulator alike. A `Join` whose looked-up successor has died is an enabled
+step that clears the lookup, so the explorer takes that branch wherever the
+simulator can.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -40,6 +44,10 @@ class EventKind(Enum):
 
 
 ALL_KINDS = tuple(EventKind)
+# The kinds read on every listing and application: a module global is read
+# several times faster than an enum attribute.
+_RECTIFY = EventKind.RECTIFY
+_FAIL = EventKind.FAIL
 _KIND_ORDER = {kind: i for i, kind in enumerate(EventKind)}
 
 
@@ -244,66 +252,69 @@ def _no_closer_candidate(net: Network, ev: Event) -> bool:
 
 
 # --- effects, applied once the guard holds -----------------------------------------
+#
+# Each effect returns its executor's new state and liveness change (True,
+# False, or None for unchanged), or None for a timeout that changes nothing.
+# Executing any event other than the stabilize pair invalidates a held
+# stabilize intermediate.
+
+Delta = tuple[NodeState, "bool | None"]
 
 
-def _join_lookup(net: Network, ev: Event, faults: FaultFlags) -> Network:
+def _join_lookup(net: Network, ev: Event, faults: FaultFlags) -> Delta | None:
     if _contact_dead(net, ev):
-        return net  # timeout, retry later
+        return None  # timeout, retry later
     # A rejoining identifier re-initializes its variables.
-    result = lookup_succ(net, ev.node)
-    return net.with_node(NodeState(ident=ev.node, succ_list=(), pending_new_succ=result))
+    return NodeState(ev.node, (), None, lookup_succ(net, ev.node)), None
 
 
-def _join(net: Network, ev: Event, faults: FaultFlags) -> Network:
+def _join(net: Network, ev: Event, faults: FaultFlags) -> Delta:
     state = net.nodes[ev.node]
     new_succ = state.pending_new_succ
     if not net.is_live(new_succ):
-        return net.with_node(replace(state, pending_new_succ=None))  # clear, look up again
+        # Clear, look up again.
+        return NodeState(ev.node, state.succ_list, state.pred, None, state.pending_candidate), None
     if faults.short_join:
         succ_list = (new_succ,) * net.params.r
     else:
         succ_list = _copied_list(net, new_succ)
-    joined = NodeState(ident=ev.node, succ_list=succ_list, pred=None)
-    return net.with_node(joined, live=True)
+    return NodeState(ev.node, succ_list), True
 
 
-def _stabilize_from_old_successor(net: Network, ev: Event, faults: FaultFlags) -> Network:
+def _stabilize_from_old_successor(net: Network, ev: Event, faults: FaultFlags) -> Delta:
     # Dead list prefixes are skipped in one atomic step, mirroring the retry
     # loop of the stabilize operation.
     n = ev.node
     h = _live_successor(net, n)
-    return net.with_node(
-        replace(net.node(n), succ_list=_copied_list(net, h), pending_candidate=net.nodes[h].pred)
-    )
+    state = net.nodes[n]
+    succ_list = _copied_list(net, h)
+    return NodeState(n, succ_list, state.pred, state.pending_new_succ, net.nodes[h].pred), None
 
 
-def _stabilize_from_new_successor(net: Network, ev: Event, faults: FaultFlags) -> Network:
+def _stabilize_from_new_successor(net: Network, ev: Event, faults: FaultFlags) -> Delta:
     # A dead candidate times out, and one that is not between the node and
     # its successor is dropped; both clear the intermediate and keep the list.
     n = ev.node
-    state = net.node(n)
+    state = net.nodes[n]
     c, ref_head = state.pending_candidate, state.succ_list[0]
     if c is None:
         ref_head = _live_successor(net, n)
-        c = net.node(ref_head).pred
+        c = net.nodes[ref_head].pred
     # The unchecked_adoption canary drops the liveness check.
     adopts = between(n, c, ref_head) if faults.unchecked_adoption else _adopts(net, n, c, ref_head)
-    if not adopts:
-        return net.with_node(replace(state, pending_candidate=None))
-    return net.with_node(replace(state, succ_list=_copied_list(net, c), pending_candidate=None))
+    succ_list = _copied_list(net, c) if adopts else state.succ_list
+    return NodeState(n, succ_list, state.pred, state.pending_new_succ), None
 
 
-def _rectify(net: Network, ev: Event, faults: FaultFlags) -> Network:
-    n, p = ev.node, ev.new_pred
-    # Executing any event other than the stabilize pair invalidates a held
-    # stabilize intermediate.
-    return net.with_node(
-        replace(net.node(n), pred=_rectified_pred(net, n, p), pending_candidate=None)
-    )
+def _rectify(net: Network, ev: Event, faults: FaultFlags) -> Delta:
+    n = ev.node
+    state = net.nodes[n]
+    pred = _rectified_pred(net, n, ev.new_pred)
+    return NodeState(n, state.succ_list, pred, state.pending_new_succ), None
 
 
-def _fail(net: Network, ev: Event, faults: FaultFlags) -> Network:
-    return net.without_member(ev.node)
+def _fail(net: Network, ev: Event, faults: FaultFlags) -> Delta:
+    return net.nodes[ev.node], False
 
 
 # The single source of each kind's precondition: (guard, timeout or None
@@ -323,23 +334,33 @@ def guard(net: Network, event: Event) -> str | None:
     return _KINDS[event.kind][0](net, event)
 
 
-def apply_event(
+def event_delta(
     net: Network, event: Event, faults: FaultFlags = _NO_FAULTS, force: bool = False
-) -> Network:
-    """Apply the event, raising EventNotEnabled with the guard's reason if it may not occur.
+) -> Delta | None:
+    """The executor's new state and liveness change, or None if the event changes nothing.
 
-    A stabilize of a member with no live successor raises AssumptionBreach.
-    `force` bypasses the Fail guards (base permanence and the strand check)
-    for scripted demonstrations of assumption violations; the executor must
-    still be a live member, and every other kind keeps its guard.
+    Raises EventNotEnabled with the guard's reason if the event may not
+    occur, and AssumptionBreach for a stabilize of a member with no live
+    successor. `force` bypasses the Fail guards (base permanence and the
+    strand check) for scripted demonstrations of assumption violations; the
+    executor must still be a live member, and every other kind keeps its
+    guard.
     """
     check, _, effect = _KINDS[event.kind]
-    if force and event.kind is EventKind.FAIL:
+    if force and event.kind is _FAIL:
         check = _member_guard
     reason = check(net, event)
     if reason is not None:
         raise EventNotEnabled(reason)
     return effect(net, event, faults)
+
+
+def apply_event(
+    net: Network, event: Event, faults: FaultFlags = _NO_FAULTS, force: bool = False
+) -> Network:
+    """The network after the event; it raises, and reads `force`, as `event_delta` does."""
+    delta = event_delta(net, event, faults, force)
+    return net if delta is None else net.with_node(*delta)
 
 
 def is_enabled(net: Network, event: Event) -> bool:
@@ -387,6 +408,7 @@ def apply_fail(net: Network, n: int, force: bool = False) -> Network:
 # A joiner's one possible step, indexed by whether it holds a lookup result:
 # the JoinLookup guard refuses a second lookup, and a Join needs one.
 _JOIN_STEP = (EventKind.JOIN_LOOKUP, EventKind.JOIN)
+_MEMBER_KINDS = (EventKind.STABILIZE_FROM_OLD_SUCCESSOR, EventKind.STABILIZE_FROM_NEW_SUCCESSOR)
 
 
 def enabled_events(
@@ -402,13 +424,9 @@ def enabled_events(
     """
     if joiners is None:
         joiners = [i for i in sorted(net.nodes) if i not in net.live]
-    member_kinds = [
-        k
-        for k in (EventKind.STABILIZE_FROM_OLD_SUCCESSOR, EventKind.STABILIZE_FROM_NEW_SUCCESSOR)
-        if k in kinds
-    ]
+    member_kinds = [k for k in _MEMBER_KINDS if k in kinds]
     # `failable` applies the Fail guard to every member in one pass.
-    fails = failable(net) - net.base if EventKind.FAIL in kinds else frozenset()
+    fails = failable(net) - net.base if _FAIL in kinds else frozenset()
     events = []
     for j in joiners:
         state = net.nodes.get(j)
@@ -422,10 +440,10 @@ def enabled_events(
             if is_enabled(net, ev):
                 events.append(ev)
         if n in fails:
-            events.append(Event(EventKind.FAIL, n))
-    if EventKind.RECTIFY in kinds:
+            events.append(Event(_FAIL, n))
+    if _RECTIFY in kinds:
         for p in live:
-            ev = Event(EventKind.RECTIFY, net.nodes[p].succ_list[0], new_pred=p)
+            ev = Event(_RECTIFY, net.nodes[p].succ_list[0], new_pred=p)
             if is_enabled(net, ev):
                 events.append(ev)
     return events

@@ -8,7 +8,7 @@ but that state is never queried by the protocol.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
 
 from .ident import RingParams
@@ -58,36 +58,35 @@ class Network:
         return tuple(sorted(self.live))
 
     def with_node(self, state: NodeState, live: bool | None = None) -> "Network":
-        nodes = dict(self.nodes)
-        nodes[state.ident] = state
+        """This network with `state` as its node's state and, unless None, that liveness."""
+        ident = state.ident
+        nodes = self.nodes
+        if nodes.get(ident) is not state:
+            nodes = dict(nodes)
+            nodes[ident] = state
         new_live = self.live
         if live is True:
-            new_live = self.live | {state.ident}
+            new_live = new_live | {ident}
         elif live is False:
-            new_live = self.live - {state.ident}
-        return replace(self, nodes=nodes, live=new_live)
+            new_live = new_live - {ident}
+        return Network(self.params, self.base, nodes, new_live)
 
     def without_member(self, ident: int) -> "Network":
         """Remove `ident` from the live set, retaining its last state."""
-        return replace(self, live=self.live - {ident})
+        return Network(self.params, self.base, self.nodes, self.live - {ident})
 
     def canonical_key(self) -> tuple:
-        """Hashable canonical form, used for state deduplication."""
+        """Hashable canonical form, used for state deduplication.
+
+        Its last item holds one `node_key` per tracked node, in identifier
+        order, so a key can be updated one node at a time.
+        """
+        live = self.live
         return (
             self.params.m,
             self.params.r,
             tuple(sorted(self.base)),
-            tuple(
-                (
-                    s.ident,
-                    s.succ_list,
-                    s.pred,
-                    s.pending_new_succ,
-                    s.pending_candidate,
-                    s.ident in self.live,
-                )
-                for s in (self.nodes[i] for i in sorted(self.nodes))
-            ),
+            tuple(node_key(self.nodes[i], i in live) for i in sorted(self.nodes)),
         )
 
     def pred_free_key(self) -> tuple:
@@ -104,6 +103,18 @@ class Network:
                 for s in (self.nodes[i] for i in sorted(self.nodes))
             ),
         )
+
+
+def node_key(state: NodeState, live: bool) -> tuple:
+    """One node's entry in `Network.canonical_key`."""
+    return (
+        state.ident,
+        state.succ_list,
+        state.pred,
+        state.pending_new_succ,
+        state.pending_candidate,
+        live,
+    )
 
 
 def init_network(params: RingParams, base_ids: Iterable[int]) -> Network:

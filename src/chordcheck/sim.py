@@ -269,8 +269,9 @@ def replay_trace_jsonl(path: str) -> Trace:
 
     A disabled event raises `EventNotEnabled`. A line that is not a JSON
     record with a well-formed `initial` network (the header) or `event`
-    (each step), whose event strands a member, or whose snapshot fails
-    `validate_network`, raises ValueError naming the line.
+    (each step), whose event strands a member, whose `tag` is neither CHURN
+    nor REPAIR, or whose snapshot fails `validate_network`, raises
+    ValueError naming the line.
     """
     initial: Network | None = None
     steps: list[TraceStep] = []
@@ -286,11 +287,14 @@ def replay_trace_jsonl(path: str) -> Trace:
                 ev = event_from_dict(_entry(rec, "event"))
                 expected = network_from_record(rec["snapshot"]) if "snapshot" in rec else None
                 net = apply_event(net, ev)
+                tag = rec.get("tag")
+                if tag not in (CHURN, REPAIR):
+                    raise ValueError(f"tag {tag!r} is neither {CHURN!r} nor {REPAIR!r}")
             except (ValueError, AssumptionBreach) as err:
                 raise ValueError(f"trace line {lineno}: {err}") from None
             if expected is not None and expected != net:
                 raise ValueError(f"trace line {lineno}: snapshot mismatch")
-            steps.append(TraceStep(event=ev, network=net, tag=rec.get("tag")))
+            steps.append(TraceStep(event=ev, network=net, tag=tag))
     if initial is None:
         raise ValueError("the trace has no header line")
     return Trace(initial=initial, steps=tuple(steps))

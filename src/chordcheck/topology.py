@@ -77,7 +77,7 @@ class _Walk(NamedTuple):
 
 
 def _walk(net: Network) -> _Walk:
-    """One pass over the best-successor graph.
+    """One pass over the best-successor graph, made once per network.
 
     Builds the best-successor map once, then follows each chain until it
     ends (no live successor), closes a new cycle, or joins a chain already
@@ -85,7 +85,19 @@ def _walk(net: Network) -> _Walk:
     through the smallest ring member, and whether every live member's chain
     ends on a cycle. `ring_members`, `ring_cycle` and `best_successor_map`
     compute the same facts from scratch and serve as its test oracle.
+
+    Networks are immutable, so the walk is kept in the instance's `__dict__`
+    (beside its dataclass fields, which alone decide equality): a lookup's
+    guard and effect and the validity check of one state share it.
     """
+    memo = net.__dict__
+    walk = memo.get("_walk")
+    if walk is None:
+        walk = memo["_walk"] = _walk_graph(net)
+    return walk
+
+
+def _walk_graph(net: Network) -> _Walk:
     live = net.live
     nodes = net.nodes
     bs: dict[int, int | None] = {}

@@ -17,6 +17,8 @@ from chordcheck.events import (
     apply_rectify,
     apply_stabilize_from_new_successor,
     apply_stabilize_from_old_successor,
+    enabled_events,
+    event_delta,
 )
 from chordcheck.invariants import (
     conjuncts,
@@ -357,12 +359,13 @@ class TestExploreReachable:
         # Join clears the lookup: 10 retries and joins within a budget of 2.
         applied = []
 
-        def recording_apply(net, ev):
-            post = apply_event(net, ev)
+        def recording_delta(net, ev):
+            delta = event_delta(net, ev)
+            post = net if delta is None else net.with_node(*delta)
             applied.append((net.canonical_key(), ev, post))
-            return post
+            return delta
 
-        monkeypatch.setattr(checker, "apply_event", recording_apply)
+        monkeypatch.setattr(checker, "event_delta", recording_delta)
         init = init_network(WIDE, [7, 33, 50])
         report = checker.explore_reachable(
             init, max_joins=2, max_fails=1, max_depth=9, joiners=(19, 10)
@@ -384,12 +387,84 @@ class TestExploreReachable:
         assert cleared and retried
         assert posts(EventKind.JOIN, retried, True)
 
+    # (init, joins, fails, depth, joiners): the configurations above, then
+    # the benchmark's unrotated r=2 exploration.
+    ORACLE_CONFIGS = {
+        "walkthrough": (lambda: init_network(WIDE, [7, 19, 33]), 1, 0, 8, (10,)),
+        "zero-budget": (
+            lambda: apply_join(apply_join_lookup(init_network(WIDE, [7, 19, 33]), 10, known=7), 10),
+            0, 0, 12, (),
+        ),
+        "dead-lookup": (lambda: init_network(WIDE, [7, 33, 50]), 2, 1, 9, (19, 10)),
+        "bench-r2": (lambda: init_network(WIDE, [7, 19, 33]), 3, 1, 10, (10, 40, 55)),
+    }
+
+    @pytest.mark.parametrize("config", ORACLE_CONFIGS.values(), ids=ORACLE_CONFIGS.keys())
+    def test_spliced_keys_match_a_plain_bfs(self, monkeypatch, config):
+        make_init, joins, fails, depth, joiners = config
+        init = make_init()
+        checked = []
+        monkeypatch.setattr(
+            checker, "is_valid", lambda net: checked.append(net.canonical_key()) or is_valid(net)
+        )
+        report = checker.explore_reachable(init, joins, fails, depth, joiners=joiners)
+        order, transitions = _plain_bfs(init, joins, fails, depth, joiners)
+        assert checked == [key for key, _, _ in order]
+        assert report.info["states"] == len(order)
+        assert report.info["transitions"] == transitions
+        assert report.passed and not report.info["truncated"]
+        if joiners == (10, 40, 55):
+            assert (len(order), transitions) == (13_851, 83_078)
+
+    def test_a_network_is_built_only_for_each_new_state(self, monkeypatch):
+        built = []
+        with_node = Network.with_node
+
+        def counting(net, *delta, **kwargs):
+            built.append(delta)
+            return with_node(net, *delta, **kwargs)
+
+        monkeypatch.setattr(Network, "with_node", counting)
+        init = init_network(WIDE, [7, 33, 50])
+        report = checker.explore_reachable(init, 2, 1, 9, joiners=(19, 10))
+        assert len(built) == report.info["states"] - 1
+        assert report.info["transitions"] > 2 * report.info["states"]
+
     def test_truncation_flag(self):
         init = init_network(WIDE, [7, 19, 33])
         report = checker.explore_reachable(
             init, max_joins=1, max_fails=0, max_depth=8, joiners=(10,), max_states=5
         )
         assert report.info["truncated"]
+
+
+def _plain_bfs(init, max_joins, max_fails, max_depth, joiners):
+    """The visited (canonical key, joins, fails) triples in visiting order, and
+    the transition count, of a breadth-first search that builds every successor
+    with `apply_event` and keys it with `Network.canonical_key`."""
+    from collections import deque
+
+    order = [(init.canonical_key(), 0, 0)]
+    seen = set(order)
+    queue = deque([(init, 0, 0, 0)])
+    transitions = 0
+    while queue:
+        net, joins, fails, depth = queue.popleft()
+        if depth >= max_depth:
+            continue
+        for ev in enabled_events(net, joiners=joiners if joins < max_joins else ()):
+            failing = ev.kind is EventKind.FAIL
+            if failing and fails >= max_fails:
+                continue
+            post = apply_event(net, ev)
+            transitions += 1
+            joined = ev.kind is EventKind.JOIN and post.is_live(ev.node)
+            key = (post.canonical_key(), joins + joined, fails + failing)
+            if key not in seen:
+                seen.add(key)
+                order.append(key)
+                queue.append((post, key[1], key[2], depth + 1))
+    return order, transitions
 
 
 def _collect_reachable_keys(init, joiners, depth):

@@ -265,6 +265,21 @@ class TestTraceStreaming:
         with pytest.raises(ValueError, match="^trace line 2: 7 has no live successor"):
             sim.replay_trace_jsonl(str(path))
 
+    def test_retyped_tags_raise_value_error_naming_the_first_step(self, tmp_path):
+        # Replayed without the check, these tags gave 0 repair steps, and
+        # convergence_steps 0 instead of 3.
+        trace = run(seed=3, churn=30)
+        assert sim.convergence_steps(trace) == 3
+        path = tmp_path / "trace.jsonl"
+        sim.write_trace_jsonl(trace, str(path))
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        for rec in lines[1:]:
+            rec["tag"] = [5]
+        path.write_text("".join(json.dumps(rec) + "\n" for rec in lines))
+        message = r"^trace line 2: tag \[5\] is neither 'churn' nor 'repair'"
+        with pytest.raises(ValueError, match=message):
+            sim.replay_trace_jsonl(str(path))
+
     def test_header_with_huge_m_raises_value_error_naming_line_1(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         initial = network_to_dict(init_network(RingParams(6, 2), [7, 19, 33]))
