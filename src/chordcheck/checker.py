@@ -25,8 +25,8 @@ from .events import (
     EventKind,
     FaultFlags,
     apply_event,
+    effect_delta,
     enabled_events,
-    event_delta,
     event_to_dict,
     join_precondition_holds,
 )
@@ -37,6 +37,7 @@ from .invariants import (
     is_valid,
     list_properties,
     trial_predicate_name,
+    valid_after,
 )
 from .measure import effective_enabled, error_vector
 from .topology import globally_correct_pred, is_ideal
@@ -508,6 +509,12 @@ def check_preservation(
     counts and `stop_at` see every state. `info["cases"]` counts the cases of
     every state, `info["shapes"]` the states whose cases were applied, and
     `info["casesApplied"]` the cases applied.
+
+    Each applied shape is judged once in full. An event changes only its
+    executor, so a case's post-state is judged by `valid_after` from that
+    verdict; an acquired-sweep network differs from the shape only in a
+    pending value, so it shares the verdict. Cases still go through
+    `apply_event`: swept events are not listed, and their guard must run.
     """
     report = CheckReport(lemma="EventPreservesValidity", bounds=bounds or {})
     faults = faults or FaultFlags()
@@ -526,10 +533,11 @@ def check_preservation(
             continue
         shapes += 1
         first_case, violations = applied, report.violation_count
+        net_valid = is_valid(net)
         for prepared, ev in preservation_cases(net):
             applied += 1
             post = apply_event(prepared, ev, faults=faults)
-            if not is_valid(post):
+            if not (valid_after(prepared, post, ev.node) if net_valid else is_valid(post)):
                 report.add_violation(
                     prepared, ev, f"invariant broken after event: {conjuncts(post).to_dict()}"
                 )
@@ -649,6 +657,11 @@ def explore_reachable(
     executor's entry replaced (or inserted, for a joiner's first lookup).
     Params and base never change, so they are left out of the visited keys.
     A network is built, and checked, only for a key not seen before.
+
+    Each queue entry carries its state's verdict. A child of a valid state is
+    judged by `valid_after`; the initial state and a child of an invalid one
+    get the full check. The listed events' guards have just held, so they
+    are applied by `effect_delta`.
     """
     report = CheckReport(
         lemma="ReachableStatesValid",
@@ -656,11 +669,19 @@ def explore_reachable(
     )
     join, fail = EventKind.JOIN, EventKind.FAIL
     seen: set[tuple] = set()
-    queue: deque[tuple[Network, tuple, int, int, int]] = deque()
+    queue: deque[tuple[Network, bool, tuple, int, int, int]] = deque()
     transitions = 0
     truncated = False
 
-    def visit(parent: Network, delta, entries: tuple, joins: int, fails: int, depth: int) -> None:
+    def visit(
+        parent: Network,
+        parent_valid: bool,
+        delta,
+        entries: tuple,
+        joins: int,
+        fails: int,
+        depth: int,
+    ) -> None:
         nonlocal truncated
         key = (entries, joins, fails)
         if key in seen:
@@ -669,15 +690,18 @@ def explore_reachable(
             truncated = True
             return
         seen.add(key)
-        net = parent if delta is None else parent.with_node(*delta)
+        net, valid = parent, parent_valid
+        if delta is not None:
+            net = parent.with_node(*delta)
+            valid = valid_after(parent, net, delta[0].ident) if parent_valid else is_valid(net)
         report.states_checked += 1
-        if not is_valid(net):
+        if not valid:
             report.add_violation(net, None, "invariant broken at reachable state")
-        queue.append((net, entries, joins, fails, depth))
+        queue.append((net, valid, entries, joins, fails, depth))
 
-    visit(init, None, init.canonical_key()[3], 0, 0, 0)
+    visit(init, is_valid(init), None, init.canonical_key()[3], 0, 0, 0)
     while queue:
-        net, entries, joins, fails, depth = queue.popleft()
+        net, valid, entries, joins, fails, depth = queue.popleft()
         if depth >= max_depth:
             continue
         allowed_joiners = joiners if joins < max_joins else ()
@@ -685,7 +709,7 @@ def explore_reachable(
             kind = ev.kind
             if kind is fail and fails >= max_fails:
                 continue
-            delta = event_delta(net, ev)
+            delta = effect_delta(net, ev)
             transitions += 1
             post_entries, joined = entries, False
             if delta is not None:
@@ -697,7 +721,8 @@ def explore_reachable(
                 i = bisect_left(entries, n, key=itemgetter(0))
                 rest = i + 1 if i < len(entries) and entries[i][0] == n else i
                 post_entries = entries[:i] + (entry,) + entries[rest:]
-            visit(net, delta, post_entries, joins + joined, fails + (kind is fail), depth + 1)
+            joins_after, fails_after = joins + joined, fails + (kind is fail)
+            visit(net, valid, delta, post_entries, joins_after, fails_after, depth + 1)
     report.info.update(
         {"states": len(seen), "transitions": transitions, "truncated": truncated}
     )

@@ -10,12 +10,12 @@ Each kind's precondition is written once, as the guard in `_KINDS`:
 `event_delta` raises its reason, and `is_enabled` is "the guard holds and the
 event does not time out". Each effect returns only what the rule above lets
 it change: the executor's new state and its liveness change. `event_delta`
-returns that pair, so a caller can key the next state without building it,
-and `apply_event` builds the next network from it. `enabled_events` is the
-one listing of candidates, read by the checker, the explorer and the
-simulator alike. A `Join` whose looked-up successor has died is an enabled
-step that clears the lookup, so the explorer takes that branch wherever the
-simulator can.
+is the guard, then `effect_delta`, which returns that pair, so a caller can
+key the next state without building it; `apply_event` builds the next
+network from it. `enabled_events` is the one listing of candidates, read by
+the checker, the explorer and the simulator alike. A `Join` whose looked-up
+successor has died is an enabled step that clears the lookup, so the
+explorer takes that branch wherever the simulator can.
 """
 
 from __future__ import annotations
@@ -346,13 +346,22 @@ def event_delta(
     executor must still be a live member, and every other kind keeps its
     guard.
     """
-    check, _, effect = _KINDS[event.kind]
+    check = _KINDS[event.kind][0]
     if force and event.kind is _FAIL:
         check = _member_guard
     reason = check(net, event)
     if reason is not None:
         raise EventNotEnabled(reason)
-    return effect(net, event, faults)
+    return effect_delta(net, event, faults)
+
+
+def effect_delta(net: Network, event: Event, faults: FaultFlags = _NO_FAULTS) -> Delta | None:
+    """`event_delta` without the guard, for an event whose guard is known to hold.
+
+    An event that `enabled_events(net)` has just listed is one: the explorer
+    applies those through here, so each guard runs once per listing.
+    """
+    return _KINDS[event.kind][2](net, event, faults)
 
 
 def apply_event(

@@ -17,7 +17,7 @@ from .ident import between
 from .measure import effective_enabled, total_error
 from .netstate import Network, extended_succ_list
 from .topology import best_successor_map, ring_cycle, ring_members, _cycle_is_ordered, _walk
-from .topology import is_ideal
+from .topology import _share_walk, best_successor, is_ideal
 
 
 @dataclass(frozen=True)
@@ -137,6 +137,42 @@ def conjuncts_reference(net: Network) -> ConjunctReport:
 
 def is_valid(net: Network) -> bool:
     return conjuncts(net).valid
+
+
+def valid_after(parent: Network, post: Network, executor: int) -> bool:
+    """`is_valid(post)`, given that `parent` is valid and that `post` differs
+    from it only in `executor`'s state and liveness.
+
+    Validity reads only the live set, the base and the live members' lists:
+    - an executor live in neither state changes none of them;
+    - a liveness change (Join, Fail) gets the full check;
+    - an unchanged list (Rectify, a timeout, a pending-value write) leaves
+      validity as the parent's;
+    - a changed list with the same first live entry leaves the best-successor
+      map, so the walk and the first four conjuncts, as the parent's. Only
+      the executor's own adjacent pairs can then skip a live base member;
+    - any other list change gets the full check.
+
+    Wherever the best-successor map is unchanged, `post` takes the parent's
+    memoised walk. `is_valid` is the test oracle.
+    """
+    live = post.live
+    was_live = executor in parent.live
+    if was_live != (executor in live):
+        return is_valid(post)
+    # No conjunct reads a non-member's list.
+    old = parent.nodes[executor].succ_list if was_live else ()
+    new = post.nodes[executor].succ_list if was_live else ()
+    if old == new:
+        _share_walk(parent, post)
+        return True
+    if best_successor(parent, executor) != best_successor(post, executor):
+        return is_valid(post)
+    _share_walk(parent, post)
+    live_base = [b for b in post.base if b in live]
+    return not any(
+        between(a, b, c) for a, c in pairwise((executor,) + new) for b in live_base
+    )
 
 
 def list_properties(net: Network, n: int) -> ListProperties:

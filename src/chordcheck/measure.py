@@ -22,8 +22,6 @@ that the progress argument relies on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .ident import clockwise_rank
 from .netstate import Network
 from .events import Event, EventKind, _adopts, _copied_list, _rectified_pred
@@ -34,16 +32,6 @@ ROLE_PRED = "pred"
 
 def succ_role(i: int) -> str:
     return f"succ{i}"
-
-
-def _roles(r: int) -> list[str]:
-    return [ROLE_PRED] + [succ_role(i) for i in range(1, r + 1)]
-
-
-@dataclass(frozen=True)
-class ErrorReport:
-    per_pointer: dict[tuple[int, str], int]
-    total: int
 
 
 def pointer_error(net: Network, n: int, role: str) -> int:
@@ -77,14 +65,6 @@ def pointer_error(net: Network, n: int, role: str) -> int:
     if head in live and v == net.node(head).succ_list[idx - 2]:
         return 0
     return 1
-
-
-def error_report(net: Network) -> ErrorReport:
-    per: dict[tuple[int, str], int] = {}
-    for n in net.live_idents():
-        for role in _roles(net.params.r):
-            per[(n, role)] = pointer_error(net, n, role)
-    return ErrorReport(per_pointer=per, total=sum(per.values()))
 
 
 def error_vector(net: Network) -> tuple[int, ...]:

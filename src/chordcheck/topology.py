@@ -97,6 +97,17 @@ def _walk(net: Network) -> _Walk:
     return walk
 
 
+def _share_walk(parent: Network, post: Network) -> None:
+    """Give `post` the walk memoised on `parent`, if there is one.
+
+    The caller vouches that the two networks have the same best-successor
+    map, which is all the walk reads.
+    """
+    walk = parent.__dict__.get("_walk")
+    if walk is not None:
+        post.__dict__["_walk"] = walk
+
+
 def _walk_graph(net: Network) -> _Walk:
     live = net.live
     nodes = net.nodes

@@ -17,6 +17,7 @@ from chordcheck.events import (
     apply_rectify,
     apply_stabilize_from_new_successor,
     apply_stabilize_from_old_successor,
+    effect_delta,
     enabled_events,
     event_delta,
 )
@@ -27,6 +28,7 @@ from chordcheck.invariants import (
     is_valid,
     six_conjunct_trial,
     trial_predicates,
+    valid_after,
 )
 from chordcheck.measure import effective_enabled, total_error
 from chordcheck.topology import is_ideal
@@ -349,7 +351,7 @@ class TestExploreReachable:
         net = apply_event(net, Event(EventKind.FAIL, 19))
         timed_out = net.with_node(replace(net.node(10), pending_new_succ=None))
         reached = []
-        monkeypatch.setattr(checker, "is_valid", lambda s: reached.append(s) or is_valid(s))
+        _record_judged(monkeypatch, reached.append)
         report = checker.explore_reachable(net, max_joins=1, max_fails=0, max_depth=1, joiners=(10,))
         assert report.passed
         assert timed_out in reached
@@ -365,7 +367,7 @@ class TestExploreReachable:
             applied.append((net.canonical_key(), ev, post))
             return delta
 
-        monkeypatch.setattr(checker, "event_delta", recording_delta)
+        monkeypatch.setattr(checker, "effect_delta", recording_delta)
         init = init_network(WIDE, [7, 33, 50])
         report = checker.explore_reachable(
             init, max_joins=2, max_fails=1, max_depth=9, joiners=(19, 10)
@@ -404,9 +406,7 @@ class TestExploreReachable:
         make_init, joins, fails, depth, joiners = config
         init = make_init()
         checked = []
-        monkeypatch.setattr(
-            checker, "is_valid", lambda net: checked.append(net.canonical_key()) or is_valid(net)
-        )
+        _record_judged(monkeypatch, lambda net: checked.append(net.canonical_key()))
         report = checker.explore_reachable(init, joins, fails, depth, joiners=joiners)
         order, transitions = _plain_bfs(init, joins, fails, depth, joiners)
         assert checked == [key for key, _, _ in order]
@@ -436,6 +436,143 @@ class TestExploreReachable:
             init, max_joins=1, max_fails=0, max_depth=8, joiners=(10,), max_states=5
         )
         assert report.info["truncated"]
+
+
+def _judged_as_in_full(parent, post, executor):
+    """`valid_after` agrees with the full check of `post`, and a walk it hands
+    from `parent` to `post` is the walk `post` makes itself. Returns the verdict."""
+    expected = is_valid(post)
+    own = post.__dict__["_walk"]
+    assert valid_after(parent, post, executor) == expected
+    assert post.__dict__["_walk"] == own
+    return expected
+
+
+class TestDeltaValidity:
+    """`valid_after` against the full check, case by case."""
+
+    CONFIGS = {
+        **TestExploreReachable.ORACLE_CONFIGS,
+        "bench-r3": (lambda: init_network(RingParams(6, 3), [3, 19, 35, 51]), 2, 2, 12, (10, 40)),
+    }
+    FAULTS = [FaultFlags(), FaultFlags(unchecked_adoption=True), FaultFlags(short_join=True)]
+
+    @pytest.mark.parametrize("config", CONFIGS.values(), ids=CONFIGS.keys())
+    def test_every_explored_transition(self, config):
+        make_init, joins, fails, depth, joiners = config
+        steps = 0
+        for net, ev, post, _ in _bfs_steps(make_init(), joins, fails, depth, joiners):
+            assert _judged_as_in_full(net, post, ev.node)
+            steps += 1
+        assert steps > 0
+
+    def _judge_cases(self, states):
+        verdicts = {True: 0, False: 0}
+        for net in states:
+            assert is_valid(net)
+            cases = list(checker.preservation_cases(net))
+            for faults in self.FAULTS:
+                for prepared, ev in cases:
+                    post = apply_event(prepared, ev, faults=faults)
+                    verdicts[_judged_as_in_full(prepared, post, ev.node)] += 1
+        return verdicts
+
+    def test_every_case_of_the_exhaustive_shapes(self, n4_states):
+        shapes = {net.pred_free_key(): net for net in n4_states}
+        assert len(shapes) == 33
+        verdicts = self._judge_cases(shapes.values())
+        assert verdicts[True] and verdicts[False]
+
+    def test_every_one_list_rewrite_of_the_exhaustive_shapes(self, n4_states):
+        # Unlike any event, a rewrite can keep the first live entry and skip
+        # a base member further down the list.
+        verdicts = {True: 0, False: 0}
+        for net in {net.pred_free_key(): net for net in n4_states}.values():
+            for n in net.live:
+                for succ_list in itertools.product(sorted(net.nodes), repeat=net.params.r):
+                    post = net.with_node(replace(net.node(n), succ_list=succ_list))
+                    verdicts[_judged_as_in_full(net, post, n)] += 1
+        assert verdicts[True] and verdicts[False]
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_every_case_of_sampled_states(self, r):
+        states = checker.sample_valid_states(RingParams(6, r), 8, 2000, seed=70 + r)
+        verdicts = self._judge_cases(states)
+        assert verdicts[True] and verdicts[False]
+
+    @pytest.mark.parametrize(
+        "faults, violations", [("unchecked_adoption", 647), ("short_join", 3066)]
+    )
+    def test_canary_counts_through_the_delta_path(self, faults, violations):
+        # The counts the full check gives on every case of these states.
+        states = checker.sample_valid_states(WIDE, 8, 2000, seed=5)
+        report = checker.check_preservation(states, faults=FaultFlags(**{faults: True}))
+        assert report.violation_count == violations
+
+    def test_an_invalid_start_is_still_reported(self, monkeypatch):
+        # 7 skips the base member 19; its descendants are judged in full
+        # until one is valid again.
+        net = init_network(WIDE, [7, 19, 33])
+        net = net.with_node(replace(net.node(7), succ_list=(33, 7)))
+        assert not is_valid(net)
+        judged = []
+        _record_judged(monkeypatch, judged.append)
+        report = checker.explore_reachable(net, 0, 0, 4)
+        assert report.violations[0].network == net
+        assert report.violation_count == sum(not is_valid(s) for s in judged)
+        assert any(is_valid(s) for s in judged)
+
+    def test_effect_delta_is_event_delta_on_every_listed_event(self):
+        make_init, joins, fails, depth, joiners = self.CONFIGS["bench-r2"]
+        init = make_init()
+        reached = [init] + [
+            post for _, _, post, key in _bfs_steps(init, joins, fails, depth, joiners) if key
+        ]
+        listed = 0
+        for net in reached:
+            for ev in enabled_events(net, joiners=joiners):
+                assert effect_delta(net, ev) == event_delta(net, ev)
+                listed += 1
+        assert len(reached) == 13_851 and listed > 83_078
+
+
+def _record_judged(monkeypatch, record):
+    """Make `explore_reachable` pass each state it judges to `record`, in order:
+    the initial state through the full check, its descendants through
+    `valid_after` (or the full check, below an invalid state)."""
+    monkeypatch.setattr(checker, "is_valid", lambda net: record(net) or is_valid(net))
+    monkeypatch.setattr(
+        checker,
+        "valid_after",
+        lambda parent, net, executor: record(net) or valid_after(parent, net, executor),
+    )
+
+
+def _bfs_steps(init, max_joins, max_fails, max_depth, joiners):
+    """Each transition (state, event, successor, visited triple) of the search
+    `_plain_bfs` makes. The triple is (canonical key, joins, fails) for a
+    successor not visited before, and None for one already visited."""
+    from collections import deque
+
+    seen = {(init.canonical_key(), 0, 0)}
+    queue = deque([(init, 0, 0, 0)])
+    while queue:
+        net, joins, fails, depth = queue.popleft()
+        if depth >= max_depth:
+            continue
+        for ev in enabled_events(net, joiners=joiners if joins < max_joins else ()):
+            failing = ev.kind is EventKind.FAIL
+            if failing and fails >= max_fails:
+                continue
+            post = apply_event(net, ev)
+            joined = ev.kind is EventKind.JOIN and post.is_live(ev.node)
+            key = (post.canonical_key(), joins + joined, fails + failing)
+            if key in seen:
+                yield net, ev, post, None
+                continue
+            seen.add(key)
+            queue.append((post, key[1], key[2], depth + 1))
+            yield net, ev, post, key
 
 
 def _plain_bfs(init, max_joins, max_fails, max_depth, joiners):

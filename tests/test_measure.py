@@ -19,7 +19,6 @@ from chordcheck.events import (
 from chordcheck.measure import (
     ROLE_PRED,
     effective_enabled,
-    error_report,
     error_vector,
     pointer_error,
     succ_role,
@@ -30,6 +29,7 @@ from chordcheck.topology import is_ideal
 from chordcheck.checker import sample_valid_states
 
 import events_oracle as oracle
+from measure_oracle import error_report
 from conftest import (
     convergence_configs,
     cross_term_state,
