@@ -113,11 +113,44 @@ def _dead_placeholder(ident: int, ids: tuple[int, ...], r: int) -> NodeState:
 
 
 def require_exhaustible(params: RingParams, max_nodes: int) -> None:
-    """Raise ValueError when the bounds exceed the exhaustive enumeration ceiling."""
-    if max_nodes > EXHAUSTION_MAX_NODES or params.r != EXHAUSTION_R:
+    """Raise ValueError unless the bounds lie within the exhaustive enumeration's range."""
+    if params.r != EXHAUSTION_R or not params.r + 1 <= max_nodes <= EXHAUSTION_MAX_NODES:
         raise ValueError(
-            f"exhaustion ceiling is n <= {EXHAUSTION_MAX_NODES}, r = {EXHAUSTION_R}"
+            f"exhaustive bounds are r = {EXHAUSTION_R} and n in [r+1, {EXHAUSTION_MAX_NODES}]"
+            f" = [{EXHAUSTION_R + 1}, {EXHAUSTION_MAX_NODES}] (the exhaustion ceiling)"
         )
+
+
+def _ordered_lists(x: int, ids: tuple[int, ...], r: int) -> list[tuple[int, int]]:
+    return _ordered_pairs(x, [i for i in ids if i != x])
+
+
+def _raw_lists(x: int, ids: tuple[int, ...], r: int):
+    return itertools.product(ids, repeat=r)
+
+
+def _list_states(params: RingParams, max_nodes: int, lists):
+    """(ids, live, nodes, bases) for every list assignment over at most `max_nodes` identifiers.
+
+    Identifiers are the consecutive values 0..n-1. Every live set of at least
+    r+1 of them is taken with every choice of one list per live member from
+    `lists(x, ids, r)`; predecessors are unset and departed nodes hold
+    `_dead_placeholder` states. `bases` lists the live (r+1)-subsets, the
+    candidate stable bases of the assignment, which its callers vary inside it.
+    """
+    require_exhaustible(params, max_nodes)
+    r = params.r
+    for n_total in range(r + 1, max_nodes + 1):
+        ids = tuple(range(n_total))
+        for live_size in range(r + 1, n_total + 1):
+            for members in itertools.combinations(ids, live_size):
+                live = frozenset(members)
+                placeholders = {d: _dead_placeholder(d, ids, r) for d in ids if d not in live}
+                bases = [frozenset(b) for b in itertools.combinations(members, r + 1)]
+                for combo in itertools.product(*(lists(x, ids, r) for x in members)):
+                    nodes = {x: NodeState(ident=x, succ_list=lst) for x, lst in zip(members, combo)}
+                    nodes.update(placeholders)
+                    yield ids, live, nodes, bases
 
 
 def enumerate_valid_states(params: RingParams, max_nodes: int):
@@ -131,37 +164,21 @@ def enumerate_valid_states(params: RingParams, max_nodes: int):
 
     Predecessors are factored out: no validity conjunct reads a predecessor,
     so a state is valid exactly when its successor lists are. Each list shape
-    is checked once with predecessors unset, and a valid shape is then
-    yielded under every predecessor assignment. The order is shape-major.
+    is checked once per base with predecessors unset, and a valid shape is
+    then yielded under every predecessor assignment. The order is
+    assignment-major: the base varies inside each list assignment, and
+    predecessors vary fastest.
     """
-    require_exhaustible(params, max_nodes)
-    r = params.r
-    for n_total in range(r + 1, max_nodes + 1):
-        ids = tuple(range(n_total))
+    for ids, live, nodes, bases in _list_states(params, max_nodes, _ordered_lists):
         preds = (None, *ids)
-        for live_size in range(r + 1, n_total + 1):
-            for live in itertools.combinations(ids, live_size):
-                live_set = frozenset(live)
-                dead = tuple(i for i in ids if i not in live_set)
-                placeholders = {d: _dead_placeholder(d, ids, r) for d in dead}
-                shapes = [_ordered_pairs(x, [i for i in ids if i != x]) for x in live]
-                for base in itertools.combinations(live, r + 1):
-                    for shape in itertools.product(*shapes):
-                        nodes = {x: NodeState(ident=x, succ_list=lst) for x, lst in zip(live, shape)}
-                        nodes.update(placeholders)
-                        net = Network(
-                            params=params, base=frozenset(base), nodes=nodes, live=live_set
-                        )
-                        if not is_valid(net):
-                            continue
-                        per_node = [
-                            [NodeState(ident=x, succ_list=lst, pred=p) for p in preds]
-                            for x, lst in zip(live, shape)
-                        ]
-                        for combo in itertools.product(*per_node):
-                            nodes = {state.ident: state for state in combo}
-                            nodes.update(placeholders)
-                            yield Network(params, net.base, nodes, live_set)
+        for base in bases:
+            if not is_valid(Network(params, base, nodes, live)):
+                continue
+            per_node = [[NodeState(x, nodes[x].succ_list, p) for p in preds] for x in sorted(live)]
+            for combo in itertools.product(*per_node):
+                expanded = dict(nodes)
+                expanded.update((state.ident, state) for state in combo)
+                yield Network(params, base, expanded, live)
 
 
 def count_valid_states_bruteforce(params: RingParams, max_nodes: int) -> int:
@@ -173,44 +190,20 @@ def count_valid_states_bruteforce(params: RingParams, max_nodes: int) -> int:
     Successor lists range over every raw assignment; predecessors multiply the
     count independently since no validity conjunct reads them.
     """
-    r = params.r
     total = 0
-    for n_total in range(r + 1, max_nodes + 1):
-        ids = tuple(range(n_total))
-        pred_choices = len(ids) + 1
-        for live_size in range(r + 1, n_total + 1):
-            for live in itertools.combinations(ids, live_size):
-                live_set = frozenset(live)
-                dead = tuple(i for i in ids if i not in live_set)
-                placeholders = {d: _dead_placeholder(d, ids, r) for d in dead}
-                raw_lists = list(itertools.product(ids, repeat=r))
-                for combo in itertools.product(raw_lists, repeat=live_size):
-                    nodes = {
-                        x: NodeState(ident=x, succ_list=lst)
-                        for x, lst in zip(live, combo)
-                    }
-                    nodes.update(placeholders)
-                    net = Network(
-                        params=params,
-                        base=frozenset(live[: r + 1]),
-                        nodes=nodes,
-                        live=live_set,
-                    )
-                    # Base choice affects only BaseNotSkipped; evaluate per base.
-                    c = conjuncts_reference(net)
-                    if not (
-                        c.at_least_one_ring
-                        and c.at_most_one_ring
-                        and c.ordered_ring
-                        and c.connected_appendages
-                    ):
-                        continue
-                    for base in itertools.combinations(live, r + 1):
-                        c2 = conjuncts_reference(
-                            Network(params, frozenset(base), nodes, live_set)
-                        )
-                        if c2.base_not_skipped:
-                            total += pred_choices**live_size
+    for ids, live, nodes, bases in _list_states(params, max_nodes, _raw_lists):
+        # Only BaseNotSkipped reads the base; judge the other four once per assignment.
+        c = conjuncts_reference(Network(params, bases[0], nodes, live))
+        if not (
+            c.at_least_one_ring
+            and c.at_most_one_ring
+            and c.ordered_ring
+            and c.connected_appendages
+        ):
+            continue
+        for base in bases:
+            if conjuncts_reference(Network(params, base, nodes, live)).base_not_skipped:
+                total += (len(ids) + 1) ** len(live)
     return total
 
 
@@ -407,28 +400,9 @@ def sample_raw_states(params: RingParams, max_nodes: int, count: int, seed: int)
 
 def enumerate_raw_list_states(params: RingParams, max_nodes: int):
     """Exhaustive raw successor-list assignments (predecessors fixed to None)."""
-    r = params.r
-    for n_total in range(r + 1, max_nodes + 1):
-        ids = tuple(range(n_total))
-        raw_lists = list(itertools.product(ids, repeat=r))
-        for live_size in range(r + 1, n_total + 1):
-            for live in itertools.combinations(ids, live_size):
-                live_set = frozenset(live)
-                dead = tuple(i for i in ids if i not in live_set)
-                placeholders = {d: _dead_placeholder(d, ids, r) for d in dead}
-                for base in itertools.combinations(live, r + 1):
-                    for combo in itertools.product(raw_lists, repeat=live_size):
-                        nodes = {
-                            x: NodeState(ident=x, succ_list=lst)
-                            for x, lst in zip(live, combo)
-                        }
-                        nodes.update(placeholders)
-                        yield Network(
-                            params=params,
-                            base=frozenset(base),
-                            nodes=nodes,
-                            live=live_set,
-                        )
+    for _, live, nodes, bases in _list_states(params, max_nodes, _raw_lists):
+        for base in bases:
+            yield Network(params, base, nodes, live)
 
 
 # --- lemma checks ------------------------------------------------------------

@@ -314,6 +314,13 @@ def _usage_error(command: str, err) -> int:
     return EXIT_USAGE
 
 
+def _require_floors(args, **floors) -> None:
+    """Raise ValueError naming the first flag whose value lies below its floor."""
+    for name, floor in floors.items():
+        if getattr(args, name) < floor:
+            raise ValueError(f"--{name.replace('_', '-')} must be at least {floor}")
+
+
 def _cmd_init(args) -> int:
     try:
         net = init_network(RingParams(m=args.m, r=args.r), args.base)
@@ -334,6 +341,7 @@ def _cmd_check(args) -> int:
     exhaustive = args.mode == "exhaustive" and args.target != "trial-search"
     try:
         params = RingParams(m=args.m or (3 if exhaustive else 6), r=r)
+        _require_floors(args, samples=1)
         if exhaustive:
             checker.require_exhaustible(params, args.n)
         elif not r + 1 <= args.n <= params.space:
@@ -428,6 +436,10 @@ def _cmd_explore(args) -> int:
             net = init_network(RingParams(m=args.m, r=args.r), args.base)
         except ValueError as err:
             return _usage_error("explore", err)
+    try:
+        _require_floors(args, joins=0, fails=0, depth=0, max_states=1)
+    except ValueError as err:
+        return _usage_error("explore", err)
     space = net.params.space
     for j in args.joiners:
         if not 0 <= j < space:
@@ -452,6 +464,7 @@ def _cmd_explore(args) -> int:
 
 def _cmd_simulate(args) -> int:
     try:
+        _require_floors(args, snapshot_interval=0)
         config = simulation.SimConfig(
             params=RingParams(m=args.m, r=args.r),
             churn_steps=args.churn_steps,

@@ -72,6 +72,9 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.churn_steps < 0:
             raise ValueError("churn steps must be non-negative")
+        # The stable base alone has r+1 members.
+        if self.max_members is not None and self.max_members < self.params.r + 1:
+            raise ValueError(f"max members must be at least r+1 = {self.params.r + 1}")
 
 
 def _default_base(params: RingParams, rng: random.Random) -> tuple[int, ...]:
@@ -109,7 +112,7 @@ def run_simulation(config: SimConfig) -> Trace:
         steps.append(TraceStep(event=ev, network=post, tag=tag))
         return post
 
-    cap = config.max_members or params.space
+    cap = params.space if config.max_members is None else config.max_members
 
     for _ in range(config.churn_steps):
         live = net.live_idents()

@@ -1,6 +1,7 @@
 """State generation, lemma checks, exploration, and counterexample search."""
 
 import itertools
+import math
 from dataclasses import replace
 
 import pytest
@@ -59,7 +60,7 @@ class TestEnumerateValidStates:
     def test_deterministic_order(self):
         first = [n.canonical_key() for n in checker.enumerate_valid_states(SMALL, 4)]
         second = [n.canonical_key() for n in checker.enumerate_valid_states(SMALL, 4)]
-        assert first[:200] == second[:200]
+        assert first == second
 
     def test_same_states_as_the_full_product(self):
         factored = {n.canonical_key() for n in checker.enumerate_valid_states(SMALL, 4)}
@@ -74,6 +75,31 @@ class TestEnumerateValidStates:
             next(checker.enumerate_valid_states(SMALL, 5))
         with pytest.raises(ValueError):
             next(checker.enumerate_valid_states(RingParams(m=3, r=3), 4))
+
+    @pytest.mark.parametrize("max_nodes", [2, 0, -1])
+    def test_rejects_bounds_below_r_plus_one(self, max_nodes):
+        with pytest.raises(ValueError):
+            next(checker.enumerate_valid_states(SMALL, max_nodes))
+        with pytest.raises(ValueError):
+            next(checker.enumerate_raw_list_states(SMALL, max_nodes))
+        with pytest.raises(ValueError):
+            checker.count_valid_states_bruteforce(SMALL, max_nodes)
+
+
+class TestEnumerateRawListStates:
+    def test_every_assignment_and_base_exactly_once(self):
+        # n identifiers, k of them live, a base of r+1 live members, and one
+        # of n^r raw lists per live member.
+        r = SMALL.r
+        expected = sum(
+            math.comb(n, k) * math.comb(k, r + 1) * (n**r) ** k
+            for n in range(r + 1, 5)
+            for k in range(r + 1, n + 1)
+        )
+        assert expected == 279_257
+        keys = [net.canonical_key() for net in checker.enumerate_raw_list_states(SMALL, 4)]
+        assert len(keys) == expected
+        assert len(set(keys)) == expected
 
 
 def _full_product_valid_states(params, max_nodes):

@@ -161,6 +161,18 @@ class TestReplayScenarios:
         ("check progress --mode random --n 2", "[r+1, 2^m]"),
         ("check trial-search --n 2", "[r+1, 2^m]"),
         ("check implications --mode exhaustive --n 9", "exhaustion ceiling"),
+        ("check preservation --n 2", "exhaustion ceiling"),
+        ("check preservation --n 0", "exhaustion ceiling"),
+        ("check preservation --n -1", "exhaustion ceiling"),
+        ("check progress --mode random --samples -5", "--samples must be at least 1"),
+        ("check trial-search --samples 0", "--samples must be at least 1"),
+        ("simulate --max-members 0", "max members must be at least r+1"),
+        ("simulate --max-members -1", "max members must be at least r+1"),
+        ("simulate --snapshot-interval -3", "--snapshot-interval must be at least 0"),
+        ("explore --base 7,19,33 --max-states 0", "--max-states must be at least 1"),
+        ("explore --base 7,19,33 --joins -1", "--joins must be at least 0"),
+        ("explore --base 7,19,33 --fails -1", "--fails must be at least 0"),
+        ("explore --base 7,19,33 --depth -1", "--depth must be at least 0"),
     ],
 )
 def test_bad_flag_value_exit_64_with_one_line(argv, named, capsys):

@@ -40,6 +40,18 @@ class TestConfig:
         with pytest.raises(ValueError):
             sim.SimConfig(params=RingParams(6, 2), churn_steps=-1, seed=0)
 
+    @pytest.mark.parametrize("r, cap", [(2, 2), (2, 0), (2, -1), (3, 3)])
+    def test_rejects_a_member_cap_below_the_base(self, r, cap):
+        with pytest.raises(ValueError, match="at least r\\+1"):
+            sim.SimConfig(params=RingParams(6, r), churn_steps=10, seed=0, max_members=cap)
+
+    def test_a_cap_of_r_plus_one_admits_no_join(self):
+        trace = run(seed=0, churn=60, max_members=3)
+        assert all(step.network.size <= 3 for step in trace.steps)
+        assert not any(
+            step.event.kind in (EventKind.JOIN_LOOKUP, EventKind.JOIN) for step in trace.steps
+        )
+
 
 class TestConvergence:
     def test_no_churn_converges_immediately(self):
