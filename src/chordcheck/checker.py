@@ -27,6 +27,7 @@ from .events import (
     apply_event,
     effect_delta,
     enabled_events,
+    event_delta,
     event_to_dict,
     join_precondition_holds,
 )
@@ -39,7 +40,7 @@ from .invariants import (
     trial_predicate_name,
     valid_after,
 )
-from .measure import effective_enabled, error_vector
+from .measure import effective_enabled, error_vector, error_vector_after
 from .topology import globally_correct_pred, is_ideal
 
 EXHAUSTION_MAX_NODES = 4
@@ -487,8 +488,9 @@ def check_preservation(
     Each applied shape is judged once in full. An event changes only its
     executor, so a case's post-state is judged by `valid_after` from that
     verdict; an acquired-sweep network differs from the shape only in a
-    pending value, so it shares the verdict. Cases still go through
-    `apply_event`: swept events are not listed, and their guard must run.
+    pending value, so it shares the verdict. A listed case's guard has just
+    held, so it is applied by `effect_delta`; only the swept join and
+    adoption cases are not listed, and go through their guard (`event_delta`).
     """
     report = CheckReport(lemma="EventPreservesValidity", bounds=bounds or {})
     faults = faults or FaultFlags()
@@ -510,7 +512,9 @@ def check_preservation(
         net_valid = is_valid(net)
         for prepared, ev in preservation_cases(net):
             applied += 1
-            post = apply_event(prepared, ev, faults=faults)
+            apply = event_delta if ev.kind in _ACQUIRED else effect_delta
+            delta = apply(prepared, ev, faults)
+            post = prepared if delta is None else prepared.with_node(*delta)
             if not (valid_after(prepared, post, ev.node) if net_valid else is_valid(post)):
                 report.add_violation(
                     prepared, ev, f"invariant broken after event: {conjuncts(post).to_dict()}"
@@ -536,12 +540,6 @@ def check_progress(states, bounds: dict | None = None) -> CheckReport:
     return report
 
 
-def _effective_steps(net: Network):
-    """Each effective repair event paired with the state it leads to."""
-    for ev in effective_enabled(net):
-        yield ev, apply_event(net, ev)
-
-
 MONOTONICITY_VIOLATION_CAP = 50_000
 
 
@@ -551,21 +549,25 @@ def check_monotonicity(states, bounds: dict | None = None) -> CheckReport:
 
     The scalar total error is not a ranking function (an adoption can leave
     it flat or raise it); the per-level vector of `measure.error_vector` is.
+    A repair changes only its executor, so each case is judged by
+    `error_vector_after` from the state's vector, with no post network built.
     Checking stops after MONOTONICITY_VIOLATION_CAP violations and then sets
     `info["capped"]`, so the reported count is a lower bound.
+    `info["casesByKind"]` splits `info["cases"]` by event kind.
     """
     report = CheckReport(lemma="ErrorMonotonicity", bounds=bounds or {})
     report.info["capped"] = False
-    cases = 0
+    by_kind: dict[EventKind, int] = {}
     for net in states:
         report.states_checked += 1
         before = error_vector(net)
         if (not any(before)) != is_ideal(net):
             report.add_violation(net, None, f"zero-error mismatch: error={sum(before)}")
             continue
-        for ev, post in _effective_steps(net):
-            cases += 1
-            after = error_vector(post)
+        # Listed events' guards hold, and a repair changes no liveness.
+        for ev in effective_enabled(net):
+            by_kind[ev.kind] = by_kind.get(ev.kind, 0) + 1
+            after = error_vector_after(net, before, effect_delta(net, ev)[0])
             if after >= before:
                 report.add_violation(
                     net, ev, f"error vector {before} -> {after} (not a strict decrease)"
@@ -573,7 +575,8 @@ def check_monotonicity(states, bounds: dict | None = None) -> CheckReport:
         if report.violation_count > MONOTONICITY_VIOLATION_CAP:
             report.info["capped"] = True
             break
-    report.info["cases"] = cases
+    report.info["cases"] = sum(by_kind.values())
+    report.info["casesByKind"] = {k.value: by_kind[k] for k in EventKind if k in by_kind}
     return report
 
 
@@ -585,8 +588,9 @@ def check_executor_local_monotonicity(states, bounds: dict | None = None) -> Che
     for net in states:
         report.states_checked += 1
         roles = [ROLE_PRED] + [succ_role(i) for i in range(1, net.params.r + 1)]
-        for ev, post in _effective_steps(net):
+        for ev in effective_enabled(net):
             n = ev.node
+            post = net.with_node(effect_delta(net, ev)[0])
             before = sum(pointer_error(net, n, role) for role in roles)
             after = sum(pointer_error(post, n, role) for role in roles)
             if after >= before:

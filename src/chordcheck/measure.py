@@ -22,10 +22,11 @@ that the progress argument relies on.
 
 from __future__ import annotations
 
+from operator import itemgetter, ne
+
 from .ident import clockwise_rank
-from .netstate import Network
+from .netstate import Network, NodeState
 from .events import Event, EventKind, _adopts, _copied_list, _rectified_pred
-from .topology import best_successor
 
 ROLE_PRED = "pred"
 
@@ -67,41 +68,87 @@ def pointer_error(net: Network, n: int, role: str) -> int:
     return 1
 
 
+def _positions(net: Network) -> dict[int, int]:
+    """Each live member's index in the sorted live ring, made once per network.
+
+    With s members, (pos[to] - pos[frm] - 1) mod s members lie strictly
+    inside the clockwise arc from frm to to. Kept in the instance's
+    `__dict__`, as `topology._walk` is: a state's vector and the deltas of
+    its repairs share it.
+    """
+    memo = net.__dict__
+    pos = memo.get("_positions")
+    if pos is None:
+        pos = memo["_positions"] = {x: i for i, x in enumerate(sorted(net.live))}
+    return pos
+
+
+def _pred_error(v: int | None, i: int, pos: dict[int, int]) -> int:
+    """The predecessor term of the member at sorted position i: s if unset, s+1 if dead."""
+    s = len(pos)
+    if v is None:
+        return s
+    return (i - pos[v] - 1) % s if v in pos else s + 1
+
+
+def _member_errors(state: NodeState, i: int, pos: dict[int, int], nodes) -> tuple[int, ...]:
+    """The per-level terms of the live member at sorted position i: the scoring rule.
+
+    Level 1 adds the predecessor term and the first-successor error (s+1 if
+    dead, else the clockwise rank). Level k (2 <= k <= r) scores 0 when the
+    k-th entry matches the live head's (k-1)-th, read from `nodes`, and 1
+    otherwise.
+    """
+    s = len(pos)
+    level1 = _pred_error(state.pred, i, pos)
+    succ = state.succ_list
+    head = succ[0]
+    if head not in pos:
+        return (level1 + s + 1,) + (1,) * (len(succ) - 1)
+    return (level1 + (pos[head] - i - 1) % s, *map(ne, succ[1:], nodes[head].succ_list))
+
+
 def error_vector(net: Network) -> tuple[int, ...]:
     """Per-level error sums, to be compared lexicographically.
 
     Entry 0 sums every live member's predecessor and first-successor errors;
     entry k-1 (2 <= k <= r) sums the members' k-th successor scores.
-
-    Every clockwise rank is read from one position map of the sorted live
-    ring: with s members, (pos[to] - pos[frm] - 1) mod s members lie strictly
-    inside the arc. Per-role sums of `pointer_error` are the test oracle.
+    Per-role sums of `pointer_error` are the test oracle.
     """
-    r = net.params.r
     nodes = net.nodes
-    pos = {x: i for i, x in enumerate(sorted(net.live))}
-    s = len(pos)
-    levels = [0] * r
-    for n, i in pos.items():
-        state = nodes[n]
-        v = state.pred
-        if v is None:
-            levels[0] += s
-        elif v in pos:
-            levels[0] += (i - pos[v] - 1) % s
-        else:
-            levels[0] += s + 1
-        succ = state.succ_list
-        head = succ[0]
-        if head in pos:
-            levels[0] += (pos[head] - i - 1) % s
-            head_list = nodes[head].succ_list
-            for k in range(1, r):
-                levels[k] += succ[k] != head_list[k - 1]
-        else:
-            levels[0] += s + 1
-            for k in range(1, r):
-                levels[k] += 1
+    pos = _positions(net)
+    terms = [_member_errors(nodes[n], i, pos, nodes) for n, i in pos.items()]
+    return tuple(map(sum, zip(*terms))) or (0,) * net.params.r
+
+
+def error_vector_after(net: Network, before: tuple[int, ...], state: NodeState) -> tuple[int, ...]:
+    """`error_vector` of `net` with `state` as its node's state, from `before`.
+
+    `before` is `error_vector(net)`, and the node keeps its liveness. A
+    non-member's state is scored nowhere. When the list is unchanged, only
+    the member's level-1 term moves, by its predecessor's error. A list
+    change rescores the member and each member whose head it is, since
+    their later entries are scored against its list. `error_vector` of the
+    rewritten network is the test oracle.
+    """
+    n = state.ident
+    pos = _positions(net)
+    i = pos.get(n)
+    if i is None:
+        return before
+    nodes = net.nodes
+    old = nodes[n]
+    if state.succ_list == old.succ_list:
+        moved = _pred_error(state.pred, i, pos) - _pred_error(old.pred, i, pos)
+        return (before[0] + moved, *before[1:])
+    after = dict(nodes)
+    after[n] = state
+    levels = list(before)
+    for m, j in pos.items():
+        if m == n or nodes[m].succ_list[0] == n:
+            terms = _member_errors(after[m], j, pos, after)
+            for k, (a, b) in enumerate(zip(_member_errors(nodes[m], j, pos, nodes), terms)):
+                levels[k] += b - a
     return tuple(levels)
 
 
@@ -123,20 +170,31 @@ def effective_enabled(net: Network) -> list[Event]:
     would acquire (the first live successor's current predecessor), matching
     the progress lemmas' reading. An adoption always changes the list, since
     it replaces the head with a live member other than the first live one.
+
+    One pass over the sorted members lists both stabilize kinds in node
+    order and each member's Rectify of its head; only the Rectify part is
+    sorted, by (node, notifier), to give `Event.sort_key` order.
     """
-    events: list[Event] = []
+    copy, adopt = EventKind.STABILIZE_FROM_OLD_SUCCESSOR, EventKind.STABILIZE_FROM_NEW_SUCCESSOR
+    rectify = EventKind.RECTIFY
+    copies: list[Event] = []
+    adoptions: list[Event] = []
+    rectifies: list[Event] = []
     nodes = net.nodes
-    live = net.live_idents()
-    for n in live:
-        h = best_successor(net, n)
-        if h is None:
-            continue  # assumption breach; unreachable from valid states
-        if _copied_list(net, h) != nodes[n].succ_list:
-            events.append(Event(EventKind.STABILIZE_FROM_OLD_SUCCESSOR, n))
-        if _adopts(net, n, nodes[h].pred, h):
-            events.append(Event(EventKind.STABILIZE_FROM_NEW_SUCCESSOR, n))
-    for p in live:
-        n = nodes[p].succ_list[0]
-        if net.is_live(n) and _rectified_pred(net, n, p) != nodes[n].pred:
-            events.append(Event(EventKind.RECTIFY, n, new_pred=p))
-    return sorted(events, key=Event.sort_key)
+    live = net.live
+    for n in sorted(live):
+        succ = nodes[n].succ_list
+        # The first live entry; a member with none breaches the operating
+        # assumption, which no valid state does.
+        for h in succ:
+            if h in live:
+                if _copied_list(net, h) != succ:
+                    copies.append(Event(copy, n))
+                if _adopts(net, n, nodes[h].pred, h):
+                    adoptions.append(Event(adopt, n))
+                break
+        head = succ[0]
+        if head in live and _rectified_pred(net, head, n) != nodes[head].pred:
+            rectifies.append(Event(rectify, head, n))  # n notifies its head
+    rectifies.sort(key=itemgetter(1, 2))
+    return copies + adoptions + rectifies

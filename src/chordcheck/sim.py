@@ -237,7 +237,13 @@ def convergence_steps(trace: Trace) -> int:
 
 
 def write_trace_jsonl(trace: Trace, path: str, snapshot_interval: int = 0) -> None:
-    """Line-delimited trace: a record per step; snapshots, with their summaries, on an interval."""
+    """Line-delimited trace: a record per step; snapshots, with their summaries, on an interval.
+
+    An interval of 0 writes no snapshot; a negative one raises ValueError
+    before the file is opened.
+    """
+    if snapshot_interval < 0:
+        raise ValueError(f"snapshot interval must be non-negative, got {snapshot_interval}")
     with open(path, "w", encoding="utf-8") as fh:
         header = {
             "type": "header",

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -33,7 +34,7 @@ from chordcheck.invariants import (
 )
 from chordcheck.measure import effective_enabled, total_error
 from chordcheck.topology import is_ideal
-from chordcheck import checker
+from chordcheck import checker, events
 
 import events_oracle as oracle
 from conftest import make_net, oracle_states
@@ -204,6 +205,28 @@ class TestPreservation:
         v = report.violations[0]
         assert v.event.kind in (EventKind.JOIN, EventKind.FAIL)
 
+    def test_only_swept_cases_run_their_guard_again(self, monkeypatch):
+        # A listed case's guard ran when `enabled_events` listed it; a swept
+        # join or adoption is not listed, so its guard runs once, on applying.
+        runs = Counter()
+        for kind, (guard, times_out, effect) in list(events._KINDS.items()):
+
+            def counted(net, ev, guard=guard):
+                runs[ev.kind] += 1
+                return guard(net, ev)
+
+            monkeypatch.setitem(events._KINDS, kind, (counted, times_out, effect))
+        cases = Counter()
+        for net in checker.sample_valid_states(WIDE, 8, 300, seed=9):
+            runs.clear()
+            listed = [ev.kind for _, ev in checker.preservation_cases(net)]
+            expected = runs + Counter(k for k in listed if k in checker._ACQUIRED)
+            runs.clear()
+            checker.check_preservation([net])
+            assert runs == expected
+            cases.update(listed)
+        assert set(cases) == set(EventKind)
+
 
 @pytest.fixture(scope="module")
 def n4_states():
@@ -307,7 +330,8 @@ class TestMonotonicity:
 
     def test_cap_is_reported(self, monkeypatch):
         monkeypatch.setattr(checker, "MONOTONICITY_VIOLATION_CAP", 0)
-        monkeypatch.setattr(checker, "error_vector", lambda net: (1, 0))
+        # Every effective repair leaves the vector where it was.
+        monkeypatch.setattr(checker, "error_vector_after", lambda net, before, state: before)
         report = checker.check_monotonicity(checker.sample_valid_states(WIDE, 6, 50, seed=3))
         assert report.info["capped"] is True
         assert report.states_checked < 50

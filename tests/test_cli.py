@@ -293,7 +293,15 @@ class TestCheckCommand:
         assert code == cli.EXIT_OK
         data = json.loads(report_file.read_text())
         assert data["passed"] is True
-        assert data["info"] == {"cases": 43144, "capped": False}
+        assert data["info"] == {
+            "cases": 43144,
+            "casesByKind": {
+                "StabilizeFromOldSuccessor": 7000,
+                "StabilizeFromNewSuccessor": 1000,
+                "Rectify": 35144,
+            },
+            "capped": False,
+        }
 
     def test_exhaustive_bounds_beyond_ceiling_exit_64(self, capsys):
         code = cli.main(["check", "preservation", "--n", "5", "--r", "2", "--mode", "exhaustive"])

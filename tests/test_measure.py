@@ -1,6 +1,8 @@
 """Pointer-error scoring, total error, and the effective-repair predicates."""
 
 import itertools
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -15,18 +17,21 @@ from chordcheck.events import (
     apply_rectify,
     apply_stabilize_from_new_successor,
     apply_stabilize_from_old_successor,
+    effect_delta,
+    event_delta,
 )
 from chordcheck.measure import (
     ROLE_PRED,
     effective_enabled,
     error_vector,
+    error_vector_after,
     pointer_error,
     succ_role,
     total_error,
     visible_state,
 )
 from chordcheck.topology import is_ideal
-from chordcheck.checker import sample_valid_states
+from chordcheck.checker import enumerate_valid_states, sample_raw_states, sample_valid_states
 
 import events_oracle as oracle
 from measure_oracle import error_report
@@ -211,6 +216,79 @@ class TestErrorVector:
             assert error_vector(net) == expected, net
             nonzero += any(expected)
         assert nonzero > 0
+
+
+class TestErrorVectorAfter:
+    """`error_vector_after` against `error_vector` of the rewritten network."""
+
+    @staticmethod
+    def _effective_cases(states):
+        """Judge every effective case; count them by kind, and the list changes
+        that some other member's head reads."""
+        kinds, read_by_others = Counter(), 0
+        for net in states:
+            before = error_vector(net)
+            for ev in effective_enabled(net):
+                delta = effect_delta(net, ev)
+                assert delta == event_delta(net, ev)
+                state, live = delta
+                assert live is None
+                assert error_vector_after(net, before, state) == error_vector(net.with_node(state))
+                kinds[ev.kind.value] += 1
+                n = ev.node
+                read_by_others += state.succ_list != net.node(n).succ_list and any(
+                    net.node(m).succ_list[0] == n for m in net.live if m != n
+                )
+        return kinds, read_by_others
+
+    def test_every_exhaustive_case(self):
+        kinds, read_by_others = self._effective_cases(enumerate_valid_states(RingParams(3, 2), 4))
+        assert kinds == {
+            "Rectify": 35144,
+            "StabilizeFromOldSuccessor": 7000,
+            "StabilizeFromNewSuccessor": 1000,
+        }
+        # Every list change has a member headed at its executor: a delta that
+        # skips those members' scores is caught here.
+        assert read_by_others == 8000
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_every_effective_case_of_sampled_states(self, r):
+        states = sample_valid_states(RingParams(6, r), 8, 2000, seed=70 + r)
+        kinds, read_by_others = self._effective_cases(states)
+        assert len(kinds) == 3 and read_by_others > 0
+
+    @pytest.mark.parametrize("r, count", [(2, 40), (3, 12)])
+    def test_every_one_node_rewrite_of_raw_states(self, r, count):
+        # Raw states hold unset, dead and live predecessors, dead heads and
+        # self-entries. Every tracked node, members and departed nodes alike,
+        # is given every predecessor and every list over the tracked nodes.
+        seen = Counter()
+        for net in sample_raw_states(RingParams(6, r), r + 2, count, seed=80 + r):
+            before = error_vector(net)
+            ids = sorted(net.nodes)
+            for n in ids:
+                old = net.node(n)
+                for pred in (None, *ids):
+                    for succ_list in itertools.product(ids, repeat=r):
+                        state = replace(old, pred=pred, succ_list=succ_list)
+                        expected = error_vector(net.with_node(state))
+                        assert error_vector_after(net, before, state) == expected
+                        if n not in net.live:
+                            seen["departed node"] += 1
+                            continue
+                        if pred != old.pred:
+                            was = "unset" if old.pred is None else (
+                                "live" if net.is_live(old.pred) else "dead"
+                            )
+                            seen[f"pred {was} -> other"] += 1
+                        if succ_list != old.succ_list:
+                            seen["old head dead"] += not net.is_live(old.succ_list[0])
+                            seen["self-headed"] += n in (old.succ_list[0], succ_list[0])
+                            seen["headed at the executor"] += any(
+                                net.node(m).succ_list[0] == n for m in net.live if m != n
+                            )
+        assert len(seen) == 7 and all(seen.values()), seen
 
 
 class TestMeasureCrossTerm:

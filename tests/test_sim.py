@@ -268,6 +268,14 @@ class TestTraceStreaming:
             assert rec["ideal"] == is_ideal(net)
         assert snapshots == len(trace.steps) // 7 + 1
 
+    def test_negative_snapshot_interval_raises_before_writing(self, tmp_path):
+        # Python's modulo would snapshot every third step, and the header
+        # would record -3.
+        path = tmp_path / "trace.jsonl"
+        with pytest.raises(ValueError, match="snapshot interval must be non-negative, got -3"):
+            sim.write_trace_jsonl(run(seed=21, churn=10), str(path), snapshot_interval=-3)
+        assert not path.exists()
+
     def test_stranding_event_raises_value_error_naming_its_line(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         sim.write_trace_jsonl(Trace(initial=stranded_member_state(), steps=()), str(path))
