@@ -24,12 +24,16 @@ from .events import (
     Event,
     EventKind,
     FaultFlags,
+    Listing,
     apply_event,
+    carried_listing,
     effect_delta,
     enabled_events,
     event_delta,
     event_to_dict,
     join_precondition_holds,
+    listing_change,
+    slot_listing,
 )
 from .invariants import (
     PREDICATES,
@@ -628,7 +632,7 @@ def explore_reachable(
 
     Validity is asserted at every reached state. The join budget counts
     members that join; lookups, and Joins that clear a dead lookup, are free
-    but only offered while joins remain.
+    but only offered while joins remain. `joiners` must be distinct.
 
     An event changes only its executor, so a successor is keyed without being
     built: its `canonical_key` node entries are the parent's, with the
@@ -636,24 +640,33 @@ def explore_reachable(
     Params and base never change, so they are left out of the visited keys.
     A network is built, and checked, only for a key not seen before.
 
-    Each queue entry carries its state's verdict. A child of a valid state is
+    Each queue entry carries its state's verdict, its parent's listing and
+    its change code (`events.listing_change`). A child of a valid state is
     judged by `valid_after`; the initial state and a child of an invalid one
-    get the full check. The listed events' guards have just held, so they
-    are applied by `effect_delta`.
+    get the full check. A state is listed only when it is expanded: by
+    `carried_listing` from its parent's listing, or by `slot_listing` after a
+    liveness change. The listed events' guards have just held, so they are
+    applied by `effect_delta`. `info["listings"]` counts the listings rebuilt
+    and carried, and `info["transitionsByKind"]` splits the transitions by
+    event kind.
     """
+    if len(set(joiners)) != len(joiners):
+        raise ValueError(f"joiners {list(joiners)} name an identifier twice")
     report = CheckReport(
         lemma="ReachableStatesValid",
         bounds={"joins": max_joins, "fails": max_fails, "depth": max_depth},
     )
     join, fail = EventKind.JOIN, EventKind.FAIL
     seen: set[tuple] = set()
-    queue: deque[tuple[Network, bool, tuple, int, int, int]] = deque()
-    transitions = 0
+    queue: deque[tuple] = deque()
+    by_kind: dict[EventKind, int] = {}
+    rebuilt = 0
     truncated = False
 
     def visit(
         parent: Network,
         parent_valid: bool,
+        parent_listing: Listing | None,
         delta,
         entries: tuple,
         joins: int,
@@ -668,27 +681,37 @@ def explore_reachable(
             truncated = True
             return
         seen.add(key)
-        net, valid = parent, parent_valid
+        net, valid, change = parent, parent_valid, None
         if delta is not None:
             net = parent.with_node(*delta)
-            valid = valid_after(parent, net, delta[0].ident) if parent_valid else is_valid(net)
+            executor = delta[0].ident
+            valid = valid_after(parent, net, executor) if parent_valid else is_valid(net)
+            change = listing_change(parent, net, executor)
         report.states_checked += 1
         if not valid:
             report.add_violation(net, None, "invariant broken at reachable state")
-        queue.append((net, valid, entries, joins, fails, depth))
+        queue.append((net, valid, parent_listing, change, entries, joins, fails, depth))
 
-    visit(init, is_valid(init), None, init.canonical_key()[3], 0, 0, 0)
+    visit(init, is_valid(init), None, None, init.canonical_key()[3], 0, 0, 0)
+    expanded = 0
     while queue:
-        net, valid, entries, joins, fails, depth = queue.popleft()
+        net, valid, parent_listing, change, entries, joins, fails, depth = queue.popleft()
         if depth >= max_depth:
             continue
-        allowed_joiners = joiners if joins < max_joins else ()
-        for ev in enabled_events(net, joiners=allowed_joiners):
+        expanded += 1
+        if change is None:
+            listing = slot_listing(net, joiners if joins < max_joins else ())
+            rebuilt += 1
+        else:
+            listing = carried_listing(parent_listing, net, change)
+        for ev in listing.slots:
+            if ev is None:
+                continue
             kind = ev.kind
             if kind is fail and fails >= max_fails:
                 continue
             delta = effect_delta(net, ev)
-            transitions += 1
+            by_kind[kind] = by_kind.get(kind, 0) + 1
             post_entries, joined = entries, False
             if delta is not None:
                 state, live = delta
@@ -700,9 +723,15 @@ def explore_reachable(
                 rest = i + 1 if i < len(entries) and entries[i][0] == n else i
                 post_entries = entries[:i] + (entry,) + entries[rest:]
             joins_after, fails_after = joins + joined, fails + (kind is fail)
-            visit(net, valid, delta, post_entries, joins_after, fails_after, depth + 1)
+            visit(net, valid, listing, delta, post_entries, joins_after, fails_after, depth + 1)
     report.info.update(
-        {"states": len(seen), "transitions": transitions, "truncated": truncated}
+        {
+            "states": len(seen),
+            "transitions": sum(by_kind.values()),
+            "truncated": truncated,
+            "listings": {"rebuilt": rebuilt, "carried": expanded - rebuilt},
+            "transitionsByKind": {k.value: by_kind[k] for k in EventKind if k in by_kind},
+        }
     )
     return report
 

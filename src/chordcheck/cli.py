@@ -441,9 +441,11 @@ def _cmd_explore(args) -> int:
     except ValueError as err:
         return _usage_error("explore", err)
     space = net.params.space
-    for j in args.joiners:
+    for i, j in enumerate(args.joiners):
         if not 0 <= j < space:
             return _usage_error("explore", f"joiner {j} outside the identifier space [0, {space})")
+        if j in args.joiners[:i]:
+            return _usage_error("explore", f"joiner {j} is repeated in --joiners")
     report = checker.explore_reachable(
         net,
         max_joins=args.joins,

@@ -13,9 +13,12 @@ it change: the executor's new state and its liveness change. `event_delta`
 is the guard, then `effect_delta`, which returns that pair, so a caller can
 key the next state without building it; `apply_event` builds the next
 network from it. `enabled_events` is the one listing of candidates, read by
-the checker, the explorer and the simulator alike. A `Join` whose looked-up
-successor has died is an enabled step that clears the lookup, so the
-explorer takes that branch wherever the simulator can.
+the checker and the simulator, and the oracle of the explorer's listing: the
+explorer lays the same candidates out in fixed slots (`slot_listing`) and
+derives a successor's slots from its parent's (`carried_listing`),
+refreshing only the slots whose guards read the one node that changed. A
+`Join` whose looked-up successor has died is an enabled step that clears the
+lookup, so the explorer takes that branch wherever the simulator can.
 """
 
 from __future__ import annotations
@@ -456,6 +459,125 @@ def enabled_events(
             if is_enabled(net, ev):
                 events.append(ev)
     return events
+
+
+# --- the slot listing, carried from parent to successor ---------------------------
+#
+# For one live set and one joiner tuple, every candidate of `enabled_events`
+# has a fixed slot: each joiner's join step, then each live member's two
+# stabilize steps and its Fail, then the Rectify each live member sends. A
+# slot holds its event while it is enabled and None otherwise, so the events
+# in slot order are the listing.
+
+
+class Listing(NamedTuple):
+    """`enabled_events(net, joiners)` as slots, so a successor can refresh only a few."""
+
+    joiners: tuple[int, ...]
+    members: tuple[int, ...]  # the live set, sorted
+    slots: list  # one Event or None per slot
+
+    def events(self) -> list[Event]:
+        return [ev for ev in self.slots if ev is not None]
+
+
+# A change code packs a successor's executor and what changed in its state
+# besides the pending values: `executor << 2 | LIST_CHANGED | HEAD_MOVED`.
+LIST_CHANGED = 1  # the executor's list; `failable` reads every list
+HEAD_MOVED = 2  # its first live entry; `lookup_succ` reads the walk it moves
+
+
+def slot_listing(net: Network, joiners: Sequence[int]) -> Listing:
+    """The slots of every enabled event; each of the distinct `joiners` owns one."""
+    joiners = tuple(joiners)
+    members = net.live_idents()
+    slots = [_join_step(net, j) for j in joiners]
+    for n in members:
+        slots += (_enabled(net, Event(k, n)) for k in _MEMBER_KINDS)
+        slots.append(None)  # its Fail, filled below
+    slots += (_rectify_step(net, p, None) for p in members)
+    _fill_fails(net, members, slots, len(joiners))
+    return Listing(joiners, members, slots)
+
+
+def listing_change(parent: Network, post: Network, executor: int) -> int | None:
+    """The change code of `post`, which differs from `parent` only in `executor`,
+    or None if its liveness changed: that moves the slot layout, so `post`
+    needs a `slot_listing` of its own."""
+    live = parent.live
+    if (executor in live) != (executor in post.live):
+        return None
+    changed = 0
+    if executor in live and parent.nodes[executor].succ_list != post.nodes[executor].succ_list:
+        changed = LIST_CHANGED
+        if best_successor(parent, executor) != best_successor(post, executor):
+            changed |= HEAD_MOVED
+    return executor << 2 | changed
+
+
+def carried_listing(parent: Listing, net: Network, change: int) -> Listing:
+    """The listing of `net` from `parent`, the listing of the state it succeeds,
+    and the change code `listing_change` gave that step.
+
+    With liveness unchanged, an event alters only its executor x, so only the
+    slots whose guards read x's state can move: a joiner's join step, a
+    member's adoption step and, when x's list changed, its other stabilize
+    step, the Rectify it sends and every Fail, and, when x's first live
+    entry moved, every joiner's JoinLookup. `enabled_events` is the oracle.
+    A refreshed slot keeps its parent's event object when the event is the
+    same, so a family of listings shares them.
+    """
+    joiners, members, slots = parent
+    slots = slots.copy()
+    x, changed = change >> 2, change & 3
+    first = len(joiners)
+    if x not in net.live:
+        slots[joiners.index(x)] = _join_step(net, x)
+        return Listing(joiners, members, slots)
+    k = members.index(x)
+    at = first + 3 * k
+    slots[at + 1] = _enabled(net, slots[at + 1] or Event(_MEMBER_KINDS[1], x))
+    if changed & LIST_CHANGED:
+        # Only the adoption step reads x's pending candidate; the rest read its list.
+        slots[at] = _enabled(net, slots[at] or Event(_MEMBER_KINDS[0], x))
+        rectify = first + 3 * len(members) + k
+        slots[rectify] = _rectify_step(net, x, slots[rectify])
+        _fill_fails(net, members, slots, first)
+    if changed & HEAD_MOVED:
+        nodes = net.nodes
+        for i, j in enumerate(joiners):
+            state = nodes.get(j)
+            if state is None or state.pending_new_succ is None:
+                slots[i] = _join_step(net, j)
+    # Listings are never changed once made, so an unchanged one is shared. A
+    # joiner's step above always changes its kind.
+    return parent if slots == parent.slots else Listing(joiners, members, slots)
+
+
+def _enabled(net: Network, ev: Event) -> Event | None:
+    return ev if is_enabled(net, ev) else None
+
+
+def _join_step(net: Network, j: int) -> Event | None:
+    state = net.nodes.get(j)
+    kind = _JOIN_STEP[state is not None and state.pending_new_succ is not None]
+    return _enabled(net, Event(kind, j))
+
+
+def _rectify_step(net: Network, p: int, old: Event | None) -> Event | None:
+    """The Rectify p sends, reusing `old` if it is that event."""
+    head = net.nodes[p].succ_list[0]
+    ev = old if old is not None and old.node == head else Event(_RECTIFY, head, new_pred=p)
+    return _enabled(net, ev)
+
+
+def _fill_fails(net: Network, members: tuple[int, ...], slots: list, first: int) -> None:
+    # `failable` applies the Fail guard to every member in one pass.
+    fails = failable(net) - net.base
+    at = slice(first + 2, first + 3 * len(members), 3)
+    slots[at] = [
+        (ev or Event(_FAIL, n)) if n in fails else None for n, ev in zip(members, slots[at])
+    ]
 
 
 # --- serialization ----------------------------------------------------------

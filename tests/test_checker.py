@@ -480,6 +480,23 @@ class TestExploreReachable:
         assert len(built) == report.info["states"] - 1
         assert report.info["transitions"] > 2 * report.info["states"]
 
+    def test_repeated_joiners_are_refused(self):
+        init = init_network(WIDE, [7, 19, 33])
+        with pytest.raises(ValueError, match="twice"):
+            checker.explore_reachable(init, 1, 0, 6, joiners=(10, 10))
+
+    def test_report_splits_listings_and_transitions(self):
+        make_init, joins, fails, depth, joiners = self.ORACLE_CONFIGS["dead-lookup"]
+        init = make_init()
+        report = checker.explore_reachable(init, joins, fails, depth, joiners=joiners)
+        info = report.info
+        expanded = sum(1 for _ in _expanded_states(init, joins, fails, depth, joiners))
+        assert info["listings"]["rebuilt"] + info["listings"]["carried"] == expanded
+        assert info["listings"]["rebuilt"] and info["listings"]["carried"]
+        by_kind = info["transitionsByKind"]
+        assert sum(by_kind.values()) == info["transitions"]
+        assert set(by_kind) == {k.value for k in EventKind}
+
     def test_truncation_flag(self):
         init = init_network(WIDE, [7, 19, 33])
         report = checker.explore_reachable(
@@ -584,6 +601,95 @@ class TestDeltaValidity:
                 assert effect_delta(net, ev) == event_delta(net, ev)
                 listed += 1
         assert len(reached) == 13_851 and listed > 83_078
+
+
+def _dead_member_start():
+    """A valid ring in which 25 has failed and 40 holds the lookup result 50.
+
+    7's only live entry is the joined member 20, so 20 may not fail until a
+    stabilize of 7 changes 7's list: the Fail slots move with it.
+    """
+    net = make_net(
+        6, 2, base=[7, 33, 50],
+        nodes={7: (50, (20, 25)), 20: (7, (33, 50)), 33: (20, (50, 7)), 50: (33, (7, 20))},
+        dead={25: (20, (33, 50))},
+    )
+    net = net.with_node(NodeState(40, (), None, 50))
+    assert is_valid(net) and 20 not in events.failable(net)
+    return net
+
+
+def _stranded_start():
+    """The start above with 50 stranded: every entry of its list is dead.
+
+    No chain closes a ring, so no lookup is answered and 10 cannot start its
+    join, until 50 adopts its stored candidate 7. In a valid state a ring
+    always answers, so only an invalid one moves a JoinLookup slot.
+    """
+    net = _dead_member_start()
+    net = net.with_node(NodeState(19, (20, 33), 7))
+    net = net.with_node(NodeState(50, (19, 25), 33, None, 7))
+    assert enabled_events(net, joiners=(10,), kinds=(EventKind.JOIN_LOOKUP,)) == []
+    return net
+
+
+class TestCarriedListing:
+    """The explorer's listing of every expanded state against `enabled_events`."""
+
+    CONFIGS = {
+        **TestDeltaValidity.CONFIGS,
+        "dead-member": (_dead_member_start, 2, 1, 8, (40, 10)),
+        "stranded": (_stranded_start, 1, 1, 8, (40, 10)),
+    }
+
+    @pytest.mark.parametrize("config", CONFIGS.values(), ids=CONFIGS.keys())
+    def test_every_expanded_state(self, monkeypatch, config):
+        make_init, joins, fails, depth, joiners = config
+        init = make_init()
+        listed = []
+
+        def recording(list_, net_arg):
+            def wrapped(*args):
+                listing = list_(*args)
+                listed.append((args[net_arg], listing))
+                return listing
+
+            return wrapped
+
+        monkeypatch.setattr(checker, "slot_listing", recording(checker.slot_listing, 0))
+        monkeypatch.setattr(checker, "carried_listing", recording(checker.carried_listing, 1))
+        report = checker.explore_reachable(init, joins, fails, depth, joiners=joiners)
+        expected = list(_expanded_states(init, joins, fails, depth, joiners))
+        assert len(listed) == len(expected) == sum(report.info["listings"].values())
+        for (net, listing), (oracle_net, allowed) in zip(listed, expected):
+            assert net == oracle_net
+            assert listing.joiners == allowed
+            assert listing.events() == enabled_events(net, joiners=allowed), net
+        assert report.info["listings"]["carried"] > report.info["listings"]["rebuilt"]
+
+
+def _expanded_states(init, max_joins, max_fails, max_depth, joiners):
+    """Each state `_plain_bfs` expands, in order, with the joiners it offers there."""
+    from collections import deque
+
+    seen = {(init.canonical_key(), 0, 0)}
+    queue = deque([(init, 0, 0, 0)])
+    while queue:
+        net, joins, fails, depth = queue.popleft()
+        if depth >= max_depth:
+            continue
+        allowed = joiners if joins < max_joins else ()
+        yield net, allowed
+        for ev in enabled_events(net, joiners=allowed):
+            failing = ev.kind is EventKind.FAIL
+            if failing and fails >= max_fails:
+                continue
+            post = apply_event(net, ev)
+            joined = ev.kind is EventKind.JOIN and post.is_live(ev.node)
+            key = (post.canonical_key(), joins + joined, fails + failing)
+            if key not in seen:
+                seen.add(key)
+                queue.append((post, key[1], key[2], depth + 1))
 
 
 def _record_judged(monkeypatch, record):

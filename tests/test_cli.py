@@ -173,6 +173,7 @@ class TestReplayScenarios:
         ("explore --base 7,19,33 --joins -1", "--joins must be at least 0"),
         ("explore --base 7,19,33 --fails -1", "--fails must be at least 0"),
         ("explore --base 7,19,33 --depth -1", "--depth must be at least 0"),
+        ("explore --base 7,19,33 --joiners 10,40,10", "joiner 10 is repeated in --joiners"),
     ],
 )
 def test_bad_flag_value_exit_64_with_one_line(argv, named, capsys):
