@@ -24,7 +24,6 @@ from .events import (
     Event,
     EventKind,
     FaultFlags,
-    Listing,
     apply_event,
     carried_listing,
     effect_delta,
@@ -32,7 +31,6 @@ from .events import (
     event_delta,
     event_to_dict,
     join_precondition_holds,
-    listing_change,
     slot_listing,
 )
 from .invariants import (
@@ -45,7 +43,7 @@ from .invariants import (
     valid_after,
 )
 from .measure import effective_enabled, error_vector, error_vector_after
-from .topology import globally_correct_pred, is_ideal
+from .topology import change_code, globally_correct_pred, is_ideal
 
 EXHAUSTION_MAX_NODES = 4
 EXHAUSTION_R = 2
@@ -519,7 +517,8 @@ def check_preservation(
             apply = event_delta if ev.kind in _ACQUIRED else effect_delta
             delta = apply(prepared, ev, faults)
             post = prepared if delta is None else prepared.with_node(*delta)
-            if not (valid_after(prepared, post, ev.node) if net_valid else is_valid(post)):
+            change = change_code(prepared, post, ev.node)
+            if not (valid_after(prepared, post, change) if net_valid else is_valid(post)):
                 report.add_violation(
                     prepared, ev, f"invariant broken after event: {conjuncts(post).to_dict()}"
                 )
@@ -641,14 +640,16 @@ def explore_reachable(
     A network is built, and checked, only for a key not seen before.
 
     Each queue entry carries its state's verdict, its parent's listing and
-    its change code (`events.listing_change`). A child of a valid state is
-    judged by `valid_after`; the initial state and a child of an invalid one
-    get the full check. A state is listed only when it is expanded: by
-    `carried_listing` from its parent's listing, or by `slot_listing` after a
-    liveness change. The listed events' guards have just held, so they are
-    applied by `effect_delta`. `info["listings"]` counts the listings rebuilt
-    and carried, and `info["transitionsByKind"]` splits the transitions by
-    event kind.
+    its change code (`topology.change_code`), computed once when the state
+    is first reached. A child of a valid state is judged by `valid_after`
+    from that code; the initial state and a child of an invalid one get the
+    full check. A state is listed only when it is expanded: by
+    `carried_listing` from its parent's listing and the same code, or by
+    `slot_listing` after a liveness change. The listed events' guards have
+    just held, so they are applied by `effect_delta`. A state's verdict is
+    reported when it leaves the queue, which is the order it was reached in.
+    `info["listings"]` counts the listings rebuilt and carried, and
+    `info["transitionsByKind"]` splits the transitions by event kind.
     """
     if len(set(joiners)) != len(joiners):
         raise ValueError(f"joiners {list(joiners)} name an identifier twice")
@@ -657,45 +658,16 @@ def explore_reachable(
         bounds={"joins": max_joins, "fails": max_fails, "depth": max_depth},
     )
     join, fail = EventKind.JOIN, EventKind.FAIL
-    seen: set[tuple] = set()
-    queue: deque[tuple] = deque()
+    key = (init.canonical_key()[3], 0, 0)
+    seen = {key}
+    queue = deque([(init, is_valid(init), None, None, key, 0)])
     by_kind: dict[EventKind, int] = {}
-    rebuilt = 0
+    rebuilt = expanded = 0
     truncated = False
-
-    def visit(
-        parent: Network,
-        parent_valid: bool,
-        parent_listing: Listing | None,
-        delta,
-        entries: tuple,
-        joins: int,
-        fails: int,
-        depth: int,
-    ) -> None:
-        nonlocal truncated
-        key = (entries, joins, fails)
-        if key in seen:
-            return
-        if len(seen) >= max_states:
-            truncated = True
-            return
-        seen.add(key)
-        net, valid, change = parent, parent_valid, None
-        if delta is not None:
-            net = parent.with_node(*delta)
-            executor = delta[0].ident
-            valid = valid_after(parent, net, executor) if parent_valid else is_valid(net)
-            change = listing_change(parent, net, executor)
-        report.states_checked += 1
+    while queue:
+        net, valid, parent_listing, change, (entries, joins, fails), depth = queue.popleft()
         if not valid:
             report.add_violation(net, None, "invariant broken at reachable state")
-        queue.append((net, valid, parent_listing, change, entries, joins, fails, depth))
-
-    visit(init, is_valid(init), None, None, init.canonical_key()[3], 0, 0, 0)
-    expanded = 0
-    while queue:
-        net, valid, parent_listing, change, entries, joins, fails, depth = queue.popleft()
         if depth >= max_depth:
             continue
         expanded += 1
@@ -712,18 +684,27 @@ def explore_reachable(
                 continue
             delta = effect_delta(net, ev)
             by_kind[kind] = by_kind.get(kind, 0) + 1
-            post_entries, joined = entries, False
-            if delta is not None:
-                state, live = delta
-                n = state.ident
-                # A Join that only clears a dead lookup changes no membership.
-                joined = live is True and kind is join
-                entry = node_key(state, n in net.live if live is None else live)
-                i = bisect_left(entries, n, key=itemgetter(0))
-                rest = i + 1 if i < len(entries) and entries[i][0] == n else i
-                post_entries = entries[:i] + (entry,) + entries[rest:]
-            joins_after, fails_after = joins + joined, fails + (kind is fail)
-            visit(net, valid, listing, delta, post_entries, joins_after, fails_after, depth + 1)
+            if delta is None:
+                continue  # the state itself, seen already
+            state, live = delta
+            n = state.ident
+            # A Join that only clears a dead lookup changes no membership.
+            joined = live is True and kind is join
+            entry = node_key(state, n in net.live if live is None else live)
+            i = bisect_left(entries, n, key=itemgetter(0))
+            rest = i + 1 if i < len(entries) and entries[i][0] == n else i
+            key = (entries[:i] + (entry,) + entries[rest:], joins + joined, fails + (kind is fail))
+            if key in seen:
+                continue
+            if len(seen) >= max_states:
+                truncated = True
+                continue
+            seen.add(key)
+            post = net.with_node(*delta)
+            post_change = change_code(net, post, n)
+            post_valid = valid_after(net, post, post_change) if valid else is_valid(post)
+            queue.append((post, post_valid, listing, post_change, key, depth + 1))
+    report.states_checked = len(seen)
     report.info.update(
         {
             "states": len(seen),

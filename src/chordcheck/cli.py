@@ -106,8 +106,10 @@ def _scripted_event(rec, where: str) -> ScriptedEvent:
     return ScriptedEvent(event=event, force=bool(force))
 
 
-def _expectation(rec, where: str) -> Expectation:
+def _expectation(rec, where: str, last: int) -> Expectation:
     step = _field(rec, "step", int, where)
+    if not 0 <= step <= last:
+        raise ValueError(f"{where}: step {step} is outside the script's steps 0..{last}")
     predicate = _field(rec, "predicate", str, where)
     args = _field(rec, "args", list, where, optional=True) or []
     if "expected" not in rec:
@@ -134,7 +136,8 @@ def scenario_from_dict(data: dict) -> Scenario:
             _scripted_event(rec, f"script step {i}") for i, rec in enumerate(script, 1)
         ),
         expectations=tuple(
-            _expectation(rec, f"expectation {i}") for i, rec in enumerate(expectations, 1)
+            _expectation(rec, f"expectation {i}", len(script))
+            for i, rec in enumerate(expectations, 1)
         ),
     )
 

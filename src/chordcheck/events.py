@@ -16,7 +16,8 @@ network from it. `enabled_events` is the one listing of candidates, read by
 the checker and the simulator, and the oracle of the explorer's listing: the
 explorer lays the same candidates out in fixed slots (`slot_listing`) and
 derives a successor's slots from its parent's (`carried_listing`),
-refreshing only the slots whose guards read the one node that changed. A
+refreshing only the slots whose guards read what the step's
+`topology.change_code` says changed in the one node it touched. A
 `Join` whose looked-up successor has died is an enabled step that clears the
 lookup, so the explorer takes that branch wherever the simulator can.
 """
@@ -30,7 +31,7 @@ from typing import NamedTuple
 
 from .ident import between
 from .netstate import Network, NodeState
-from .topology import best_successor, lookup_succ
+from .topology import HEAD_MOVED, LIST_CHANGED, best_successor, lookup_succ
 
 
 class EventKind(Enum):
@@ -481,12 +482,6 @@ class Listing(NamedTuple):
         return [ev for ev in self.slots if ev is not None]
 
 
-# A change code packs a successor's executor and what changed in its state
-# besides the pending values: `executor << 2 | LIST_CHANGED | HEAD_MOVED`.
-LIST_CHANGED = 1  # the executor's list; `failable` reads every list
-HEAD_MOVED = 2  # its first live entry; `lookup_succ` reads the walk it moves
-
-
 def slot_listing(net: Network, joiners: Sequence[int]) -> Listing:
     """The slots of every enabled event; each of the distinct `joiners` owns one."""
     joiners = tuple(joiners)
@@ -500,24 +495,9 @@ def slot_listing(net: Network, joiners: Sequence[int]) -> Listing:
     return Listing(joiners, members, slots)
 
 
-def listing_change(parent: Network, post: Network, executor: int) -> int | None:
-    """The change code of `post`, which differs from `parent` only in `executor`,
-    or None if its liveness changed: that moves the slot layout, so `post`
-    needs a `slot_listing` of its own."""
-    live = parent.live
-    if (executor in live) != (executor in post.live):
-        return None
-    changed = 0
-    if executor in live and parent.nodes[executor].succ_list != post.nodes[executor].succ_list:
-        changed = LIST_CHANGED
-        if best_successor(parent, executor) != best_successor(post, executor):
-            changed |= HEAD_MOVED
-    return executor << 2 | changed
-
-
 def carried_listing(parent: Listing, net: Network, change: int) -> Listing:
     """The listing of `net` from `parent`, the listing of the state it succeeds,
-    and the change code `listing_change` gave that step.
+    and the `topology.change_code` of that step.
 
     With liveness unchanged, an event alters only its executor x, so only the
     slots whose guards read x's state can move: a joiner's join step, a

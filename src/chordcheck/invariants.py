@@ -17,7 +17,7 @@ from .ident import between
 from .measure import effective_enabled, total_error
 from .netstate import Network, extended_succ_list
 from .topology import best_successor_map, ring_cycle, ring_members, _cycle_is_ordered, _walk
-from .topology import _share_walk, best_successor, is_ideal
+from .topology import HEAD_MOVED, LIST_CHANGED, _share_walk, is_ideal
 
 
 @dataclass(frozen=True)
@@ -139,39 +139,36 @@ def is_valid(net: Network) -> bool:
     return conjuncts(net).valid
 
 
-def valid_after(parent: Network, post: Network, executor: int) -> bool:
+def valid_after(parent: Network, post: Network, change: int | None) -> bool:
     """`is_valid(post)`, given that `parent` is valid and that `post` differs
-    from it only in `executor`'s state and liveness.
+    from it only in one executor's state and liveness, as `change` (its
+    `topology.change_code`) says.
 
     Validity reads only the live set, the base and the live members' lists:
-    - an executor live in neither state changes none of them;
-    - a liveness change (Join, Fail) gets the full check;
-    - an unchanged list (Rectify, a timeout, a pending-value write) leaves
-      validity as the parent's;
-    - a changed list with the same first live entry leaves the best-successor
-      map, so the walk and the first four conjuncts, as the parent's. Only
-      the executor's own adjacent pairs can then skip a live base member;
-    - any other list change gets the full check.
+    - a liveness change (Join, Fail) or a moved first live entry gets the
+      full check;
+    - otherwise the best-successor map, so the walk and the first four
+      conjuncts, are the parent's;
+    - an unchanged list (a joiner's step, Rectify, a timeout, a pending-value
+      write) leaves validity as the parent's; no conjunct reads a
+      non-member's list;
+    - a changed list can only skip a live base member in the executor's own
+      adjacent pairs.
 
     Wherever the best-successor map is unchanged, `post` takes the parent's
     memoised walk. `is_valid` is the test oracle.
     """
-    live = post.live
-    was_live = executor in parent.live
-    if was_live != (executor in live):
-        return is_valid(post)
-    # No conjunct reads a non-member's list.
-    old = parent.nodes[executor].succ_list if was_live else ()
-    new = post.nodes[executor].succ_list if was_live else ()
-    if old == new:
-        _share_walk(parent, post)
-        return True
-    if best_successor(parent, executor) != best_successor(post, executor):
+    if change is None or change & HEAD_MOVED:
         return is_valid(post)
     _share_walk(parent, post)
+    if not change & LIST_CHANGED:
+        return True
+    executor, live = change >> 2, post.live
     live_base = [b for b in post.base if b in live]
     return not any(
-        between(a, b, c) for a, c in pairwise((executor,) + new) for b in live_base
+        between(a, b, c)
+        for a, c in pairwise((executor,) + post.nodes[executor].succ_list)
+        for b in live_base
     )
 
 

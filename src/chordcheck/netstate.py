@@ -229,11 +229,14 @@ def network_to_dict(net: Network) -> dict:
 
 
 def network_from_dict(data: dict) -> Network:
+    """The network of a record; ValueError if it lists a node or a base member twice."""
     params = RingParams(m=data["m"], r=data["r"])
     nodes: dict[int, NodeState] = {}
     live: set[int] = set()
     for rec in data["nodes"]:
         ident = rec["ident"]
+        if ident in nodes:
+            raise ValueError(f"node {ident} is listed twice")
         nodes[ident] = NodeState(
             ident=ident,
             succ_list=tuple(rec["succList"]),
@@ -243,9 +246,12 @@ def network_from_dict(data: dict) -> Network:
         )
         if rec["live"]:
             live.add(ident)
+    base = frozenset(data["base"])
+    if len(base) != len(data["base"]):
+        raise ValueError(f"base {data['base']!r} names an identifier twice")
     return Network(
         params=params,
-        base=frozenset(data["base"]),
+        base=base,
         nodes=nodes,
         live=frozenset(live),
     )

@@ -26,6 +26,31 @@ def best_successor(net: Network, n: int) -> int | None:
     return None
 
 
+# A change code packs a successor's executor and what its step changed
+# besides the pending values and the predecessor:
+# `executor << 2 | LIST_CHANGED | HEAD_MOVED`.
+LIST_CHANGED = 1  # the executor's list
+HEAD_MOVED = 2  # its first live entry, so the best-successor map and the walk
+
+
+def change_code(parent: Network, post: Network, executor: int) -> int | None:
+    """The change code of `post`, which differs from `parent` only in
+    `executor`'s state and liveness, or None if its liveness changed.
+
+    The one comparison of the executor's old and new list and first live
+    entry: `invariants.valid_after` and `events.carried_listing` read it.
+    """
+    live = parent.live
+    if (executor in live) != (executor in post.live):
+        return None
+    changed = 0
+    if executor in live and parent.nodes[executor].succ_list != post.nodes[executor].succ_list:
+        changed = LIST_CHANGED
+        if best_successor(parent, executor) != best_successor(post, executor):
+            changed |= HEAD_MOVED
+    return executor << 2 | changed
+
+
 def best_successor_map(net: Network) -> dict[int, int | None]:
     return {n: best_successor(net, n) for n in net.live_idents()}
 

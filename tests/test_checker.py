@@ -33,7 +33,7 @@ from chordcheck.invariants import (
     valid_after,
 )
 from chordcheck.measure import effective_enabled, total_error
-from chordcheck.topology import is_ideal
+from chordcheck.topology import change_code, is_ideal
 from chordcheck import checker, events
 
 import events_oracle as oracle
@@ -505,12 +505,12 @@ class TestExploreReachable:
         assert report.info["truncated"]
 
 
-def _judged_as_in_full(parent, post, executor):
+def _judged_as_in_full(parent, post, change):
     """`valid_after` agrees with the full check of `post`, and a walk it hands
     from `parent` to `post` is the walk `post` makes itself. Returns the verdict."""
     expected = is_valid(post)
     own = post.__dict__["_walk"]
-    assert valid_after(parent, post, executor) == expected
+    assert valid_after(parent, post, change) == expected
     assert post.__dict__["_walk"] == own
     return expected
 
@@ -529,7 +529,7 @@ class TestDeltaValidity:
         make_init, joins, fails, depth, joiners = config
         steps = 0
         for net, ev, post, _ in _bfs_steps(make_init(), joins, fails, depth, joiners):
-            assert _judged_as_in_full(net, post, ev.node)
+            assert _judged_as_in_full(net, post, change_code(net, post, ev.node))
             steps += 1
         assert steps > 0
 
@@ -541,7 +541,8 @@ class TestDeltaValidity:
             for faults in self.FAULTS:
                 for prepared, ev in cases:
                     post = apply_event(prepared, ev, faults=faults)
-                    verdicts[_judged_as_in_full(prepared, post, ev.node)] += 1
+                    change = change_code(prepared, post, ev.node)
+                    verdicts[_judged_as_in_full(prepared, post, change)] += 1
         return verdicts
 
     def test_every_case_of_the_exhaustive_shapes(self, n4_states):
@@ -558,7 +559,7 @@ class TestDeltaValidity:
             for n in net.live:
                 for succ_list in itertools.product(sorted(net.nodes), repeat=net.params.r):
                     post = net.with_node(replace(net.node(n), succ_list=succ_list))
-                    verdicts[_judged_as_in_full(net, post, n)] += 1
+                    verdicts[_judged_as_in_full(net, post, change_code(net, post, n))] += 1
         assert verdicts[True] and verdicts[False]
 
     @pytest.mark.parametrize("r", [2, 3])
@@ -661,7 +662,7 @@ class TestCarriedListing:
         report = checker.explore_reachable(init, joins, fails, depth, joiners=joiners)
         expected = list(_expanded_states(init, joins, fails, depth, joiners))
         assert len(listed) == len(expected) == sum(report.info["listings"].values())
-        for (net, listing), (oracle_net, allowed) in zip(listed, expected):
+        for (net, listing), (oracle_net, allowed, _) in zip(listed, expected):
             assert net == oracle_net
             assert listing.joiners == allowed
             assert listing.events() == enabled_events(net, joiners=allowed), net
@@ -669,7 +670,12 @@ class TestCarriedListing:
 
 
 def _expanded_states(init, max_joins, max_fails, max_depth, joiners):
-    """Each state `_plain_bfs` expands, in order, with the joiners it offers there."""
+    """Each state a plain breadth-first search expands, in order, with the
+    joiners it offers there and its transitions. The search builds every
+    successor with `apply_event` and keys it with `Network.canonical_key`. A
+    transition is (event, successor, visited triple): the triple is
+    (canonical key, joins, fails) for a successor not visited before, and
+    None for one already visited."""
     from collections import deque
 
     seen = {(init.canonical_key(), 0, 0)}
@@ -679,7 +685,7 @@ def _expanded_states(init, max_joins, max_fails, max_depth, joiners):
         if depth >= max_depth:
             continue
         allowed = joiners if joins < max_joins else ()
-        yield net, allowed
+        steps = []
         for ev in enabled_events(net, joiners=allowed):
             failing = ev.kind is EventKind.FAIL
             if failing and fails >= max_fails:
@@ -687,9 +693,12 @@ def _expanded_states(init, max_joins, max_fails, max_depth, joiners):
             post = apply_event(net, ev)
             joined = ev.kind is EventKind.JOIN and post.is_live(ev.node)
             key = (post.canonical_key(), joins + joined, fails + failing)
-            if key not in seen:
+            fresh = key not in seen
+            if fresh:
                 seen.add(key)
                 queue.append((post, key[1], key[2], depth + 1))
+            steps.append((ev, post, key if fresh else None))
+        yield net, allowed, steps
 
 
 def _record_judged(monkeypatch, record):
@@ -700,63 +709,25 @@ def _record_judged(monkeypatch, record):
     monkeypatch.setattr(
         checker,
         "valid_after",
-        lambda parent, net, executor: record(net) or valid_after(parent, net, executor),
+        lambda parent, net, change: record(net) or valid_after(parent, net, change),
     )
 
 
 def _bfs_steps(init, max_joins, max_fails, max_depth, joiners):
-    """Each transition (state, event, successor, visited triple) of the search
-    `_plain_bfs` makes. The triple is (canonical key, joins, fails) for a
-    successor not visited before, and None for one already visited."""
-    from collections import deque
-
-    seen = {(init.canonical_key(), 0, 0)}
-    queue = deque([(init, 0, 0, 0)])
-    while queue:
-        net, joins, fails, depth = queue.popleft()
-        if depth >= max_depth:
-            continue
-        for ev in enabled_events(net, joiners=joiners if joins < max_joins else ()):
-            failing = ev.kind is EventKind.FAIL
-            if failing and fails >= max_fails:
-                continue
-            post = apply_event(net, ev)
-            joined = ev.kind is EventKind.JOIN and post.is_live(ev.node)
-            key = (post.canonical_key(), joins + joined, fails + failing)
-            if key in seen:
-                yield net, ev, post, None
-                continue
-            seen.add(key)
-            queue.append((post, key[1], key[2], depth + 1))
+    """Each transition (state, event, successor, visited triple) of
+    `_expanded_states`."""
+    for net, _, steps in _expanded_states(init, max_joins, max_fails, max_depth, joiners):
+        for ev, post, key in steps:
             yield net, ev, post, key
 
 
 def _plain_bfs(init, max_joins, max_fails, max_depth, joiners):
     """The visited (canonical key, joins, fails) triples in visiting order, and
-    the transition count, of a breadth-first search that builds every successor
-    with `apply_event` and keys it with `Network.canonical_key`."""
-    from collections import deque
-
-    order = [(init.canonical_key(), 0, 0)]
-    seen = set(order)
-    queue = deque([(init, 0, 0, 0)])
-    transitions = 0
-    while queue:
-        net, joins, fails, depth = queue.popleft()
-        if depth >= max_depth:
-            continue
-        for ev in enabled_events(net, joiners=joiners if joins < max_joins else ()):
-            failing = ev.kind is EventKind.FAIL
-            if failing and fails >= max_fails:
-                continue
-            post = apply_event(net, ev)
-            transitions += 1
-            joined = ev.kind is EventKind.JOIN and post.is_live(ev.node)
-            key = (post.canonical_key(), joins + joined, fails + failing)
-            if key not in seen:
-                seen.add(key)
-                order.append(key)
-                queue.append((post, key[1], key[2], depth + 1))
+    the transition count, of `_expanded_states`."""
+    order, transitions = [(init.canonical_key(), 0, 0)], 0
+    for _, _, steps in _expanded_states(init, max_joins, max_fails, max_depth, joiners):
+        transitions += len(steps)
+        order += (key for _, _, key in steps if key)
     return order, transitions
 
 

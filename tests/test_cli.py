@@ -14,6 +14,21 @@ from chordcheck.netstate import init_network, network_to_dict
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
+def _ideal_record(edit):
+    """The record of the ideal ring over 7, 19 and 33 at m=6, r=2, after `edit`."""
+    rec = network_to_dict(init_network(RingParams(6, 2), [7, 19, 33]))
+    edit(rec)
+    return rec
+
+
+def _node_twice(rec):
+    rec["nodes"].append(rec["nodes"][0])
+
+
+def _base_twice(rec):
+    rec["base"] = [7, 7, 19]
+
+
 class TestReplayScenarios:
     @pytest.mark.parametrize("name", ["fig2.json", "fig3.json", "fig4.json"])
     def test_packaged_scenarios_pass(self, name):
@@ -128,6 +143,22 @@ class TestReplayScenarios:
             (lambda s: s.update(base=[7, "19", 33]), "base entry '19' is not an integer"),
             (lambda s: s.update(script={}), "script {} is not a list"),
             (lambda s: s["params"].update(m=10**12), "m must be at most 160"),
+            (
+                lambda s: s["expectations"][0].update(step=8),
+                "expectation 1: step 8 is outside the script's steps 0..7",
+            ),
+            (
+                lambda s: s["expectations"][11].update(step=-1),
+                "expectation 12: step -1 is outside the script's steps 0..7",
+            ),
+            (
+                lambda s: s.update(initialState=_ideal_record(_node_twice)),
+                "node 7 is listed twice",
+            ),
+            (
+                lambda s: s.update(initialState=_ideal_record(_base_twice)),
+                "base [7, 7, 19] names an identifier twice",
+            ),
         ],
     )
     def test_mistyped_scenario_field_exit_2(self, tmp_path, capsys, edit, message):
@@ -238,6 +269,18 @@ class TestNetworkFiles:
         path.write_text(json.dumps(data))
         assert cli.main([*argv, str(path)]) == cli.EXIT_PARSE
         assert "m must be at most 160" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["explore", "--net"], ["export-dot"]])
+    @pytest.mark.parametrize(
+        "edit, message",
+        [(_node_twice, "node 7 is listed twice"), (_base_twice, "names an identifier twice")],
+    )
+    def test_ambiguous_record_exit_2(self, tmp_path, capsys, argv, edit, message):
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(_ideal_record(edit)))
+        assert cli.main([*argv, str(path)]) == cli.EXIT_PARSE
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
 
     @pytest.mark.parametrize("text", ['{"m": 6}', "[1, 2]", '{"m": 6, "r": 2, "base": [], "nodes": [5]}'])
     def test_explore_rejects_malformed_records(self, tmp_path, text):
@@ -414,3 +457,22 @@ def test_readme_lists_every_registry_predicate_with_its_arity():
         rows.append((row[1], tuple(int(n) for n in row[2].split(" or "))))
     assert len(rows) == len(dict(rows))
     assert dict(rows) == {name: arities for name, (_, arities) in PREDICATES.items()}
+
+
+def test_readme_module_references_resolve():
+    # Every `module.name` in README whose module is a chordcheck module names
+    # an attribute of it, so a renamed or moved function leaves no stale name.
+    import importlib
+    import pkgutil
+
+    import chordcheck
+
+    modules = [info.name for info in pkgutil.iter_modules(chordcheck.__path__)]
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    refs = set(re.findall(rf"`((?:{'|'.join(modules)})(?:\.\w+)+)`", text))
+    assert refs
+    for ref in sorted(refs):
+        obj = importlib.import_module(f"chordcheck.{ref.split('.')[0]}")
+        for attr in ref.split(".")[1:]:
+            assert hasattr(obj, attr), f"README names {ref}, which does not resolve"
+            obj = getattr(obj, attr)

@@ -152,6 +152,18 @@ class TestSerialization:
         for net in sample_valid_states(RingParams(6, 3), 9, 300, seed=11):
             assert network_from_json(network_to_json(net)) == net
 
+    def test_a_node_listed_twice_is_refused(self):
+        data = network_to_dict(init_network(PARAMS, [7, 19, 33]))
+        data["nodes"].append({**data["nodes"][0], "pred": None})
+        with pytest.raises(ValueError, match="node 7 is listed twice"):
+            network_from_dict(data)
+
+    def test_a_repeated_base_identifier_is_refused(self):
+        data = network_to_dict(init_network(PARAMS, [7, 19, 33]))
+        data["base"] = [7, 7, 19]
+        with pytest.raises(ValueError, match=r"base \[7, 7, 19\] names an identifier twice"):
+            network_from_dict(data)
+
     def test_canonical_key_distinguishes(self):
         a = init_network(PARAMS, [7, 19, 33])
         b = init_network(PARAMS, [7, 19, 34])

@@ -308,6 +308,14 @@ class TestTraceStreaming:
         with pytest.raises(ValueError, match="^trace line 1: .*at most 160"):
             sim.replay_trace_jsonl(str(path))
 
+    def test_header_listing_a_node_twice_raises_value_error_naming_line_1(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        initial = network_to_dict(init_network(RingParams(6, 2), [7, 19, 33]))
+        initial["nodes"].append(initial["nodes"][0])
+        path.write_text(json.dumps({"type": "header", "initial": initial}) + "\n")
+        with pytest.raises(ValueError, match="^trace line 1: node 7 is listed twice"):
+            sim.replay_trace_jsonl(str(path))
+
     def test_fail_of_a_base_member_raises_on_replay(self, tmp_path):
         trace = run(seed=21, churn=50)
         path = tmp_path / "trace.jsonl"

@@ -1,12 +1,17 @@
 """Structural queries: best successors, ring detection, ideality, lookup."""
 
+from dataclasses import replace
+
 import pytest
 
 from chordcheck.ident import RingParams, between, clockwise_rank
-from chordcheck.netstate import init_network
+from chordcheck.netstate import NodeState, init_network
 from chordcheck.events import apply_fail
 from chordcheck.topology import (
+    HEAD_MOVED,
+    LIST_CHANGED,
     best_successor,
+    change_code,
     globally_correct_pred,
     globally_correct_succ,
     is_ideal,
@@ -179,3 +184,43 @@ class TestLookupSucc:
             k = len(cycle)
             x = cycle[(cycle.index(y) - 1) % k]
             assert x == y or between(x, j, y)
+
+
+def _changed_start():
+    """A four-ring in which 7 still lists the dead 25 first, and 10 is joining."""
+    net = make_net(
+        6, 2, base=[7, 33, 50],
+        nodes={7: (50, (25, 19)), 19: (7, (33, 50)), 33: (19, (50, 7)), 50: (33, (7, 19))},
+        dead={25: (19, (33, 50))},
+    )
+    return net.with_node(NodeState(10, (), None, None))
+
+
+class TestChangeCode:
+    """`change_code` on hand-built (parent, post) pairs, one per outcome."""
+
+    @pytest.mark.parametrize(
+        "edit, executor, changed",
+        [
+            (lambda net: net.with_node(net.node(19), live=False), 19, None),
+            (lambda net: net.with_node(NodeState(10, (19, 33), None), live=True), 10, None),
+            (lambda net: net.with_node(NodeState(10, (), None, 19)), 10, 0),
+            (lambda net: net.with_node(replace(net.node(19), pred=10)), 19, 0),
+            (lambda net: net.with_node(replace(net.node(7), pending_candidate=10)), 7, 0),
+            (lambda net: net.with_node(replace(net.node(7), succ_list=(19, 33))), 7, LIST_CHANGED),
+            (lambda net: net.with_node(replace(net.node(19), succ_list=(33, 7))), 19, LIST_CHANGED),
+            (
+                lambda net: net.with_node(replace(net.node(7), succ_list=(33, 50))),
+                7,
+                LIST_CHANGED | HEAD_MOVED,
+            ),
+        ],
+        ids=[
+            "fail", "join", "joiner-step", "pred-only", "pending-only",
+            "dead-head-dropped", "tail-changed", "head-moved",
+        ],
+    )
+    def test_each_outcome(self, edit, executor, changed):
+        parent = _changed_start()
+        code = change_code(parent, edit(parent), executor)
+        assert code == (None if changed is None else executor << 2 | changed)
