@@ -459,12 +459,12 @@ def preservation_cases(net: Network, kinds=ALL_KINDS):
     adoptions are swept, and every other kind is read from `enabled_events`.
     """
     listed: dict[EventKind, list[Event]] = {}
-    for ev in enabled_events(net, kinds=[k for k in kinds if k not in _ACQUIRED]):
+    for ev in enabled_events(net):
         listed.setdefault(ev.kind, []).append(ev)
     for kind in ALL_KINDS:
         if kind in _ACQUIRED and kind in kinds:
             yield from _acquired_sweep(net, kind)
-        else:
+        elif kind in kinds:
             for ev in listed.get(kind, ()):
                 yield net, ev
 
@@ -631,7 +631,9 @@ def explore_reachable(
 
     Validity is asserted at every reached state. The join budget counts
     members that join; lookups, and Joins that clear a dead lookup, are free
-    but only offered while joins remain. `joiners` must be distinct.
+    but only offered while joins remain. ValueError names a joiner outside
+    the identifier space, one named twice, or one in the stable base, which
+    never fails and so never joins.
 
     An event changes only its executor, so a successor is keyed without being
     built: its `canonical_key` node entries are the parent's, with the
@@ -651,8 +653,14 @@ def explore_reachable(
     `info["listings"]` counts the listings rebuilt and carried, and
     `info["transitionsByKind"]` splits the transitions by event kind.
     """
-    if len(set(joiners)) != len(joiners):
-        raise ValueError(f"joiners {list(joiners)} name an identifier twice")
+    space = init.params.space
+    for i, j in enumerate(joiners):
+        if not 0 <= j < space:
+            raise ValueError(f"joiner {j} outside the identifier space [0, {space})")
+        if j in joiners[:i]:
+            raise ValueError(f"joiner {j} is named twice")
+        if j in init.base:
+            raise ValueError(f"joiner {j} is a stable-base member: it never fails, so never joins")
     report = CheckReport(
         lemma="ReachableStatesValid",
         bounds={"joins": max_joins, "fails": max_fails, "depth": max_depth},

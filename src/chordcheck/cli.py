@@ -12,6 +12,7 @@ import json
 import sys
 from collections import Counter
 from dataclasses import dataclass
+from pathlib import Path
 
 from .ident import RingParams
 from .netstate import (
@@ -317,6 +318,19 @@ def _usage_error(command: str, err) -> int:
     return EXIT_USAGE
 
 
+def _write_out(command: str, path: str, write) -> int:
+    """Call `write(path)`; a path that cannot be written exits 64 with one line naming it."""
+    try:
+        write(path)
+    except OSError as err:
+        return _usage_error(command, f"cannot write {path}: {err.strerror or err}")
+    return EXIT_OK
+
+
+def _write_text(text: str):
+    return lambda path: Path(path).write_text(text, encoding="utf-8")
+
+
 def _require_floors(args, **floors) -> None:
     """Raise ValueError naming the first flag whose value lies below its floor."""
     for name, floor in floors.items():
@@ -331,10 +345,8 @@ def _cmd_init(args) -> int:
         return _usage_error("init", err)
     text = network_to_json(net, indent=2)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+        return _write_out("init", args.out, _write_text(text + "\n"))
+    print(text)
     return EXIT_OK
 
 
@@ -345,6 +357,8 @@ def _cmd_check(args) -> int:
     try:
         params = RingParams(m=args.m or (3 if exhaustive else 6), r=r)
         _require_floors(args, samples=1)
+        if args.trial and args.target != "trial-search":
+            raise ValueError("--trial applies only to trial-search")
         if exhaustive:
             checker.require_exhaustible(params, args.n)
         elif not r + 1 <= args.n <= params.space:
@@ -377,8 +391,9 @@ def _cmd_check(args) -> int:
             "event": {"kind": ev.kind.value, "node": ev.node},
         }
         out = args.out or "trial_counterexample.json"
-        with open(out, "w", encoding="utf-8") as fh:
-            json.dump(artifact, fh, indent=2, sort_keys=True)
+        text = json.dumps(artifact, indent=2, sort_keys=True)
+        if _write_out("check trial-search", out, _write_text(text)) != EXIT_OK:
+            return EXIT_USAGE
         print(f"trial-search[{trial}]: counterexample written to {out}")
         return EXIT_OK
 
@@ -414,8 +429,9 @@ def _cmd_check(args) -> int:
         )
     print(f"{summary} (bounds {bounds})")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
+        text = json.dumps(report.to_dict(), indent=2, sort_keys=True)
+        if _write_out(f"check {args.target}", args.out, _write_text(text)) != EXIT_OK:
+            return EXIT_USAGE
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
@@ -441,22 +457,16 @@ def _cmd_explore(args) -> int:
             return _usage_error("explore", err)
     try:
         _require_floors(args, joins=0, fails=0, depth=0, max_states=1)
+        report = checker.explore_reachable(
+            net,
+            max_joins=args.joins,
+            max_fails=args.fails,
+            max_depth=args.depth,
+            joiners=args.joiners,
+            max_states=args.max_states,
+        )
     except ValueError as err:
         return _usage_error("explore", err)
-    space = net.params.space
-    for i, j in enumerate(args.joiners):
-        if not 0 <= j < space:
-            return _usage_error("explore", f"joiner {j} outside the identifier space [0, {space})")
-        if j in args.joiners[:i]:
-            return _usage_error("explore", f"joiner {j} is repeated in --joiners")
-    report = checker.explore_reachable(
-        net,
-        max_joins=args.joins,
-        max_fails=args.fails,
-        max_depth=args.depth,
-        joiners=args.joiners,
-        max_states=args.max_states,
-    )
     print(
         f"explored {report.info['states']} states, {report.info['transitions']} transitions"
         + (" (truncated)" if report.info["truncated"] else "")
@@ -493,7 +503,10 @@ def _cmd_simulate(args) -> int:
     kinds = Counter(s.event.kind for s in trace.steps)
     print("events: " + " ".join(f"{kind.value}={kinds[kind]}" for kind in EventKind))
     if args.trace_out:
-        simulation.write_trace_jsonl(trace, args.trace_out, args.snapshot_interval)
+        write = lambda path: simulation.write_trace_jsonl(  # noqa: E731
+            trace, path, args.snapshot_interval
+        )
+        return _write_out("simulate", args.trace_out, write)
     return EXIT_OK
 
 
@@ -517,10 +530,8 @@ def _cmd_export_dot(args) -> int:
         return EXIT_PARSE
     text = export_dot(net)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        print(text, end="")
+        return _write_out("export-dot", args.out, _write_text(text))
+    print(text, end="")
     return EXIT_OK
 
 

@@ -12,14 +12,14 @@ event does not time out". Each effect returns only what the rule above lets
 it change: the executor's new state and its liveness change. `event_delta`
 is the guard, then `effect_delta`, which returns that pair, so a caller can
 key the next state without building it; `apply_event` builds the next
-network from it. `enabled_events` is the one listing of candidates, read by
-the checker and the simulator, and the oracle of the explorer's listing: the
-explorer lays the same candidates out in fixed slots (`slot_listing`) and
-derives a successor's slots from its parent's (`carried_listing`),
-refreshing only the slots whose guards read what the step's
-`topology.change_code` says changed in the one node it touched. A
-`Join` whose looked-up successor has died is an enabled step that clears the
-lookup, so the explorer takes that branch wherever the simulator can.
+network from it. The candidates are listed in one place: `slot_listing` lays
+them out in fixed slots, and `enabled_events` is its events in slot order,
+read by the checker and the simulator. The explorer keeps the slots and
+derives a successor's from its parent's (`carried_listing`), refreshing only
+the slots whose guards read what the step's `topology.change_code` says
+changed in the one node it touched. A `Join` whose looked-up successor has
+died is an enabled step that clears the lookup, so the explorer takes that
+branch wherever the simulator can.
 """
 
 from __future__ import annotations
@@ -52,6 +52,8 @@ ALL_KINDS = tuple(EventKind)
 # several times faster than an enum attribute.
 _RECTIFY = EventKind.RECTIFY
 _FAIL = EventKind.FAIL
+_SFOS = EventKind.STABILIZE_FROM_OLD_SUCCESSOR
+_SFNS = EventKind.STABILIZE_FROM_NEW_SUCCESSOR
 _KIND_ORDER = {kind: i for i, kind in enumerate(EventKind)}
 
 
@@ -418,61 +420,21 @@ def apply_fail(net: Network, n: int, force: bool = False) -> Network:
     return apply_event(net, Event(EventKind.FAIL, n), force=force)
 
 
+# --- the one candidate listing, in slots carried from parent to successor ---------
+#
+# For one live set and one joiner tuple, every candidate event has a fixed
+# slot: each joiner's join step, then each live member's two stabilize steps
+# and its Fail, then the Rectify each live member sends. A slot holds its
+# event while it is enabled and None otherwise, so the events in slot order
+# are the listing.
+
 # A joiner's one possible step, indexed by whether it holds a lookup result:
 # the JoinLookup guard refuses a second lookup, and a Join needs one.
 _JOIN_STEP = (EventKind.JOIN_LOOKUP, EventKind.JOIN)
-_MEMBER_KINDS = (EventKind.STABILIZE_FROM_OLD_SUCCESSOR, EventKind.STABILIZE_FROM_NEW_SUCCESSOR)
-
-
-def enabled_events(
-    net: Network, joiners: Sequence[int] | None = None, kinds=ALL_KINDS
-) -> list[Event]:
-    """Every enabled event of the given kinds, in listing order.
-
-    The order is fixed: each joiner's one join step (JoinLookup, or Join once
-    it holds a lookup result), then each live member's two stabilize steps
-    and its Fail, then the Rectify that each live member would send to the
-    head of its list. `joiners` names the identifiers considered as join
-    candidates; by default every non-live identifier the network tracks.
-    """
-    if joiners is None:
-        joiners = [i for i in sorted(net.nodes) if i not in net.live]
-    member_kinds = [k for k in _MEMBER_KINDS if k in kinds]
-    # `failable` applies the Fail guard to every member in one pass.
-    fails = failable(net) - net.base if _FAIL in kinds else frozenset()
-    events = []
-    for j in joiners:
-        state = net.nodes.get(j)
-        kind = _JOIN_STEP[state is not None and state.pending_new_succ is not None]
-        if kind in kinds and is_enabled(net, ev := Event(kind, j)):
-            events.append(ev)
-    live = net.live_idents()
-    for n in live:
-        for k in member_kinds:
-            ev = Event(k, n)
-            if is_enabled(net, ev):
-                events.append(ev)
-        if n in fails:
-            events.append(Event(_FAIL, n))
-    if _RECTIFY in kinds:
-        for p in live:
-            ev = Event(_RECTIFY, net.nodes[p].succ_list[0], new_pred=p)
-            if is_enabled(net, ev):
-                events.append(ev)
-    return events
-
-
-# --- the slot listing, carried from parent to successor ---------------------------
-#
-# For one live set and one joiner tuple, every candidate of `enabled_events`
-# has a fixed slot: each joiner's join step, then each live member's two
-# stabilize steps and its Fail, then the Rectify each live member sends. A
-# slot holds its event while it is enabled and None otherwise, so the events
-# in slot order are the listing.
 
 
 class Listing(NamedTuple):
-    """`enabled_events(net, joiners)` as slots, so a successor can refresh only a few."""
+    """The enabled events as slots, so a successor can refresh only a few."""
 
     joiners: tuple[int, ...]
     members: tuple[int, ...]  # the live set, sorted
@@ -486,13 +448,24 @@ def slot_listing(net: Network, joiners: Sequence[int]) -> Listing:
     """The slots of every enabled event; each of the distinct `joiners` owns one."""
     joiners = tuple(joiners)
     members = net.live_idents()
+    fails = failable(net) - net.base
     slots = [_join_step(net, j) for j in joiners]
     for n in members:
-        slots += (_enabled(net, Event(k, n)) for k in _MEMBER_KINDS)
-        slots.append(None)  # its Fail, filled below
-    slots += (_rectify_step(net, p, None) for p in members)
-    _fill_fails(net, members, slots, len(joiners))
+        slots += (
+            _enabled(net, Event(_SFOS, n)),
+            _enabled(net, Event(_SFNS, n)),
+            Event(_FAIL, n) if n in fails else None,
+        )
+    slots += [_rectify_step(net, p, None) for p in members]
     return Listing(joiners, members, slots)
+
+
+def enabled_events(net: Network, joiners: Sequence[int] | None = None) -> list[Event]:
+    """Every enabled event, in slot order; the distinct `joiners` default to
+    every non-live identifier the network tracks."""
+    if joiners is None:
+        joiners = [i for i in sorted(net.nodes) if i not in net.live]
+    return slot_listing(net, joiners).events()
 
 
 def carried_listing(parent: Listing, net: Network, change: int) -> Listing:
@@ -503,7 +476,7 @@ def carried_listing(parent: Listing, net: Network, change: int) -> Listing:
     slots whose guards read x's state can move: a joiner's join step, a
     member's adoption step and, when x's list changed, its other stabilize
     step, the Rectify it sends and every Fail, and, when x's first live
-    entry moved, every joiner's JoinLookup. `enabled_events` is the oracle.
+    entry moved, every joiner's JoinLookup. `slot_listing` is the oracle.
     A refreshed slot keeps its parent's event object when the event is the
     same, so a family of listings shares them.
     """
@@ -516,10 +489,10 @@ def carried_listing(parent: Listing, net: Network, change: int) -> Listing:
         return Listing(joiners, members, slots)
     k = members.index(x)
     at = first + 3 * k
-    slots[at + 1] = _enabled(net, slots[at + 1] or Event(_MEMBER_KINDS[1], x))
+    slots[at + 1] = _enabled(net, slots[at + 1] or Event(_SFNS, x))
     if changed & LIST_CHANGED:
         # Only the adoption step reads x's pending candidate; the rest read its list.
-        slots[at] = _enabled(net, slots[at] or Event(_MEMBER_KINDS[0], x))
+        slots[at] = _enabled(net, slots[at] or Event(_SFOS, x))
         rectify = first + 3 * len(members) + k
         slots[rectify] = _rectify_step(net, x, slots[rectify])
         _fill_fails(net, members, slots, first)

@@ -1,7 +1,7 @@
 """Deterministic churn-then-quiesce simulation.
 
-Phase 1 applies randomly chosen events, each drawn from `enabled_events`,
-plus a fresh JoinLookup by a random identifier. Phase 2 schedules only
+Phase 1 applies randomly chosen joins, fails and repairs: the repairs are
+the one listing, `enabled_events`, without its Fails. Phase 2 schedules only
 repair events, weakly fairly, until a whole sweep finds no effective repair;
 the theorem says that point is the ideal state and that it stays ideal.
 """
@@ -34,6 +34,7 @@ from .events import (
     enabled_events,
     event_from_dict,
     event_to_dict,
+    failable,
     is_enabled,
 )
 from .invariants import conjuncts
@@ -46,11 +47,6 @@ REPAIR = "repair"
 # Churn pool weights beside `SimConfig.join_weight`.
 FAIL_WEIGHT = 1.0
 REPAIR_WEIGHT = 3.0
-REPAIR_KINDS = (
-    EventKind.STABILIZE_FROM_OLD_SUCCESSOR,
-    EventKind.STABILIZE_FROM_NEW_SUCCESSOR,
-    EventKind.RECTIFY,
-)
 
 
 # Phase 2 gives up after this many applied repair events.
@@ -118,9 +114,10 @@ def run_simulation(config: SimConfig) -> Trace:
         live = net.live_idents()
         joins: list[Event] = []
         if len(live) < cap:
-            # Every pending joiner's Join is enabled: it completes, or it
-            # clears a lookup whose successor has died.
-            joins = enabled_events(net, kinds=(EventKind.JOIN,))
+            # A pending joiner's Join completes, or it clears a lookup whose
+            # successor has died.
+            pending = (j for j in sorted(net.nodes) if net.nodes[j].pending_new_succ is not None)
+            joins = [ev for j in pending if is_enabled(net, ev := Event(EventKind.JOIN, j))]
             # A fresh joiner is any identifier neither live nor mid-join; the
             # base never fails, so a live contact always exists.
             blocked = sorted([*live, *(ev.node for ev in joins)])
@@ -129,7 +126,7 @@ def run_simulation(config: SimConfig) -> Trace:
                 ev = Event(EventKind.JOIN_LOOKUP, j, known=_pick(rng, live))
                 if is_enabled(net, ev):
                     joins.append(ev)
-        fails = enabled_events(net, joiners=(), kinds=(EventKind.FAIL,))
+        fails = [Event(EventKind.FAIL, n) for n in sorted(failable(net) - net.base)]
 
         # The repair pool holds a stabilize for every member, so it is
         # non-empty exactly when a member is live: it is built only if picked.
@@ -153,7 +150,7 @@ def run_simulation(config: SimConfig) -> Trace:
                 break
             roll -= w
         if pool is None:
-            pool = enabled_events(net, joiners=(), kinds=REPAIR_KINDS)
+            pool = [ev for ev in enabled_events(net, joiners=()) if ev.kind is not EventKind.FAIL]
         ev = _pick(rng, pool)
         net = record(ev, apply_event(net, ev), CHURN)
 

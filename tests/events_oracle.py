@@ -8,13 +8,16 @@ for `chordcheck.events`' guard table and its one candidate listing, with
 `fail_guard_holds`, the from-scratch Fail guard that `failable` replaced,
 and `effective_enabled`, which restated the kernel's stabilize copy,
 adoption test and rectify choice before `chordcheck.measure` read them
-from `chordcheck.events`.
+from `chordcheck.events`. `listing_loop` is the kernel's listing as a
+plain loop over the guard table, from before `enabled_events` read the
+explorer's slots; it is the oracle of the listing's order.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 
+from chordcheck import events as kernel
 from chordcheck.events import (
     AssumptionBreach,
     Event,
@@ -360,6 +363,40 @@ def _repair_pool(net: Network, live: tuple[int, ...]) -> list[Event]:
         if is_enabled(net, ev):
             repairs.append(ev)
     return repairs
+
+
+def listing_loop(net: Network, joiners=None) -> list[Event]:
+    """Every event the guard table enables, in listing order.
+
+    The order is fixed: each joiner's one join step (JoinLookup, or Join once
+    it holds a lookup result), then each live member's two stabilize steps
+    and its Fail, then the Rectify that each live member would send to the
+    head of its list. `joiners` names the identifiers considered as join
+    candidates; by default every non-live identifier the network tracks.
+    """
+    if joiners is None:
+        joiners = [i for i in sorted(net.nodes) if i not in net.live]
+    fails = failable(net) - net.base
+    events = []
+    for j in joiners:
+        state = net.nodes.get(j)
+        pending = state is not None and state.pending_new_succ is not None
+        ev = Event(EventKind.JOIN if pending else EventKind.JOIN_LOOKUP, j)
+        if kernel.is_enabled(net, ev):
+            events.append(ev)
+    live = net.live_idents()
+    for n in live:
+        for k in (EventKind.STABILIZE_FROM_OLD_SUCCESSOR, EventKind.STABILIZE_FROM_NEW_SUCCESSOR):
+            ev = Event(k, n)
+            if kernel.is_enabled(net, ev):
+                events.append(ev)
+        if n in fails:
+            events.append(Event(EventKind.FAIL, n))
+    for p in live:
+        ev = Event(EventKind.RECTIFY, net.nodes[p].succ_list[0], new_pred=p)
+        if kernel.is_enabled(net, ev):
+            events.append(ev)
+    return events
 
 
 def preservation_cases(net: Network, kinds=ALL_KINDS):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 from collections import Counter
 from dataclasses import replace
 
@@ -482,8 +483,21 @@ class TestExploreReachable:
 
     def test_repeated_joiners_are_refused(self):
         init = init_network(WIDE, [7, 19, 33])
-        with pytest.raises(ValueError, match="twice"):
+        with pytest.raises(ValueError, match="joiner 10 is named twice"):
             checker.explore_reachable(init, 1, 0, 6, joiners=(10, 10))
+
+    @pytest.mark.parametrize(
+        "joiners, named",
+        [
+            ((10, 64), "joiner 64 outside the identifier space [0, 64)"),
+            ((-1,), "joiner -1 outside the identifier space"),
+            ((10, 19), "joiner 19 is a stable-base member"),
+        ],
+    )
+    def test_joiners_that_can_never_join_are_refused(self, joiners, named):
+        init = init_network(WIDE, [7, 19, 33])
+        with pytest.raises(ValueError, match=re.escape(named)):
+            checker.explore_reachable(init, 1, 0, 6, joiners=joiners)
 
     def test_report_splits_listings_and_transitions(self):
         make_init, joins, fails, depth, joiners = self.ORACLE_CONFIGS["dead-lookup"]
@@ -630,12 +644,13 @@ def _stranded_start():
     net = _dead_member_start()
     net = net.with_node(NodeState(19, (20, 33), 7))
     net = net.with_node(NodeState(50, (19, 25), 33, None, 7))
-    assert enabled_events(net, joiners=(10,), kinds=(EventKind.JOIN_LOOKUP,)) == []
+    assert all(ev.kind is not EventKind.JOIN_LOOKUP for ev in enabled_events(net, joiners=(10,)))
     return net
 
 
 class TestCarriedListing:
-    """The explorer's listing of every expanded state against `enabled_events`."""
+    """The explorer's listing of every expanded state against the listing loop
+    (`events_oracle.listing_loop`), order included."""
 
     CONFIGS = {
         **TestDeltaValidity.CONFIGS,
@@ -665,17 +680,17 @@ class TestCarriedListing:
         for (net, listing), (oracle_net, allowed, _) in zip(listed, expected):
             assert net == oracle_net
             assert listing.joiners == allowed
-            assert listing.events() == enabled_events(net, joiners=allowed), net
+            assert listing.events() == oracle.listing_loop(net, allowed), net
         assert report.info["listings"]["carried"] > report.info["listings"]["rebuilt"]
 
 
 def _expanded_states(init, max_joins, max_fails, max_depth, joiners):
     """Each state a plain breadth-first search expands, in order, with the
-    joiners it offers there and its transitions. The search builds every
-    successor with `apply_event` and keys it with `Network.canonical_key`. A
-    transition is (event, successor, visited triple): the triple is
-    (canonical key, joins, fails) for a successor not visited before, and
-    None for one already visited."""
+    joiners it offers there and its transitions. The search lists by
+    `events_oracle.listing_loop`, builds every successor with `apply_event`
+    and keys it with `Network.canonical_key`. A transition is (event,
+    successor, visited triple): the triple is (canonical key, joins, fails)
+    for a successor not visited before, and None for one already visited."""
     from collections import deque
 
     seen = {(init.canonical_key(), 0, 0)}
@@ -686,7 +701,7 @@ def _expanded_states(init, max_joins, max_fails, max_depth, joiners):
             continue
         allowed = joiners if joins < max_joins else ()
         steps = []
-        for ev in enabled_events(net, joiners=allowed):
+        for ev in oracle.listing_loop(net, allowed):
             failing = ev.kind is EventKind.FAIL
             if failing and fails >= max_fails:
                 continue

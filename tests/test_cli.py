@@ -9,7 +9,7 @@ import pytest
 
 from chordcheck import cli
 from chordcheck.ident import RingParams
-from chordcheck.netstate import init_network, network_to_dict
+from chordcheck.netstate import init_network, network_to_dict, network_to_json
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -204,7 +204,10 @@ class TestReplayScenarios:
         ("explore --base 7,19,33 --joins -1", "--joins must be at least 0"),
         ("explore --base 7,19,33 --fails -1", "--fails must be at least 0"),
         ("explore --base 7,19,33 --depth -1", "--depth must be at least 0"),
-        ("explore --base 7,19,33 --joiners 10,40,10", "joiner 10 is repeated in --joiners"),
+        ("explore --base 7,19,33 --joiners 10,40,10", "joiner 10 is named twice"),
+        ("explore --base 7,19,33 --joiners 10,7", "joiner 7 is a stable-base member"),
+        ("check preservation --n 3 --trial six-conjunct", "--trial applies only to trial-search"),
+        ("check progress --mode random --trial valid", "--trial applies only to trial-search"),
     ],
 )
 def test_bad_flag_value_exit_64_with_one_line(argv, named, capsys):
@@ -212,6 +215,26 @@ def test_bad_flag_value_exit_64_with_one_line(argv, named, capsys):
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
     assert err.startswith(argv.split()[0]) and named in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "init --base 7,19,33 --out {out}",
+        "check preservation --n 3 --out {out}",
+        "check trial-search --n 7 --samples 5000 --out {out}",
+        "simulate --churn-steps 5 --trace-out {out}",
+        "export-dot {net} --out {out}",
+    ],
+)
+def test_unwritable_output_exit_64_naming_the_path(argv, tmp_path, capsys):
+    net = tmp_path / "net.json"
+    net.write_text(network_to_json(init_network(RingParams(6, 2), [7, 19, 33])))
+    out = tmp_path / "missing" / "x.json"
+    assert cli.main(argv.format(out=out, net=net).split()) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith(argv.split()[0]) and f"cannot write {out}" in err
 
 
 class TestExportDot:
