@@ -15,7 +15,6 @@ import random
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
-from operator import itemgetter
 
 from .ident import RingParams, between, clockwise_distance
 from .netstate import Network, NodeState, network_to_dict, node_key
@@ -636,10 +635,15 @@ def explore_reachable(
     never fails and so never joins.
 
     An event changes only its executor, so a successor is keyed without being
-    built: its `canonical_key` node entries are the parent's, with the
-    executor's entry replaced (or inserted, for a joiner's first lookup).
+    built. Each distinct `node_key` entry is interned once per call, as a
+    small int; a visited key is (the entry ids of the tracked nodes in
+    identifier order, joins, fails), and a successor's is the parent's with
+    the executor's id replaced (or inserted, for a joiner's first lookup).
     Params and base never change, so they are left out of the visited keys.
-    A network is built, and checked, only for a key not seen before.
+    A network is built, and checked, only for a key not seen before. An
+    event whose `effect_delta` is None leaves the state as it is: it counts
+    as a transition, and in `info["selfLoops"]` by kind, and is dropped
+    before any key work.
 
     Each queue entry carries its state's verdict, its parent's listing and
     its change code (`topology.change_code`), computed once when the state
@@ -666,14 +670,20 @@ def explore_reachable(
         bounds={"joins": max_joins, "fails": max_fails, "depth": max_depth},
     )
     join, fail = EventKind.JOIN, EventKind.FAIL
-    key = (init.canonical_key()[3], 0, 0)
+    interned: dict[tuple, int] = {}
+    idents = tuple(sorted(init.nodes))
+    ids = tuple(
+        interned.setdefault(node_key(init.nodes[i], i in init.live), len(interned)) for i in idents
+    )
+    key = (ids, 0, 0)
     seen = {key}
-    queue = deque([(init, is_valid(init), None, None, key, 0)])
+    queue = deque([(init, is_valid(init), None, None, key, idents, 0)])
     by_kind: dict[EventKind, int] = {}
+    loops: dict[EventKind, int] = {}
     rebuilt = expanded = 0
     truncated = False
     while queue:
-        net, valid, parent_listing, change, (entries, joins, fails), depth = queue.popleft()
+        net, valid, parent_listing, change, (ids, joins, fails), idents, depth = queue.popleft()
         if not valid:
             report.add_violation(net, None, "invariant broken at reachable state")
         if depth >= max_depth:
@@ -693,15 +703,20 @@ def explore_reachable(
             delta = effect_delta(net, ev)
             by_kind[kind] = by_kind.get(kind, 0) + 1
             if delta is None:
-                continue  # the state itself, seen already
+                loops[kind] = loops.get(kind, 0) + 1
+                continue
             state, live = delta
             n = state.ident
             # A Join that only clears a dead lookup changes no membership.
             joined = live is True and kind is join
             entry = node_key(state, n in net.live if live is None else live)
-            i = bisect_left(entries, n, key=itemgetter(0))
-            rest = i + 1 if i < len(entries) and entries[i][0] == n else i
-            key = (entries[:i] + (entry,) + entries[rest:], joins + joined, fails + (kind is fail))
+            entry = interned.setdefault(entry, len(interned))
+            i = bisect_left(idents, n)
+            if i < len(idents) and idents[i] == n:
+                post_idents, rest = idents, i + 1
+            else:
+                post_idents, rest = idents[:i] + (n,) + idents[i:], i
+            key = (ids[:i] + (entry,) + ids[rest:], joins + joined, fails + (kind is fail))
             if key in seen:
                 continue
             if len(seen) >= max_states:
@@ -711,7 +726,7 @@ def explore_reachable(
             post = net.with_node(*delta)
             post_change = change_code(net, post, n)
             post_valid = valid_after(net, post, post_change) if valid else is_valid(post)
-            queue.append((post, post_valid, listing, post_change, key, depth + 1))
+            queue.append((post, post_valid, listing, post_change, key, post_idents, depth + 1))
     report.states_checked = len(seen)
     report.info.update(
         {
@@ -720,6 +735,7 @@ def explore_reachable(
             "truncated": truncated,
             "listings": {"rebuilt": rebuilt, "carried": expanded - rebuilt},
             "transitionsByKind": {k.value: by_kind[k] for k in EventKind if k in by_kind},
+            "selfLoops": {k.value: loops[k] for k in EventKind if k in loops},
         }
     )
     return report

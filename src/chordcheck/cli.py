@@ -285,9 +285,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("explore", help="bounded breadth-first interleaving exploration")
     p.add_argument("--net", default=None, help="network file; defaults to init from --base")
-    p.add_argument("--m", type=int, default=6)
-    p.add_argument("--r", type=int, default=2)
-    p.add_argument("--base", type=_ids_arg, default=None)
+    # None tells an unset flag from a given one: the network file fixes all three.
+    p.add_argument("--m", type=int, default=None, help="default 6; not with --net")
+    p.add_argument("--r", type=int, default=None, help="default 2; not with --net")
+    p.add_argument("--base", type=_ids_arg, default=None, help="not with --net")
     p.add_argument("--joins", type=int, default=0)
     p.add_argument("--fails", type=int, default=0)
     p.add_argument("--depth", type=int, default=6)
@@ -443,6 +444,9 @@ def _load_network(path: str) -> Network:
 
 def _cmd_explore(args) -> int:
     if args.net:
+        for flag in ("base", "m", "r"):
+            if getattr(args, flag) is not None:
+                return _usage_error("explore", f"--{flag} does not apply with --net")
         try:
             net = _load_network(args.net)
         except (OSError, ValueError) as err:
@@ -452,7 +456,8 @@ def _cmd_explore(args) -> int:
         if not args.base:
             return _usage_error("explore", "provide --net or --base")
         try:
-            net = init_network(RingParams(m=args.m, r=args.r), args.base)
+            params = RingParams(m=6 if args.m is None else args.m, r=2 if args.r is None else args.r)
+            net = init_network(params, args.base)
         except ValueError as err:
             return _usage_error("explore", err)
     try:

@@ -10,16 +10,17 @@ Each kind's precondition is written once, as the guard in `_KINDS`:
 `event_delta` raises its reason, and `is_enabled` is "the guard holds and the
 event does not time out". Each effect returns only what the rule above lets
 it change: the executor's new state and its liveness change. `event_delta`
-is the guard, then `effect_delta`, which returns that pair, so a caller can
-key the next state without building it; `apply_event` builds the next
-network from it. The candidates are listed in one place: `slot_listing` lays
-them out in fixed slots, and `enabled_events` is its events in slot order,
-read by the checker and the simulator. The explorer keeps the slots and
-derives a successor's from its parent's (`carried_listing`), refreshing only
-the slots whose guards read what the step's `topology.change_code` says
-changed in the one node it touched. A `Join` whose looked-up successor has
-died is an enabled step that clears the lookup, so the explorer takes that
-branch wherever the simulator can.
+is the guard, then `effect_delta`, which returns that pair, or None when the
+event changes nothing, so a caller can skip a self-loop and key any other
+next state without building it; `apply_event` builds the next network from
+it. The candidates are listed in one place: `slot_listing` lays them out in
+fixed slots, and `enabled_events` is its events in slot order, read by the
+checker and the simulator. The explorer keeps the slots and derives a
+successor's from its parent's (`carried_listing`), refreshing only the
+slots whose guards read what the step's `topology.change_code` says changed
+in the one node it touched. A `Join` whose looked-up successor has died is
+an enabled step that clears the lookup, so the explorer takes that branch
+wherever the simulator can.
 """
 
 from __future__ import annotations
@@ -148,13 +149,13 @@ def _copied_list(net: Network, h: int) -> tuple[int, ...]:
 
 def _adopts(net: Network, n: int, c: int | None, head: int) -> bool:
     """A stabilize of n adopts candidate c: c is live and strictly between n and head."""
-    return c is not None and net.is_live(c) and between(n, c, head)
+    return c is not None and c in net.live and between(n, c, head)
 
 
 def _rectified_pred(net: Network, n: int, p: int) -> int:
     """The predecessor n keeps after p notifies it."""
     cur = net.nodes[n].pred
-    if cur is None or not net.is_live(cur) or between(cur, p, n):
+    if cur is None or cur not in net.live or between(cur, p, n):
         return p
     return cur
 
@@ -163,12 +164,12 @@ def _rectified_pred(net: Network, n: int, p: int) -> int:
 
 
 def _member_guard(net: Network, ev: Event) -> str | None:
-    return None if net.is_live(ev.node) else f"{ev.node} is not a live member"
+    return None if ev.node in net.live else f"{ev.node} is not a live member"
 
 
 def _join_lookup_guard(net: Network, ev: Event) -> str | None:
     j = ev.node
-    if net.is_live(j):
+    if j in net.live:
         return f"{j} is already a member"
     if not 0 <= j < net.params.space:
         return f"identifier {j} outside the space"
@@ -178,7 +179,7 @@ def _join_lookup_guard(net: Network, ev: Event) -> str | None:
     if _contact_dead(net, ev):
         return None  # the query times out before any member answers
     result = lookup_succ(net, j)
-    if result is None or not net.is_live(result):
+    if result is None or result not in net.live:
         return "no ring member to answer the lookup"
     return None
 
@@ -188,17 +189,17 @@ def _join_guard(net: Network, ev: Event) -> str | None:
     # invalidate it once it holds.
     j = ev.node
     state = net.nodes.get(j)
-    if net.is_live(j) or state is None or state.pending_new_succ is None:
+    if j in net.live or state is None or state.pending_new_succ is None:
         return f"{j} has no join in progress"
     target = state.pending_new_succ
-    if net.is_live(target) and not join_precondition_holds(net, j, target):
+    if target in net.live and not join_precondition_holds(net, j, target):
         return f"a base member lies between {j} and {target}"
     return None
 
 
 def _adoption_guard(net: Network, ev: Event) -> str | None:
     n = ev.node
-    if not net.is_live(n):
+    if n not in net.live:
         return f"{n} is not a live member"
     if net.nodes[n].pending_candidate is None:
         # No stored candidate: the one a fresh stabilize would acquire.
@@ -212,20 +213,21 @@ def _rectify_guard(net: Network, ev: Event) -> str | None:
     # Notification is modeled by enabling: a live notifier with n at the head
     # of its list would notify n after stabilizing.
     n, p = ev.node, ev.new_pred
-    if not net.is_live(n):
+    live = net.live
+    if n not in live:
         return f"{n} is not a live member"
     if p is None:
         return f"Rectify of {n} names no notifier (newPred)"
-    if not net.is_live(p):
+    if p not in live:
         return f"notifier {p} is not live"
-    if net.node(p).succ_list[0] != n:
+    if net.nodes[p].succ_list[0] != n:
         return f"{p} would not notify {n}"
     return None
 
 
 def _fail_guard(net: Network, ev: Event) -> str | None:
     n = ev.node
-    if not net.is_live(n):
+    if n not in net.live:
         return f"{n} is not a live member"
     if n in net.base:
         return f"{n} is a stable-base member"
@@ -248,21 +250,23 @@ def _stranded(net: Network, ev: Event) -> bool:
 
 
 def _contact_dead(net: Network, ev: Event) -> bool:
-    return ev.known is not None and not net.is_live(ev.known)
+    return ev.known is not None and ev.known not in net.live
 
 
 def _no_closer_candidate(net: Network, ev: Event) -> bool:
     # An unset candidate counts too: only a stored one makes the step enabled.
-    state = net.node(ev.node)
+    state = net.nodes[ev.node]
     return not _adopts(net, ev.node, state.pending_candidate, state.succ_list[0])
 
 
 # --- effects, applied once the guard holds -----------------------------------------
 #
 # Each effect returns its executor's new state and liveness change (True,
-# False, or None for unchanged), or None for a timeout that changes nothing.
-# Executing any event other than the stabilize pair invalidates a held
-# stabilize intermediate.
+# False, or None for unchanged), or None for an event that changes nothing:
+# a timeout, a copy that leaves the list and the candidate as they are, or a
+# Rectify that keeps the predecessor when no candidate is held. Executing any
+# event other than the stabilize pair invalidates a held stabilize
+# intermediate.
 
 Delta = tuple[NodeState, "bool | None"]
 
@@ -277,7 +281,7 @@ def _join_lookup(net: Network, ev: Event, faults: FaultFlags) -> Delta | None:
 def _join(net: Network, ev: Event, faults: FaultFlags) -> Delta:
     state = net.nodes[ev.node]
     new_succ = state.pending_new_succ
-    if not net.is_live(new_succ):
+    if new_succ not in net.live:
         # Clear, look up again.
         return NodeState(ev.node, state.succ_list, state.pred, None, state.pending_candidate), None
     if faults.short_join:
@@ -287,14 +291,17 @@ def _join(net: Network, ev: Event, faults: FaultFlags) -> Delta:
     return NodeState(ev.node, succ_list), True
 
 
-def _stabilize_from_old_successor(net: Network, ev: Event, faults: FaultFlags) -> Delta:
+def _stabilize_from_old_successor(net: Network, ev: Event, faults: FaultFlags) -> Delta | None:
     # Dead list prefixes are skipped in one atomic step, mirroring the retry
     # loop of the stabilize operation.
     n = ev.node
     h = _live_successor(net, n)
     state = net.nodes[n]
     succ_list = _copied_list(net, h)
-    return NodeState(n, succ_list, state.pred, state.pending_new_succ, net.nodes[h].pred), None
+    candidate = net.nodes[h].pred
+    if succ_list == state.succ_list and candidate == state.pending_candidate:
+        return None
+    return NodeState(n, succ_list, state.pred, state.pending_new_succ, candidate), None
 
 
 def _stabilize_from_new_successor(net: Network, ev: Event, faults: FaultFlags) -> Delta:
@@ -312,10 +319,14 @@ def _stabilize_from_new_successor(net: Network, ev: Event, faults: FaultFlags) -
     return NodeState(n, succ_list, state.pred, state.pending_new_succ), None
 
 
-def _rectify(net: Network, ev: Event, faults: FaultFlags) -> Delta:
+def _rectify(net: Network, ev: Event, faults: FaultFlags) -> Delta | None:
     n = ev.node
     state = net.nodes[n]
     pred = _rectified_pred(net, n, ev.new_pred)
+    if pred == state.pred and state.pending_candidate is None:
+        return None
+    # A Rectify clears a held stabilize candidate on purpose: it is not one of
+    # the stabilize pair, so it invalidates the intermediate.
     return NodeState(n, state.succ_list, pred, state.pending_new_succ), None
 
 
@@ -365,7 +376,11 @@ def effect_delta(net: Network, event: Event, faults: FaultFlags = _NO_FAULTS) ->
     """`event_delta` without the guard, for an event whose guard is known to hold.
 
     An event that `enabled_events(net)` has just listed is one: the explorer
-    applies those through here, so each guard runs once per listing.
+    applies those through here, so each guard runs once per listing. None
+    means exactly that the event leaves `net` as it is, so a caller skips a
+    self-loop before keying or building anything. An effective repair
+    (`measure.effective_enabled`) changes its executor's list or predecessor,
+    so its delta is never None.
     """
     return _KINDS[event.kind][2](net, event, faults)
 

@@ -145,30 +145,48 @@ def valid_after(parent: Network, post: Network, change: int | None) -> bool:
     `topology.change_code`) says.
 
     Validity reads only the live set, the base and the live members' lists:
-    - a liveness change (Join, Fail) or a moved first live entry gets the
-      full check;
-    - otherwise the best-successor map, so the walk and the first four
-      conjuncts, are the parent's;
-    - an unchanged list (a joiner's step, Rectify, a timeout, a pending-value
-      write) leaves validity as the parent's; no conjunct reads a
-      non-member's list;
-    - a changed list can only skip a live base member in the executor's own
-      adjacent pairs.
+    - a liveness change (Join, Fail) of a stable-base member moves the live
+      base and gets the full check; the executor of a liveness change is the
+      one identifier in `parent.live ^ post.live`;
+    - any other liveness change, or a moved first live entry, changes the
+      best-successor map, so the first four conjuncts are read from the walk
+      of `post`; otherwise the walk, and so those conjuncts, are the
+      parent's;
+    - the live base is then the parent's, so BaseNotSkipped can only fail in
+      the executor's own adjacent pairs, and only when it is live and its
+      list changed or it just joined. A Fail removes pairs, and a list left
+      as it was (a joiner's step, Rectify, a pending-value write) skips
+      nothing new.
 
     Wherever the best-successor map is unchanged, `post` takes the parent's
     memoised walk. `is_valid` is the test oracle.
     """
-    if change is None or change & HEAD_MOVED:
-        return is_valid(post)
-    _share_walk(parent, post)
-    if not change & LIST_CHANGED:
-        return True
-    executor, live = change >> 2, post.live
-    live_base = [b for b in post.base if b in live]
-    return not any(
-        between(a, b, c)
-        for a, c in pairwise((executor,) + post.nodes[executor].succ_list)
-        for b in live_base
+    if change is None:
+        (executor,) = parent.live ^ post.live
+        if executor in post.base:
+            return is_valid(post)
+        scan = executor in post.live
+    else:
+        executor, scan = change >> 2, change & LIST_CHANGED
+        if not change & HEAD_MOVED:
+            _share_walk(parent, post)
+            return not (scan and _skips_live_base(post, executor))
+    walk = _walk(post)
+    return (
+        bool(walk.ring)
+        and walk.cycle_count <= 1
+        and walk.connected
+        and _cycle_is_ordered(walk.cycle)
+        and not (scan and _skips_live_base(post, executor))
+    )
+
+
+def _skips_live_base(net: Network, n: int) -> bool:
+    """Some adjacent pair of live member n's extended list skips a live base member."""
+    live = net.live
+    live_base = [b for b in net.base if b in live]
+    return any(
+        between(a, b, c) for a, c in pairwise((n,) + net.nodes[n].succ_list) for b in live_base
     )
 
 

@@ -18,10 +18,11 @@ def best_successor(net: Network, n: int) -> int | None:
     None means every entry is dead, which breaches the operating assumption
     that a member always keeps at least one live successor.
     """
-    if not net.is_live(n):
+    live = net.live
+    if n not in live:
         raise ValueError(f"{n} is not a live member")
-    for entry in net.node(n).succ_list:
-        if net.is_live(entry):
+    for entry in net.nodes[n].succ_list:
+        if entry in live:
             return entry
     return None
 
@@ -235,7 +236,7 @@ def lookup_succ(net: Network, joining: int) -> int | None:
     Realized as an oracle over the snapshot: the ring member y whose ring
     predecessor x satisfies between(x, joining, y).
     """
-    if net.is_live(joining):
+    if joining in net.live:
         raise ValueError(f"{joining} is already a live member")
     cycle = _walk(net).cycle
     if cycle is None:

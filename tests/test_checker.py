@@ -35,7 +35,7 @@ from chordcheck.invariants import (
 )
 from chordcheck.measure import effective_enabled, total_error
 from chordcheck.topology import change_code, is_ideal
-from chordcheck import checker, events
+from chordcheck import checker, events, invariants
 
 import events_oracle as oracle
 from conftest import make_net, oracle_states
@@ -232,6 +232,16 @@ class TestPreservation:
 @pytest.fixture(scope="module")
 def n4_states():
     return list(checker.enumerate_valid_states(SMALL, 4))
+
+
+@pytest.fixture(scope="module")
+def bench_r2_reached():
+    """The joiners of the benchmark's unrotated r=2 exploration, and every
+    state it reaches, by the plain breadth-first search."""
+    make_init, joins, fails, depth, joiners = TestExploreReachable.ORACLE_CONFIGS["bench-r2"]
+    init = make_init()
+    steps = _bfs_steps(init, joins, fails, depth, joiners)
+    return joiners, [init] + [post for _, _, post, key in steps if key]
 
 
 class TestShapeReuse:
@@ -576,6 +586,31 @@ class TestDeltaValidity:
                     verdicts[_judged_as_in_full(net, post, change_code(net, post, n))] += 1
         assert verdicts[True] and verdicts[False]
 
+    @staticmethod
+    def _judge_liveness_changes(states):
+        # No Join from a valid state skips a base member, so only a rewrite
+        # reaches a False from the joiner's own pairs. Each tracked non-live
+        # node joins with every list; each live non-base member fails.
+        verdicts = {True: 0, False: 0}
+        for net in states:
+            lists = list(itertools.product(sorted(net.nodes), repeat=net.params.r))
+            for x in sorted(net.nodes.keys() - net.base):
+                if x in net.live:
+                    posts = [net.without_member(x)]
+                else:
+                    posts = [net.with_node(replace(net.node(x), succ_list=sl), True) for sl in lists]
+                for post in posts:
+                    verdicts[_judged_as_in_full(net, post, change_code(net, post, x))] += 1
+        assert verdicts[True] and verdicts[False]
+
+    def test_every_liveness_change_of_the_exhaustive_shapes(self, n4_states):
+        self._judge_liveness_changes({net.pred_free_key(): net for net in n4_states}.values())
+
+    def test_every_liveness_change_of_sampled_states(self):
+        # At n=4 nearly every broken ring also skips a base member; these
+        # rings are larger, so they test the conjuncts read from the walk.
+        self._judge_liveness_changes(checker.sample_valid_states(WIDE, 8, 300, seed=72))
+
     @pytest.mark.parametrize("r", [2, 3])
     def test_every_case_of_sampled_states(self, r):
         states = checker.sample_valid_states(RingParams(6, r), 8, 2000, seed=70 + r)
@@ -604,18 +639,53 @@ class TestDeltaValidity:
         assert report.violation_count == sum(not is_valid(s) for s in judged)
         assert any(is_valid(s) for s in judged)
 
-    def test_effect_delta_is_event_delta_on_every_listed_event(self):
-        make_init, joins, fails, depth, joiners = self.CONFIGS["bench-r2"]
-        init = make_init()
-        reached = [init] + [
-            post for _, _, post, key in _bfs_steps(init, joins, fails, depth, joiners) if key
-        ]
+    def test_effect_delta_is_event_delta_on_every_listed_event(self, bench_r2_reached):
+        joiners, reached = bench_r2_reached
         listed = 0
         for net in reached:
             for ev in enabled_events(net, joiners=joiners):
                 assert effect_delta(net, ev) == event_delta(net, ev)
                 listed += 1
         assert len(reached) == 13_851 and listed > 83_078
+
+    def test_effect_delta_is_none_exactly_on_self_loops(self, bench_r2_reached):
+        # The explorer drops a None delta as the state itself.
+        joiners, reached = bench_r2_reached
+        loops = Counter()
+        for net in reached:
+            for ev in enabled_events(net, joiners=joiners):
+                loop = oracle.apply_event(net, ev) == net
+                assert (effect_delta(net, ev) is None) == loop, (net, ev)
+                loops[ev.kind] += loop
+        assert set(+loops) == {EventKind.RECTIFY, EventKind.STABILIZE_FROM_OLD_SUCCESSOR}
+
+    def test_an_effective_repair_is_never_a_self_loop(self, n4_states):
+        # `check_monotonicity` reads the state out of each effective delta.
+        effective = 0
+        for net in n4_states:
+            for ev in effective_enabled(net):
+                assert effect_delta(net, ev) is not None, (net, ev)
+                effective += 1
+        assert effective == 43_144
+
+    # The benchmark's two explorations, unrotated: states, transitions and
+    # self-loops by kind.
+    BENCH_COUNTS = {
+        "bench-r2": (13_851, 83_078, {"StabilizeFromOldSuccessor": 10_355, "Rectify": 15_200}),
+        "bench-r3": (15_021, 104_324, {"StabilizeFromOldSuccessor": 16_816, "Rectify": 20_832}),
+    }
+
+    @pytest.mark.parametrize("name", BENCH_COUNTS)
+    def test_benchmark_explorations_check_only_the_start_in_full(self, monkeypatch, name):
+        make_init, joins, fails, depth, joiners = self.CONFIGS[name]
+        init = make_init()
+        full = []
+        full_check = invariants.conjuncts
+        monkeypatch.setattr(invariants, "conjuncts", lambda net: full.append(net) or full_check(net))
+        report = checker.explore_reachable(init, joins, fails, depth, joiners=joiners)
+        info = report.info
+        assert (info["states"], info["transitions"], info["selfLoops"]) == self.BENCH_COUNTS[name]
+        assert report.passed and full == [init]
 
 
 def _dead_member_start():

@@ -206,6 +206,10 @@ class TestReplayScenarios:
         ("explore --base 7,19,33 --depth -1", "--depth must be at least 0"),
         ("explore --base 7,19,33 --joiners 10,40,10", "joiner 10 is named twice"),
         ("explore --base 7,19,33 --joiners 10,7", "joiner 7 is a stable-base member"),
+        # The network file fixes the base and the parameters.
+        ("explore --net n.json --base 7,19,33 --m 9 --r 3", "--base does not apply with --net"),
+        ("explore --net n.json --m 9", "--m does not apply with --net"),
+        ("explore --net n.json --r 3", "--r does not apply with --net"),
         ("check preservation --n 3 --trial six-conjunct", "--trial applies only to trial-search"),
         ("check progress --mode random --trial valid", "--trial applies only to trial-search"),
     ],
