@@ -495,10 +495,10 @@ def _cmd_simulate(args) -> int:
         return _usage_error("simulate", err)
     try:
         trace = simulation.run_simulation(config)
+        steps = simulation.convergence_steps(trace)
     except simulation.DivergenceError as err:
         print(f"divergence: {err}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    steps = simulation.convergence_steps(trace)
     final = trace.final()
     print(
         f"converged: members={final.size} churn_events={sum(1 for s in trace.steps if s.tag == simulation.CHURN)} "

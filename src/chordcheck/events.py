@@ -15,7 +15,7 @@ event changes nothing, so a caller can skip a self-loop and key any other
 next state without building it; `apply_event` builds the next network from
 it. The candidates are listed in one place: `slot_listing` lays them out in
 fixed slots, and `enabled_events` is its events in slot order, read by the
-checker and the simulator. The explorer keeps the slots and derives a
+checker. The explorer and the simulator keep the slots and derive a
 successor's from its parent's (`carried_listing`), refreshing only the
 slots whose guards read what the step's `topology.change_code` says changed
 in the one node it touched. A `Join` whose looked-up successor has died is
@@ -376,7 +376,10 @@ def effect_delta(net: Network, event: Event, faults: FaultFlags = _NO_FAULTS) ->
     """`event_delta` without the guard, for an event whose guard is known to hold.
 
     An event that `enabled_events(net)` has just listed is one: the explorer
-    applies those through here, so each guard runs once per listing. None
+    and the simulator's churn phase apply those through here, so each guard
+    runs once per listing; the simulator also applies its joins, whose
+    guards `is_enabled` has just checked, and its repair sweeps' steps,
+    whose guards its repair rules imply. None
     means exactly that the event leaves `net` as it is, so a caller skips a
     self-loop before keying or building anything. An effective repair
     (`measure.effective_enabled`) changes its executor's list or predecessor,
@@ -458,6 +461,16 @@ class Listing(NamedTuple):
     def events(self) -> list[Event]:
         return [ev for ev in self.slots if ev is not None]
 
+    def fails(self) -> list[Event]:
+        """The enabled Fails, in member order."""
+        return [ev for ev in self.slots[_fail_slots(self)] if ev is not None]
+
+
+def _fail_slots(listing: Listing) -> slice:
+    # Each member's Fail slot follows its two stabilize slots.
+    first = len(listing.joiners)
+    return slice(first + 2, first + 3 * len(listing.members), 3)
+
 
 def slot_listing(net: Network, joiners: Sequence[int]) -> Listing:
     """The slots of every enabled event; each of the distinct `joiners` owns one."""
@@ -491,7 +504,8 @@ def carried_listing(parent: Listing, net: Network, change: int) -> Listing:
     slots whose guards read x's state can move: a joiner's join step, a
     member's adoption step and, when x's list changed, its other stabilize
     step, the Rectify it sends and every Fail, and, when x's first live
-    entry moved, every joiner's JoinLookup. `slot_listing` is the oracle.
+    entry moved, every joiner's JoinLookup. A non-member x outside `joiners`
+    moves no slot, so `parent` is returned. `slot_listing` is the oracle.
     A refreshed slot keeps its parent's event object when the event is the
     same, so a family of listings shares them.
     """
@@ -500,6 +514,9 @@ def carried_listing(parent: Listing, net: Network, change: int) -> Listing:
     x, changed = change >> 2, change & 3
     first = len(joiners)
     if x not in net.live:
+        # A non-member's state is read only by its own join step.
+        if x not in joiners:
+            return parent
         slots[joiners.index(x)] = _join_step(net, x)
         return Listing(joiners, members, slots)
     k = members.index(x)
@@ -510,7 +527,7 @@ def carried_listing(parent: Listing, net: Network, change: int) -> Listing:
         slots[at] = _enabled(net, slots[at] or Event(_SFOS, x))
         rectify = first + 3 * len(members) + k
         slots[rectify] = _rectify_step(net, x, slots[rectify])
-        _fill_fails(net, members, slots, first)
+        _fill_fails(net, parent, slots)
     if changed & HEAD_MOVED:
         nodes = net.nodes
         for i, j in enumerate(joiners):
@@ -539,12 +556,12 @@ def _rectify_step(net: Network, p: int, old: Event | None) -> Event | None:
     return _enabled(net, ev)
 
 
-def _fill_fails(net: Network, members: tuple[int, ...], slots: list, first: int) -> None:
+def _fill_fails(net: Network, parent: Listing, slots: list) -> None:
     # `failable` applies the Fail guard to every member in one pass.
     fails = failable(net) - net.base
-    at = slice(first + 2, first + 3 * len(members), 3)
+    at = _fail_slots(parent)
     slots[at] = [
-        (ev or Event(_FAIL, n)) if n in fails else None for n, ev in zip(members, slots[at])
+        (ev or Event(_FAIL, n)) if n in fails else None for n, ev in zip(parent.members, slots[at])
     ]
 
 

@@ -1,9 +1,13 @@
 """Deterministic churn-then-quiesce simulation.
 
-Phase 1 applies randomly chosen joins, fails and repairs: the repairs are
-the one listing, `enabled_events`, without its Fails. Phase 2 schedules only
-repair events, weakly fairly, until a whole sweep finds no effective repair;
-the theorem says that point is the ideal state and that it stays ideal.
+Phase 1 applies randomly chosen joins, fails and repairs. It keeps one
+`events.Listing` of the current network and carries it from step to step as
+the explorer does: the fails are its Fail slots and the repairs are its other
+events. Phase 2 schedules only repair events, weakly fairly, until a whole
+sweep finds no effective repair; the theorem says that point is the ideal
+state and that it stays ideal. Every event either phase applies has just had
+its guard checked, by the listing, by `is_enabled` or by the sweep's own
+rules, so both apply through `effect_delta`.
 """
 
 from __future__ import annotations
@@ -31,15 +35,16 @@ from .events import (
     _live_successor,
     _rectified_pred,
     apply_event,
-    enabled_events,
+    carried_listing,
+    effect_delta,
     event_from_dict,
     event_to_dict,
-    failable,
     is_enabled,
+    slot_listing,
 )
 from .invariants import conjuncts
 from .measure import total_error, visible_state
-from .topology import _cycle_is_ordered, _walk, is_ideal
+from .topology import HEAD_MOVED, _cycle_is_ordered, _share_walk, _walk, change_code, is_ideal
 
 CHURN = "churn"
 REPAIR = "repair"
@@ -87,6 +92,12 @@ def _pick(rng: random.Random, items: Sequence) -> object:
     return items[rng.randrange(len(items))]
 
 
+def _applied(net: Network, ev: Event) -> Network:
+    """The network after `ev`, whose guard is known to hold in `net`."""
+    delta = effect_delta(net, ev)
+    return net if delta is None else net.with_node(*delta)
+
+
 def _kth_unblocked(k: int, blocked: list[int]) -> int:
     """The k-th (0-based) identifier, in increasing order, not in sorted `blocked`."""
     for b in blocked:
@@ -110,8 +121,10 @@ def run_simulation(config: SimConfig) -> Trace:
 
     cap = params.space if config.max_members is None else config.max_members
 
+    # The listing of `net` without joiners: its members are the live set.
+    listing = slot_listing(net, ())
     for _ in range(config.churn_steps):
-        live = net.live_idents()
+        live = listing.members
         joins: list[Event] = []
         if len(live) < cap:
             # A pending joiner's Join completes, or it clears a lookup whose
@@ -126,7 +139,7 @@ def run_simulation(config: SimConfig) -> Trace:
                 ev = Event(EventKind.JOIN_LOOKUP, j, known=_pick(rng, live))
                 if is_enabled(net, ev):
                     joins.append(ev)
-        fails = [Event(EventKind.FAIL, n) for n in sorted(failable(net) - net.base)]
+        fails = listing.fails()
 
         # The repair pool holds a stabilize for every member, so it is
         # non-empty exactly when a member is live: it is built only if picked.
@@ -150,14 +163,27 @@ def run_simulation(config: SimConfig) -> Trace:
                 break
             roll -= w
         if pool is None:
-            pool = [ev for ev in enabled_events(net, joiners=()) if ev.kind is not EventKind.FAIL]
+            pool = [ev for ev in listing.events() if ev.kind is not EventKind.FAIL]
         ev = _pick(rng, pool)
-        net = record(ev, apply_event(net, ev), CHURN)
+        post = _applied(net, ev)
+        if post is not net:
+            change = change_code(net, post, ev.node)
+            if change is None:
+                listing = slot_listing(post, ())
+            else:
+                listing = carried_listing(listing, post, change)
+                # An unchanged best-successor map keeps the walk a lookup reads.
+                if not change & HEAD_MOVED:
+                    _share_walk(net, post)
+        net = record(ev, post, CHURN)
 
     # Phase 2: repair only, scheduled by round-robin sweeps so every enabled
     # effective event fires within one sweep. Each step is decided by the
     # kernel's repair rules before it is applied, so only recorded events
     # are applied; a sweep that records none finds no effective repair left.
+    # Those rules imply each step's guard: a stabilize's executor is live, an
+    # adoption follows the copy that stored its candidate, and a Rectify's
+    # notifier has its target at the head of its list.
     applied, swept = 0, -1
     while applied != swept:
         swept = applied
@@ -170,16 +196,16 @@ def run_simulation(config: SimConfig) -> Trace:
             adopts = _adopts(net, n, net.nodes[h].pred, h)
             if adopts or _copied_list(net, h) != net.nodes[n].succ_list:
                 sfos = Event(EventKind.STABILIZE_FROM_OLD_SUCCESSOR, n)
-                net = record(sfos, apply_event(net, sfos), REPAIR)
+                net = record(sfos, _applied(net, sfos), REPAIR)
                 applied += 1
                 if adopts:
                     sfns = Event(EventKind.STABILIZE_FROM_NEW_SUCCESSOR, n)
-                    net = record(sfns, apply_event(net, sfns), REPAIR)
+                    net = record(sfns, _applied(net, sfns), REPAIR)
                     applied += 1
             head = net.nodes[n].succ_list[0]
             if net.is_live(head) and _rectified_pred(net, head, n) != net.nodes[head].pred:
                 rect = Event(EventKind.RECTIFY, head, new_pred=n)
-                net = record(rect, apply_event(net, rect), REPAIR)
+                net = record(rect, _applied(net, rect), REPAIR)
                 applied += 1
             if applied > STEP_CEILING:
                 raise DivergenceError(f"repair phase exceeded {STEP_CEILING} steps")

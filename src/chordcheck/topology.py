@@ -39,7 +39,8 @@ def change_code(parent: Network, post: Network, executor: int) -> int | None:
     `executor`'s state and liveness, or None if its liveness changed.
 
     The one comparison of the executor's old and new list and first live
-    entry: `invariants.valid_after` and `events.carried_listing` read it.
+    entry: the explorer reads it in `invariants.valid_after` and
+    `events.carried_listing`, and the simulator's churn phase in the latter.
     """
     live = parent.live
     if (executor in live) != (executor in post.live):

@@ -431,6 +431,19 @@ class TestSimulateAndExplore:
             int(fields["churn_events"]) + int(fields["repair_events"])
         )
 
+    def test_simulate_divergence_in_convergence_steps_exit_1(self, monkeypatch, capsys):
+        from chordcheck import sim
+
+        def diverge(trace):
+            raise sim.DivergenceError("trace never reached the ideal state")
+
+        monkeypatch.setattr(sim, "convergence_steps", diverge)
+        code = cli.main(["simulate", "--churn-steps", "40", "--seed", "2", "--max-members", "12"])
+        assert code == cli.EXIT_CHECK_FAILED
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["divergence: trace never reached the ideal state"]
+
     def test_explore_joiner_outside_the_space_exit_64(self, capsys):
         code = cli.main(["explore", "--base", "7,19,33", "--joins", "1", "--joiners", "99"])
         assert code == cli.EXIT_USAGE

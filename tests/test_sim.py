@@ -12,16 +12,18 @@ from chordcheck.events import (
     EventNotEnabled,
     apply_event,
     event_to_dict,
+    failable,
     is_enabled,
+    slot_listing,
 )
 from chordcheck.ident import RingParams
 from chordcheck.netstate import Trace, TraceStep, init_network, network_to_dict
 from chordcheck.invariants import conjuncts, is_valid
 from chordcheck.measure import effective_enabled, total_error, visible_state
-from chordcheck.topology import is_ideal
+from chordcheck.topology import _walk_graph, is_ideal
 from chordcheck import sim
 
-from conftest import pinned_sim_configs, stranded_member_state
+from conftest import convergence_configs, pinned_sim_configs, stranded_member_state
 
 
 def run(seed=0, churn=60, r=2, max_members=16, **kw):
@@ -194,6 +196,101 @@ class TestDeterminism:
         path = tmp_path / "trace.jsonl"
         sim.write_trace_jsonl(sim.run_simulation(PINNED_CONFIGS[index]), str(path), snapshot_interval=1)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+# The pinned simulations, then twenty more of criterion 7's mix.
+LISTING_CONFIGS = PINNED_CONFIGS + convergence_configs(range(4, 24))
+
+
+class TestCarriedListing:
+    """The churn phase's listing, pools, unguarded steps and shared walks,
+    each against its from-scratch oracle at every step."""
+
+    @pytest.fixture(scope="class")
+    def recorded(self):
+        """Per config: the trace, each listing made, as (network, listing,
+        "rebuilt" or "carried") in order, and each churn step's (network,
+        picked pool, event)."""
+        runs = []
+        with pytest.MonkeyPatch.context() as mp:
+            for config in LISTING_CONFIGS:
+                listed, picked, churn = [], [], []
+
+                def recording(list_, net_arg, kind):
+                    def wrapped(*args):
+                        listing = list_(*args)
+                        listed.append((args[net_arg], listing, kind))
+                        return listing
+
+                    return wrapped
+
+                def pick(rng, items, _pick=sim._pick):
+                    # A JoinLookup's contact is picked before the pool is.
+                    picked[:] = [items]
+                    return _pick(rng, items)
+
+                def applied(net, ev, _applied=sim._applied):
+                    # Only a churn step is drawn from a pool.
+                    if picked:
+                        churn.append((net, picked.pop(), ev))
+                    return _applied(net, ev)
+
+                mp.setattr(sim, "slot_listing", recording(sim.slot_listing, 0, "rebuilt"))
+                mp.setattr(sim, "carried_listing", recording(sim.carried_listing, 1, "carried"))
+                mp.setattr(sim, "_pick", pick)
+                mp.setattr(sim, "_applied", applied)
+                runs.append((sim.run_simulation(config), listed, churn))
+                mp.undo()
+        return runs
+
+    def test_listing_in_force_is_the_slot_listing(self, recorded):
+        made = Counter()
+        for trace, listed, churn in recorded:
+            made.update(kind for _, _, kind in listed)
+            made_for = iter(listed)
+            net, listing, _ = next(made_for)
+            assert net is trace.initial
+            following = next(made_for, None)
+            # The last churn step's network is listed too, though nothing is
+            # drawn from it. A step that moves no slot makes no listing.
+            for step in trace.steps[: len(churn)]:
+                if following is not None and following[0] is step.network:
+                    listing = following[1]
+                    following = next(made_for, None)
+                assert listing == slot_listing(step.network, ()), step.network
+            assert following is None
+        assert made["carried"] > made["rebuilt"]
+
+    def test_picked_pools_are_the_oracle_pools(self, recorded):
+        for _, _, churn in recorded:
+            for net, pool, ev in churn:
+                if ev.kind is EventKind.FAIL:
+                    fails = [Event(EventKind.FAIL, n) for n in sorted(failable(net) - net.base)]
+                    assert pool == fails, net
+                elif ev.kind not in (EventKind.JOIN_LOOKUP, EventKind.JOIN):
+                    repairs = slot_listing(net, ()).events()
+                    assert pool == [e for e in repairs if e.kind is not EventKind.FAIL], net
+        kinds = Counter(ev.kind for _, _, churn in recorded for _, _, ev in churn)
+        assert all(kinds[kind] for kind in EventKind)
+
+    def test_every_step_replays_through_its_guard(self, recorded):
+        for trace, _, _ in recorded:
+            net = trace.initial
+            for step in trace.steps:
+                assert apply_event(net, step.event) == step.network, (net, step.event)
+                net = step.network
+
+    def test_every_memoised_walk_is_the_walk_of_its_network(self, recorded):
+        shared = 0
+        for trace, _, _ in recorded:
+            prev = trace.initial
+            for net in (trace.initial, *(step.network for step in trace.steps)):
+                walk = net.__dict__.get("_walk")
+                if walk is not None:
+                    assert walk == _walk_graph(net), net
+                    shared += net is not prev and walk is prev.__dict__.get("_walk")
+                prev = net
+        assert shared
 
 
 class TestTraceStructure:
