@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -27,10 +26,10 @@ from .events import (
     carried_listing,
     effect_delta,
     enabled_events,
-    event_delta,
     event_to_dict,
     join_precondition_holds,
     slot_listing,
+    step,
 )
 from .invariants import (
     PREDICATES,
@@ -490,8 +489,8 @@ def check_preservation(
     executor, so a case's post-state is judged by `valid_after` from that
     verdict; an acquired-sweep network differs from the shape only in a
     pending value, so it shares the verdict. A listed case's guard has just
-    held, so it is applied by `effect_delta`; only the swept join and
-    adoption cases are not listed, and go through their guard (`event_delta`).
+    held, so it is applied by `step`; only the swept join and adoption cases
+    are not listed, and go through their guard (`apply_event`).
     """
     report = CheckReport(lemma="EventPreservesValidity", bounds=bounds or {})
     faults = faults or FaultFlags()
@@ -513,9 +512,7 @@ def check_preservation(
         net_valid = is_valid(net)
         for prepared, ev in preservation_cases(net):
             applied += 1
-            apply = event_delta if ev.kind in _ACQUIRED else effect_delta
-            delta = apply(prepared, ev, faults)
-            post = prepared if delta is None else prepared.with_node(*delta)
+            post = (apply_event if ev.kind in _ACQUIRED else step)(prepared, ev, faults)
             change = change_code(prepared, post, ev.node)
             if not (valid_after(prepared, post, change) if net_valid else is_valid(post)):
                 report.add_violation(
@@ -592,7 +589,7 @@ def check_executor_local_monotonicity(states, bounds: dict | None = None) -> Che
         roles = [ROLE_PRED] + [succ_role(i) for i in range(1, net.params.r + 1)]
         for ev in effective_enabled(net):
             n = ev.node
-            post = net.with_node(effect_delta(net, ev)[0])
+            post = step(net, ev)
             before = sum(pointer_error(net, n, role) for role in roles)
             after = sum(pointer_error(post, n, role) for role in roles)
             if after >= before:
@@ -636,10 +633,12 @@ def explore_reachable(
 
     An event changes only its executor, so a successor is keyed without being
     built. Each distinct `node_key` entry is interned once per call, as a
-    small int; a visited key is (the entry ids of the tracked nodes in
-    identifier order, joins, fails), and a successor's is the parent's with
-    the executor's id replaced (or inserted, for a joiner's first lookup).
-    Params and base never change, so they are left out of the visited keys.
+    small int. Every executor is a live member or a joiner, so each
+    identifier of `init.nodes` and `joiners` has a fixed position in a key,
+    in identifier order: a visited key is (the entry ids in those positions,
+    with -1 for a joiner not yet tracked, joins, fails), and a successor's
+    is the parent's with the executor's id replaced. Params and base never
+    change, so they are left out of the visited keys.
     A network is built, and checked, only for a key not seen before. An
     event whose `effect_delta` is None leaves the state as it is: it counts
     as a transition, and in `info["selfLoops"]` by kind, and is dropped
@@ -652,8 +651,9 @@ def explore_reachable(
     full check. A state is listed only when it is expanded: by
     `carried_listing` from its parent's listing and the same code, or by
     `slot_listing` after a liveness change. The listed events' guards have
-    just held, so they are applied by `effect_delta`. A state's verdict is
-    reported when it leaves the queue, which is the order it was reached in.
+    just held, so their deltas are read by `effect_delta` without running
+    the guards again. A state's verdict is reported when it leaves the
+    queue, which is the order it was reached in.
     `info["listings"]` counts the listings rebuilt and carried, and
     `info["transitionsByKind"]` splits the transitions by event kind.
     """
@@ -671,19 +671,22 @@ def explore_reachable(
     )
     join, fail = EventKind.JOIN, EventKind.FAIL
     interned: dict[tuple, int] = {}
-    idents = tuple(sorted(init.nodes))
+    slot = {i: k for k, i in enumerate(sorted({*init.nodes, *joiners}))}
     ids = tuple(
-        interned.setdefault(node_key(init.nodes[i], i in init.live), len(interned)) for i in idents
+        interned.setdefault(node_key(init.nodes[i], i in init.live), len(interned))
+        if i in init.nodes
+        else -1
+        for i in slot
     )
     key = (ids, 0, 0)
     seen = {key}
-    queue = deque([(init, is_valid(init), None, None, key, idents, 0)])
+    queue = deque([(init, is_valid(init), None, None, key, 0)])
     by_kind: dict[EventKind, int] = {}
     loops: dict[EventKind, int] = {}
     rebuilt = expanded = 0
     truncated = False
     while queue:
-        net, valid, parent_listing, change, (ids, joins, fails), idents, depth = queue.popleft()
+        net, valid, parent_listing, change, (ids, joins, fails), depth = queue.popleft()
         if not valid:
             report.add_violation(net, None, "invariant broken at reachable state")
         if depth >= max_depth:
@@ -711,12 +714,8 @@ def explore_reachable(
             joined = live is True and kind is join
             entry = node_key(state, n in net.live if live is None else live)
             entry = interned.setdefault(entry, len(interned))
-            i = bisect_left(idents, n)
-            if i < len(idents) and idents[i] == n:
-                post_idents, rest = idents, i + 1
-            else:
-                post_idents, rest = idents[:i] + (n,) + idents[i:], i
-            key = (ids[:i] + (entry,) + ids[rest:], joins + joined, fails + (kind is fail))
+            i = slot[n]
+            key = (ids[:i] + (entry,) + ids[i + 1 :], joins + joined, fails + (kind is fail))
             if key in seen:
                 continue
             if len(seen) >= max_states:
@@ -726,7 +725,7 @@ def explore_reachable(
             post = net.with_node(*delta)
             post_change = change_code(net, post, n)
             post_valid = valid_after(net, post, post_change) if valid else is_valid(post)
-            queue.append((post, post_valid, listing, post_change, key, post_idents, depth + 1))
+            queue.append((post, post_valid, listing, post_change, key, depth + 1))
     report.states_checked = len(seen)
     report.info.update(
         {

@@ -127,8 +127,9 @@ def scenario_from_dict(data: dict) -> Scenario:
         if not _is_int(b):
             raise ValueError(f"base entry {b!r} is not an integer")
     initial = data.get("initialState")
-    # Without an explicit state, the scenario starts from the ideal base ring.
-    initial = network_from_record(initial) if initial else init_network(params, base)
+    # Without an explicit state (absent or null), the scenario starts from
+    # the ideal base ring.
+    initial = init_network(params, base) if initial is None else network_from_record(initial)
     script = _field(data, "script", list, "scenario")
     expectations = _field(data, "expectations", list, "scenario", optional=True) or []
     return Scenario(
@@ -158,7 +159,7 @@ def _expectation_value(net: Network, exp: Expectation):
         counts = " or ".join(map(str, arities))
         raise ValueError(f"{call}: takes {counts} arguments, got {len(exp.args)}")
     for arg in exp.args:
-        if not isinstance(arg, int) or arg not in net.nodes:
+        if not _is_int(arg) or arg not in net.nodes:
             raise ValueError(f"{call}: {arg!r} is not a tracked identifier")
     try:
         return predicate(net, *exp.args)
@@ -356,7 +357,7 @@ def _cmd_check(args) -> int:
     # trial-search always samples; it ignores --mode.
     exhaustive = args.mode == "exhaustive" and args.target != "trial-search"
     try:
-        params = RingParams(m=args.m or (3 if exhaustive else 6), r=r)
+        params = RingParams(m=(3 if exhaustive else 6) if args.m is None else args.m, r=r)
         _require_floors(args, samples=1)
         if args.trial and args.target != "trial-search":
             raise ValueError("--trial applies only to trial-search")

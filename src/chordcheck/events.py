@@ -7,20 +7,21 @@ modeled by enabling: Rectify(n, p) is enabled whenever live p has n as the
 head of its successor list.
 
 Each kind's precondition is written once, as the guard in `_KINDS`:
-`event_delta` raises its reason, and `is_enabled` is "the guard holds and the
+`apply_event` raises its reason, and `is_enabled` is "the guard holds and the
 event does not time out". Each effect returns only what the rule above lets
-it change: the executor's new state and its liveness change. `event_delta`
-is the guard, then `effect_delta`, which returns that pair, or None when the
-event changes nothing, so a caller can skip a self-loop and key any other
-next state without building it; `apply_event` builds the next network from
-it. The candidates are listed in one place: `slot_listing` lays them out in
-fixed slots, and `enabled_events` is its events in slot order, read by the
-checker. The explorer and the simulator keep the slots and derive a
-successor's from its parent's (`carried_listing`), refreshing only the
-slots whose guards read what the step's `topology.change_code` says changed
-in the one node it touched. A `Join` whose looked-up successor has died is
-an enabled step that clears the lookup, so the explorer takes that branch
-wherever the simulator can.
+it change: the executor's new state and its liveness change, or None when
+the event changes nothing (`effect_delta`). `step` is the one way to make a
+successor of an event whose guard is known to hold: it builds the next
+network from that pair, or returns the network itself for a self-loop.
+`apply_event` is the guard, then `step`. The explorer keys a successor from
+its delta before building it. The candidates are listed in one place:
+`slot_listing` lays them out in fixed slots, and `enabled_events` is its
+events in slot order, read by the checker. The explorer and the simulator
+keep the slots and derive a successor's from its parent's
+(`carried_listing`), refreshing only the slots whose guards read what the
+step's `topology.change_code` says changed in the one node it touched. A
+`Join` whose looked-up successor has died is an enabled step that clears
+the lookup, so the explorer takes that branch wherever the simulator can.
 """
 
 from __future__ import annotations
@@ -351,10 +352,36 @@ def guard(net: Network, event: Event) -> str | None:
     return _KINDS[event.kind][0](net, event)
 
 
-def event_delta(
+def effect_delta(net: Network, event: Event, faults: FaultFlags = _NO_FAULTS) -> Delta | None:
+    """The executor's new state and liveness change after an event whose guard
+    is known to hold, or None if the event changes nothing.
+
+    `step` builds its network from this; the explorer keys a successor
+    before building it, and `check_monotonicity` scores the new state
+    without one. None means exactly that the event leaves `net` as it is.
+    An effective repair (`measure.effective_enabled`) changes its executor's
+    list or predecessor, so its delta is never None.
+    """
+    return _KINDS[event.kind][2](net, event, faults)
+
+
+def step(net: Network, event: Event, faults: FaultFlags = _NO_FAULTS) -> Network:
+    """The network after an event whose guard is known to hold, or `net`
+    itself when the event changes nothing.
+
+    An event that a listing has just listed is one, as are the simulator's
+    joins, whose guards `is_enabled` has just checked, and its repair
+    sweeps' steps, whose guards its repair rules imply: their callers make
+    each successor here, so each guard runs once.
+    """
+    delta = effect_delta(net, event, faults)
+    return net if delta is None else net.with_node(*delta)
+
+
+def apply_event(
     net: Network, event: Event, faults: FaultFlags = _NO_FAULTS, force: bool = False
-) -> Delta | None:
-    """The executor's new state and liveness change, or None if the event changes nothing.
+) -> Network:
+    """The network after the event: its guard, then `step`.
 
     Raises EventNotEnabled with the guard's reason if the event may not
     occur, and AssumptionBreach for a stabilize of a member with no live
@@ -369,31 +396,7 @@ def event_delta(
     reason = check(net, event)
     if reason is not None:
         raise EventNotEnabled(reason)
-    return effect_delta(net, event, faults)
-
-
-def effect_delta(net: Network, event: Event, faults: FaultFlags = _NO_FAULTS) -> Delta | None:
-    """`event_delta` without the guard, for an event whose guard is known to hold.
-
-    An event that `enabled_events(net)` has just listed is one: the explorer
-    and the simulator's churn phase apply those through here, so each guard
-    runs once per listing; the simulator also applies its joins, whose
-    guards `is_enabled` has just checked, and its repair sweeps' steps,
-    whose guards its repair rules imply. None
-    means exactly that the event leaves `net` as it is, so a caller skips a
-    self-loop before keying or building anything. An effective repair
-    (`measure.effective_enabled`) changes its executor's list or predecessor,
-    so its delta is never None.
-    """
-    return _KINDS[event.kind][2](net, event, faults)
-
-
-def apply_event(
-    net: Network, event: Event, faults: FaultFlags = _NO_FAULTS, force: bool = False
-) -> Network:
-    """The network after the event; it raises, and reads `force`, as `event_delta` does."""
-    delta = event_delta(net, event, faults, force)
-    return net if delta is None else net.with_node(*delta)
+    return step(net, event, faults)
 
 
 def is_enabled(net: Network, event: Event) -> bool:

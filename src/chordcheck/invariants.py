@@ -17,7 +17,7 @@ from .ident import between
 from .measure import effective_enabled, total_error
 from .netstate import Network, extended_succ_list
 from .topology import best_successor_map, ring_cycle, ring_members, _cycle_is_ordered, _walk
-from .topology import HEAD_MOVED, LIST_CHANGED, _share_walk, is_ideal
+from .topology import HEAD_MOVED, LIST_CHANGED, is_ideal
 
 
 @dataclass(frozen=True)
@@ -158,8 +158,9 @@ def valid_after(parent: Network, post: Network, change: int | None) -> bool:
       as it was (a joiner's step, Rectify, a pending-value write) skips
       nothing new.
 
-    Wherever the best-successor map is unchanged, `post` takes the parent's
-    memoised walk. `is_valid` is the test oracle.
+    Wherever the best-successor map is unchanged, `change_code` has already
+    given `post` the parent's memoised walk. `conjuncts_reference` is the
+    test oracle.
     """
     if change is None:
         (executor,) = parent.live ^ post.live
@@ -169,7 +170,6 @@ def valid_after(parent: Network, post: Network, change: int | None) -> bool:
     else:
         executor, scan = change >> 2, change & LIST_CHANGED
         if not change & HEAD_MOVED:
-            _share_walk(parent, post)
             return not (scan and _skips_live_base(post, executor))
     walk = _walk(post)
     return (

@@ -7,7 +7,7 @@ events. Phase 2 schedules only repair events, weakly fairly, until a whole
 sweep finds no effective repair; the theorem says that point is the ideal
 state and that it stays ideal. Every event either phase applies has just had
 its guard checked, by the listing, by `is_enabled` or by the sweep's own
-rules, so both apply through `effect_delta`.
+rules, so both make each successor with `events.step`.
 """
 
 from __future__ import annotations
@@ -36,15 +36,15 @@ from .events import (
     _rectified_pred,
     apply_event,
     carried_listing,
-    effect_delta,
     event_from_dict,
     event_to_dict,
     is_enabled,
     slot_listing,
+    step,
 )
 from .invariants import conjuncts
 from .measure import total_error, visible_state
-from .topology import HEAD_MOVED, _cycle_is_ordered, _share_walk, _walk, change_code, is_ideal
+from .topology import _cycle_is_ordered, _walk, change_code, is_ideal
 
 CHURN = "churn"
 REPAIR = "repair"
@@ -81,8 +81,8 @@ class SimConfig:
 def _default_base(params: RingParams, rng: random.Random) -> tuple[int, ...]:
     k = params.r + 1
     # Spread the base around the ring, jittered but collision-free.
-    step = params.space // k
-    ids = [(i * step + rng.randrange(max(step // 2, 1))) % params.space for i in range(k)]
+    gap = params.space // k
+    ids = [(i * gap + rng.randrange(max(gap // 2, 1))) % params.space for i in range(k)]
     while len(set(ids)) != k:
         ids = sorted(rng.sample(range(params.space), k))
     return tuple(sorted(set(ids)))
@@ -90,12 +90,6 @@ def _default_base(params: RingParams, rng: random.Random) -> tuple[int, ...]:
 
 def _pick(rng: random.Random, items: Sequence) -> object:
     return items[rng.randrange(len(items))]
-
-
-def _applied(net: Network, ev: Event) -> Network:
-    """The network after `ev`, whose guard is known to hold in `net`."""
-    delta = effect_delta(net, ev)
-    return net if delta is None else net.with_node(*delta)
 
 
 def _kth_unblocked(k: int, blocked: list[int]) -> int:
@@ -165,16 +159,14 @@ def run_simulation(config: SimConfig) -> Trace:
         if pool is None:
             pool = [ev for ev in listing.events() if ev.kind is not EventKind.FAIL]
         ev = _pick(rng, pool)
-        post = _applied(net, ev)
+        post = step(net, ev)
         if post is not net:
+            # An unchanged best-successor map hands on the walk a lookup reads.
             change = change_code(net, post, ev.node)
             if change is None:
                 listing = slot_listing(post, ())
             else:
                 listing = carried_listing(listing, post, change)
-                # An unchanged best-successor map keeps the walk a lookup reads.
-                if not change & HEAD_MOVED:
-                    _share_walk(net, post)
         net = record(ev, post, CHURN)
 
     # Phase 2: repair only, scheduled by round-robin sweeps so every enabled
@@ -196,16 +188,16 @@ def run_simulation(config: SimConfig) -> Trace:
             adopts = _adopts(net, n, net.nodes[h].pred, h)
             if adopts or _copied_list(net, h) != net.nodes[n].succ_list:
                 sfos = Event(EventKind.STABILIZE_FROM_OLD_SUCCESSOR, n)
-                net = record(sfos, _applied(net, sfos), REPAIR)
+                net = record(sfos, step(net, sfos), REPAIR)
                 applied += 1
                 if adopts:
                     sfns = Event(EventKind.STABILIZE_FROM_NEW_SUCCESSOR, n)
-                    net = record(sfns, _applied(net, sfns), REPAIR)
+                    net = record(sfns, step(net, sfns), REPAIR)
                     applied += 1
             head = net.nodes[n].succ_list[0]
             if net.is_live(head) and _rectified_pred(net, head, n) != net.nodes[head].pred:
                 rect = Event(EventKind.RECTIFY, head, new_pred=n)
-                net = record(rect, _applied(net, rect), REPAIR)
+                net = record(rect, step(net, rect), REPAIR)
                 applied += 1
             if applied > STEP_CEILING:
                 raise DivergenceError(f"repair phase exceeded {STEP_CEILING} steps")
@@ -216,10 +208,10 @@ def run_simulation(config: SimConfig) -> Trace:
 def _repair_start(trace: Trace) -> Network:
     """The network the repair-only phase starts from: the last churn network."""
     net = trace.initial
-    for step in trace.steps:
-        if step.tag == REPAIR:
+    for traced in trace.steps:
+        if traced.tag == REPAIR:
             break
-        net = step.network
+        net = traced.network
     return net
 
 
@@ -237,17 +229,17 @@ def convergence_steps(trace: Trace) -> int:
     effective = 0
     converged_at: int | None = None
     repair_steps = [s for s in trace.steps if s.tag == REPAIR]
-    for i, step in enumerate(repair_steps):
+    for i, traced in enumerate(repair_steps):
         # A repair event alters only its executor's state.
-        n = step.event.node
-        changed = visible_state(prev, n) != visible_state(step.network, n)
+        n = traced.event.node
+        changed = visible_state(prev, n) != visible_state(traced.network, n)
         if changed and converged_at is None:
             effective += 1
-        if converged_at is None and is_ideal(step.network):
+        if converged_at is None and is_ideal(traced.network):
             converged_at = i
-        elif converged_at is not None and not is_ideal(step.network):
+        elif converged_at is not None and not is_ideal(traced.network):
             raise DivergenceError("network left the ideal state during repair")
-        prev = step.network
+        prev = traced.network
 
     # Repair follows churn, so the last step is the last churn step when
     # the repair phase is empty.
@@ -274,19 +266,19 @@ def write_trace_jsonl(trace: Trace, path: str, snapshot_interval: int = 0) -> No
             "snapshotInterval": snapshot_interval,
         }
         fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for i, step in enumerate(trace.steps, start=1):
-            rec = {"type": "step", "step": i, "event": event_to_dict(step.event), "tag": step.tag}
+        for i, traced in enumerate(trace.steps, start=1):
+            rec = {"type": "step", "step": i, "event": event_to_dict(traced.event), "tag": traced.tag}
             if snapshot_interval and (i % snapshot_interval == 0 or i == len(trace.steps)):
-                walk = _walk(step.network)
-                rec["snapshot"] = network_to_dict(step.network)
+                walk = _walk(traced.network)
+                rec["snapshot"] = network_to_dict(traced.network)
                 rec["structure"] = {
                     "ringMembers": sorted(walk.ring),
-                    "appendageMembers": sorted(step.network.live - walk.ring),
+                    "appendageMembers": sorted(traced.network.live - walk.ring),
                     "orderedRingFlag": _cycle_is_ordered(walk.cycle),
                 }
-                rec["totalError"] = total_error(step.network)
-                rec["valid"] = conjuncts(step.network).valid
-                rec["ideal"] = is_ideal(step.network)
+                rec["totalError"] = total_error(traced.network)
+                rec["valid"] = conjuncts(traced.network).valid
+                rec["ideal"] = is_ideal(traced.network)
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 

@@ -41,6 +41,10 @@ def change_code(parent: Network, post: Network, executor: int) -> int | None:
     The one comparison of the executor's old and new list and first live
     entry: the explorer reads it in `invariants.valid_after` and
     `events.carried_listing`, and the simulator's churn phase in the latter.
+    When the liveness is unchanged and the first live entry did not move,
+    the best-successor map is the parent's, so `post` is given the walk
+    memoised on `parent`, if there is one: this is the one place a walk
+    passes from one network to another.
     """
     live = parent.live
     if (executor in live) != (executor in post.live):
@@ -49,7 +53,10 @@ def change_code(parent: Network, post: Network, executor: int) -> int | None:
     if executor in live and parent.nodes[executor].succ_list != post.nodes[executor].succ_list:
         changed = LIST_CHANGED
         if best_successor(parent, executor) != best_successor(post, executor):
-            changed |= HEAD_MOVED
+            return executor << 2 | LIST_CHANGED | HEAD_MOVED
+    walk = parent.__dict__.get("_walk")
+    if walk is not None:
+        post.__dict__["_walk"] = walk
     return executor << 2 | changed
 
 
@@ -115,24 +122,14 @@ def _walk(net: Network) -> _Walk:
 
     Networks are immutable, so the walk is kept in the instance's `__dict__`
     (beside its dataclass fields, which alone decide equality): a lookup's
-    guard and effect and the validity check of one state share it.
+    guard and effect and the validity check of one state share it, and
+    `change_code` hands it on to a successor with the same best-successor map.
     """
     memo = net.__dict__
     walk = memo.get("_walk")
     if walk is None:
         walk = memo["_walk"] = _walk_graph(net)
     return walk
-
-
-def _share_walk(parent: Network, post: Network) -> None:
-    """Give `post` the walk memoised on `parent`, if there is one.
-
-    The caller vouches that the two networks have the same best-successor
-    map, which is all the walk reads.
-    """
-    walk = parent.__dict__.get("_walk")
-    if walk is not None:
-        post.__dict__["_walk"] = walk
 
 
 def _walk_graph(net: Network) -> _Walk:

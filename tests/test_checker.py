@@ -15,6 +15,7 @@ from chordcheck.events import (
     EventKind,
     FaultFlags,
     apply_event,
+    apply_fail,
     apply_join,
     apply_join_lookup,
     apply_rectify,
@@ -22,7 +23,7 @@ from chordcheck.events import (
     apply_stabilize_from_old_successor,
     effect_delta,
     enabled_events,
-    event_delta,
+    step,
 )
 from chordcheck.invariants import (
     conjuncts,
@@ -34,7 +35,7 @@ from chordcheck.invariants import (
     valid_after,
 )
 from chordcheck.measure import effective_enabled, total_error
-from chordcheck.topology import change_code, is_ideal
+from chordcheck.topology import _walk_graph, change_code, is_ideal
 from chordcheck import checker, events, invariants
 
 import events_oracle as oracle
@@ -360,6 +361,14 @@ def _scalar_error_steps(states):
             yield before, total_error(post)
 
 
+def _rejoined_start():
+    """The ideal ring 7, 19, 33 after 10 joined and failed: 10 is tracked, not live."""
+    net = apply_join(apply_join_lookup(init_network(WIDE, [7, 19, 33]), 10, known=7), 10)
+    net = apply_fail(net, 10)
+    assert 10 in net.nodes and not net.is_live(10)
+    return net
+
+
 class TestExploreReachable:
     def test_join_exploration_stays_valid_and_covers_the_walkthrough(self):
         init = init_network(WIDE, [7, 19, 33])
@@ -423,10 +432,8 @@ class TestExploreReachable:
         applied = []
 
         def recording_delta(net, ev):
-            delta = event_delta(net, ev)
-            post = net if delta is None else net.with_node(*delta)
-            applied.append((net.canonical_key(), ev, post))
-            return delta
+            applied.append((net.canonical_key(), ev, apply_event(net, ev)))
+            return effect_delta(net, ev)
 
         monkeypatch.setattr(checker, "effect_delta", recording_delta)
         init = init_network(WIDE, [7, 33, 50])
@@ -450,8 +457,9 @@ class TestExploreReachable:
         assert cleared and retried
         assert posts(EventKind.JOIN, retried, True)
 
-    # (init, joins, fails, depth, joiners): the configurations above, then
-    # the benchmark's unrotated r=2 exploration.
+    # (init, joins, fails, depth, joiners): the configurations above, the
+    # benchmark's unrotated r=2 exploration, and a start that already tracks
+    # the joiner 10, which joined and failed.
     ORACLE_CONFIGS = {
         "walkthrough": (lambda: init_network(WIDE, [7, 19, 33]), 1, 0, 8, (10,)),
         "zero-budget": (
@@ -460,11 +468,14 @@ class TestExploreReachable:
         ),
         "dead-lookup": (lambda: init_network(WIDE, [7, 33, 50]), 2, 1, 9, (19, 10)),
         "bench-r2": (lambda: init_network(WIDE, [7, 19, 33]), 3, 1, 10, (10, 40, 55)),
+        "rejoin": (_rejoined_start, 1, 0, 8, (10, 40)),
     }
+    # The plain search's states and transitions, where they are pinned.
+    ORACLE_COUNTS = {"bench-r2": (13_851, 83_078), "rejoin": (358, 2_348)}
 
-    @pytest.mark.parametrize("config", ORACLE_CONFIGS.values(), ids=ORACLE_CONFIGS.keys())
-    def test_spliced_keys_match_a_plain_bfs(self, monkeypatch, config):
-        make_init, joins, fails, depth, joiners = config
+    @pytest.mark.parametrize("name", ORACLE_CONFIGS)
+    def test_spliced_keys_match_a_plain_bfs(self, monkeypatch, name):
+        make_init, joins, fails, depth, joiners = self.ORACLE_CONFIGS[name]
         init = make_init()
         checked = []
         _record_judged(monkeypatch, lambda net: checked.append(net.canonical_key()))
@@ -474,8 +485,8 @@ class TestExploreReachable:
         assert report.info["states"] == len(order)
         assert report.info["transitions"] == transitions
         assert report.passed and not report.info["truncated"]
-        if joiners == (10, 40, 55):
-            assert (len(order), transitions) == (13_851, 83_078)
+        if name in self.ORACLE_COUNTS:
+            assert (len(order), transitions) == self.ORACLE_COUNTS[name]
 
     def test_a_network_is_built_only_for_each_new_state(self, monkeypatch):
         built = []
@@ -530,12 +541,13 @@ class TestExploreReachable:
 
 
 def _judged_as_in_full(parent, post, change):
-    """`valid_after` agrees with the full check of `post`, and a walk it hands
-    from `parent` to `post` is the walk `post` makes itself. Returns the verdict."""
-    expected = is_valid(post)
-    own = post.__dict__["_walk"]
+    """`valid_after` agrees with the from-scratch check of `post`, and any walk
+    memoised on `post` (`change_code` may hand it the parent's) is the walk
+    `post` makes itself. Returns the verdict."""
+    expected = conjuncts_reference(post).valid
     assert valid_after(parent, post, change) == expected
-    assert post.__dict__["_walk"] == own
+    walk = post.__dict__.get("_walk")
+    assert walk is None or walk == _walk_graph(post)
     return expected
 
 
@@ -639,12 +651,17 @@ class TestDeltaValidity:
         assert report.violation_count == sum(not is_valid(s) for s in judged)
         assert any(is_valid(s) for s in judged)
 
-    def test_effect_delta_is_event_delta_on_every_listed_event(self, bench_r2_reached):
+    def test_effect_delta_and_step_agree_with_apply_event_on_every_listed_event(
+        self, bench_r2_reached
+    ):
         joiners, reached = bench_r2_reached
         listed = 0
         for net in reached:
             for ev in enabled_events(net, joiners=joiners):
-                assert effect_delta(net, ev) == event_delta(net, ev)
+                delta = effect_delta(net, ev)
+                post = step(net, ev)
+                assert post == apply_event(net, ev)
+                assert post is net if delta is None else post == net.with_node(*delta)
                 listed += 1
         assert len(reached) == 13_851 and listed > 83_078
 

@@ -121,11 +121,15 @@ class TestReplayScenarios:
             ({"predicate": "noDuplicates", "args": [7, 19]}, "noDuplicates[7, 19]"),
             ({"predicate": "succ", "args": [42]}, "succ[42]: 42 is not a tracked identifier"),
             ({"predicate": "live", "args": ["7"]}, "live['7']"),
+            ({"predicate": "live", "args": [True]}, "live[True]: True is not a tracked identifier"),
             ({"predicate": "bogus"}, "unknown predicate 'bogus'"),
         ],
     )
     def test_bad_predicate_call_exit_2(self, tmp_path, capsys, expectation, named):
-        code, out = self._replay(tmp_path, capsys, expectations=[{"step": 0, "expected": 1, **expectation}])
+        # 1 is tracked after its lookup, and JSON true is not the identifier 1.
+        script = [{"kind": "JoinLookup", "node": 1, "known": 7}]
+        expectations = [{"step": 1, "expected": 1, **expectation}]
+        code, out = self._replay(tmp_path, capsys, script, expectations)
         assert code == cli.EXIT_PARSE
         assert named in out
 
@@ -159,6 +163,7 @@ class TestReplayScenarios:
                 lambda s: s.update(initialState=_ideal_record(_base_twice)),
                 "base [7, 7, 19] names an identifier twice",
             ),
+            (lambda s: s.update(initialState={}), "malformed network record"),
         ],
     )
     def test_mistyped_scenario_field_exit_2(self, tmp_path, capsys, edit, message):
@@ -185,6 +190,7 @@ class TestReplayScenarios:
         ("simulate --m 1", "m must be at least 3"),
         ("simulate --m 1000000000000", "m must be at most 160"),
         ("check progress --m 1000000000000", "m must be at most 160"),
+        ("check progress --m 0 --n 3", "m must be at least 3, got 0"),
         ("init --m 1000000000000 --base 7,19,33", "m must be at most 160"),
         ("simulate --churn-steps -1", "churn steps must be non-negative"),
         ("init --base 1,1", "distinct"),

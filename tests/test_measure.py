@@ -18,7 +18,6 @@ from chordcheck.events import (
     apply_stabilize_from_new_successor,
     apply_stabilize_from_old_successor,
     effect_delta,
-    event_delta,
 )
 from chordcheck.measure import (
     ROLE_PRED,
@@ -230,7 +229,7 @@ class TestErrorVectorAfter:
             before = error_vector(net)
             for ev in effective_enabled(net):
                 delta = effect_delta(net, ev)
-                assert delta == event_delta(net, ev)
+                assert net.with_node(*delta) == apply_event(net, ev)
                 state, live = delta
                 assert live is None
                 assert error_vector_after(net, before, state) == error_vector(net.with_node(state))

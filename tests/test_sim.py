@@ -229,16 +229,16 @@ class TestCarriedListing:
                     picked[:] = [items]
                     return _pick(rng, items)
 
-                def applied(net, ev, _applied=sim._applied):
+                def applied(net, ev, _step=sim.step):
                     # Only a churn step is drawn from a pool.
                     if picked:
                         churn.append((net, picked.pop(), ev))
-                    return _applied(net, ev)
+                    return _step(net, ev)
 
                 mp.setattr(sim, "slot_listing", recording(sim.slot_listing, 0, "rebuilt"))
                 mp.setattr(sim, "carried_listing", recording(sim.carried_listing, 1, "carried"))
                 mp.setattr(sim, "_pick", pick)
-                mp.setattr(sim, "_applied", applied)
+                mp.setattr(sim, "step", applied)
                 runs.append((sim.run_simulation(config), listed, churn))
                 mp.undo()
         return runs
