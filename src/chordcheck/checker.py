@@ -648,14 +648,16 @@ def explore_reachable(
     its change code (`topology.change_code`), computed once when the state
     is first reached. A child of a valid state is judged by `valid_after`
     from that code; the initial state and a child of an invalid one get the
-    full check. A state is listed only when it is expanded: by
-    `carried_listing` from its parent's listing and the same code, or by
-    `slot_listing` after a liveness change. The listed events' guards have
-    just held, so their deltas are read by `effect_delta` without running
-    the guards again. A state's verdict is reported when it leaves the
-    queue, which is the order it was reached in.
-    `info["listings"]` counts the listings rebuilt and carried, and
-    `info["transitionsByKind"]` splits the transitions by event kind.
+    full check. A state is listed only when it is expanded, by
+    `carried_listing` from its parent's listing and the same code, a Join
+    or a Fail included; a Join that spends the last join drops the joiner
+    slots. Only the initial state is listed by `slot_listing`. The listed
+    events' guards have just held, so their deltas are read by
+    `effect_delta` without running the guards again. A state's verdict is
+    reported when it leaves the queue, which is the order it was reached in.
+    `info["listings"]` counts the listings rebuilt (the initial state's)
+    and carried, and `info["transitionsByKind"]` splits the transitions by
+    event kind.
     """
     space = init.params.space
     for i, j in enumerate(joiners):
@@ -680,23 +682,24 @@ def explore_reachable(
     )
     key = (ids, 0, 0)
     seen = {key}
-    queue = deque([(init, is_valid(init), None, None, key, 0)])
+    # The initial state's entry carries its own listing, and no change code:
+    # the one listing made from scratch, if any state is expanded.
+    rebuilt = int(max_depth > 0)
+    listing = slot_listing(init, joiners if max_joins else ()) if rebuilt else None
+    queue = deque([(init, is_valid(init), listing, None, key, 0)])
     by_kind: dict[EventKind, int] = {}
     loops: dict[EventKind, int] = {}
-    rebuilt = expanded = 0
+    expanded = 0
     truncated = False
     while queue:
-        net, valid, parent_listing, change, (ids, joins, fails), depth = queue.popleft()
+        net, valid, listing, change, (ids, joins, fails), depth = queue.popleft()
         if not valid:
             report.add_violation(net, None, "invariant broken at reachable state")
         if depth >= max_depth:
             continue
         expanded += 1
-        if change is None:
-            listing = slot_listing(net, joiners if joins < max_joins else ())
-            rebuilt += 1
-        else:
-            listing = carried_listing(parent_listing, net, change)
+        if change is not None:
+            listing = carried_listing(listing, net, change, joiners if joins < max_joins else ())
         for ev in listing.slots:
             if ev is None:
                 continue

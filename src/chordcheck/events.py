@@ -17,15 +17,17 @@ network from that pair, or returns the network itself for a self-loop.
 its delta before building it. The candidates are listed in one place:
 `slot_listing` lays them out in fixed slots, and `enabled_events` is its
 events in slot order, read by the checker. The explorer and the simulator
-keep the slots and derive a successor's from its parent's
-(`carried_listing`), refreshing only the slots whose guards read what the
-step's `topology.change_code` says changed in the one node it touched. A
+list only their first state by `slot_listing`: they keep the slots and
+derive a successor's from its parent's (`carried_listing`), refreshing only
+the slots whose guards read what the step's `topology.change_code` says
+changed in the one node it touched, its liveness included. A
 `Join` whose looked-up successor has died is an enabled step that clears
 the lookup, so the explorer takes that branch wherever the simulator can.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -33,7 +35,7 @@ from typing import NamedTuple
 
 from .ident import between
 from .netstate import Network, NodeState
-from .topology import HEAD_MOVED, LIST_CHANGED, best_successor, lookup_succ
+from .topology import HEAD_MOVED, LIST_CHANGED, LIVENESS_CHANGED, best_successor, lookup_succ
 
 
 class EventKind(Enum):
@@ -499,7 +501,9 @@ def enabled_events(net: Network, joiners: Sequence[int] | None = None) -> list[E
     return slot_listing(net, joiners).events()
 
 
-def carried_listing(parent: Listing, net: Network, change: int) -> Listing:
+def carried_listing(
+    parent: Listing, net: Network, change: int, joiners: tuple[int, ...] | None = None
+) -> Listing:
     """The listing of `net` from `parent`, the listing of the state it succeeds,
     and the `topology.change_code` of that step.
 
@@ -508,30 +512,40 @@ def carried_listing(parent: Listing, net: Network, change: int) -> Listing:
     member's adoption step and, when x's list changed, its other stabilize
     step, the Rectify it sends and every Fail, and, when x's first live
     entry moved, every joiner's JoinLookup. A non-member x outside `joiners`
-    moves no slot, so `parent` is returned. `slot_listing` is the oracle.
-    A refreshed slot keeps its parent's event object when the event is the
-    same, so a family of listings shares them.
+    moves no slot, so `parent` is returned. A Join or a Fail of x inserts or
+    removes x's slots, then refreshes only the slots whose guards read x's
+    liveness: the stabilize steps and the Rectify of each member whose list
+    holds x, the adoption step of each member whose stored candidate is x,
+    every Fail and every joiner's step. `joiners` are the distinct joiners of
+    `net`'s listing, the parent's unless given; they may differ from those
+    only after a liveness change, as when a Join spends the explorer's last
+    join. `slot_listing` is the oracle. A refreshed slot keeps its parent's
+    event object when the event is the same, so a family of listings shares
+    them.
     """
+    x = change >> 3
+    if change & LIVENESS_CHANGED:
+        return _liveness_carried(parent, net, x, parent.joiners if joiners is None else joiners)
     joiners, members, slots = parent
-    slots = slots.copy()
-    x, changed = change >> 2, change & 3
+    listing = Listing(joiners, members, slots.copy())
+    slots = listing.slots
     first = len(joiners)
     if x not in net.live:
         # A non-member's state is read only by its own join step.
         if x not in joiners:
             return parent
         slots[joiners.index(x)] = _join_step(net, x)
-        return Listing(joiners, members, slots)
+        return listing
     k = members.index(x)
     at = first + 3 * k
     slots[at + 1] = _enabled(net, slots[at + 1] or Event(_SFNS, x))
-    if changed & LIST_CHANGED:
+    if change & LIST_CHANGED:
         # Only the adoption step reads x's pending candidate; the rest read its list.
         slots[at] = _enabled(net, slots[at] or Event(_SFOS, x))
         rectify = first + 3 * len(members) + k
         slots[rectify] = _rectify_step(net, x, slots[rectify])
-        _fill_fails(net, parent, slots)
-    if changed & HEAD_MOVED:
+        _fill_fails(net, listing)
+    if change & HEAD_MOVED:
         nodes = net.nodes
         for i, j in enumerate(joiners):
             state = nodes.get(j)
@@ -539,7 +553,40 @@ def carried_listing(parent: Listing, net: Network, change: int) -> Listing:
                 slots[i] = _join_step(net, j)
     # Listings are never changed once made, so an unchanged one is shared. A
     # joiner's step above always changes its kind.
-    return parent if slots == parent.slots else Listing(joiners, members, slots)
+    return parent if slots == parent.slots else listing
+
+
+def _liveness_carried(parent: Listing, net: Network, x: int, joiners: tuple[int, ...]) -> Listing:
+    """`carried_listing` after a Join or a Fail of x."""
+    first, members, slots = len(parent.joiners), parent.members, parent.slots
+    count = len(members)
+    stabilize = slots[first : first + 3 * count]  # each member's three slots
+    rectify = slots[first + 3 * count :]
+    if x in net.live:
+        k = bisect_left(members, x)
+        members = members[:k] + (x,) + members[k:]
+        stabilize[3 * k : 3 * k] = (None, None, None)
+        rectify.insert(k, None)
+    else:
+        k = members.index(x)
+        members = members[:k] + members[k + 1 :]
+        del stabilize[3 * k : 3 * k + 3]
+        del rectify[k]
+    nodes = net.nodes
+    for i, n in enumerate(members):
+        state = nodes[n]
+        at = 3 * i
+        if n == x or x in state.succ_list:
+            # Its first live entry, and so its head's liveness, may have moved.
+            stabilize[at] = _enabled(net, stabilize[at] or Event(_SFOS, n))
+            stabilize[at + 1] = _enabled(net, stabilize[at + 1] or Event(_SFNS, n))
+            rectify[i] = _rectify_step(net, n, rectify[i])
+        elif state.pending_candidate == x:
+            stabilize[at + 1] = _enabled(net, stabilize[at + 1] or Event(_SFNS, n))
+    # A joiner's lookup reads the ring walk, and its Join its successor's liveness.
+    listing = Listing(joiners, members, [_join_step(net, j) for j in joiners] + stabilize + rectify)
+    _fill_fails(net, listing)
+    return listing
 
 
 def _enabled(net: Network, ev: Event) -> Event | None:
@@ -559,12 +606,12 @@ def _rectify_step(net: Network, p: int, old: Event | None) -> Event | None:
     return _enabled(net, ev)
 
 
-def _fill_fails(net: Network, parent: Listing, slots: list) -> None:
+def _fill_fails(net: Network, listing: Listing) -> None:
     # `failable` applies the Fail guard to every member in one pass.
     fails = failable(net) - net.base
-    at = _fail_slots(parent)
+    slots, at = listing.slots, _fail_slots(listing)
     slots[at] = [
-        (ev or Event(_FAIL, n)) if n in fails else None for n, ev in zip(parent.members, slots[at])
+        (ev or Event(_FAIL, n)) if n in fails else None for n, ev in zip(listing.members, slots[at])
     ]
 
 

@@ -17,7 +17,7 @@ from .ident import between
 from .measure import effective_enabled, total_error
 from .netstate import Network, extended_succ_list
 from .topology import best_successor_map, ring_cycle, ring_members, _cycle_is_ordered, _walk
-from .topology import HEAD_MOVED, LIST_CHANGED, is_ideal
+from .topology import HEAD_MOVED, LIST_CHANGED, LIVENESS_CHANGED, is_ideal
 
 
 @dataclass(frozen=True)
@@ -139,22 +139,21 @@ def is_valid(net: Network) -> bool:
     return conjuncts(net).valid
 
 
-def valid_after(parent: Network, post: Network, change: int | None) -> bool:
+def valid_after(parent: Network, post: Network, change: int) -> bool:
     """`is_valid(post)`, given that `parent` is valid and that `post` differs
     from it only in one executor's state and liveness, as `change` (its
     `topology.change_code`) says.
 
     Validity reads only the live set, the base and the live members' lists:
     - a liveness change (Join, Fail) of a stable-base member moves the live
-      base and gets the full check; the executor of a liveness change is the
-      one identifier in `parent.live ^ post.live`;
+      base and gets the full check;
     - any other liveness change, or a moved first live entry, changes the
-      best-successor map, so the first four conjuncts are read from the walk
-      of `post`; otherwise the walk, and so those conjuncts, are the
-      parent's;
+      best-successor map (`HEAD_MOVED`), so the first four conjuncts are
+      read from the walk of `post`; otherwise the walk, and so those
+      conjuncts, are the parent's;
     - the live base is then the parent's, so BaseNotSkipped can only fail in
-      the executor's own adjacent pairs, and only when it is live and its
-      list changed or it just joined. A Fail removes pairs, and a list left
+      the executor's own adjacent pairs, and only when its list changed or
+      it just joined (`LIST_CHANGED`). A Fail removes pairs, and a list left
       as it was (a joiner's step, Rectify, a pending-value write) skips
       nothing new.
 
@@ -162,15 +161,11 @@ def valid_after(parent: Network, post: Network, change: int | None) -> bool:
     given `post` the parent's memoised walk. `conjuncts_reference` is the
     test oracle.
     """
-    if change is None:
-        (executor,) = parent.live ^ post.live
-        if executor in post.base:
-            return is_valid(post)
-        scan = executor in post.live
-    else:
-        executor, scan = change >> 2, change & LIST_CHANGED
-        if not change & HEAD_MOVED:
-            return not (scan and _skips_live_base(post, executor))
+    executor, scan = change >> 3, change & LIST_CHANGED
+    if change & LIVENESS_CHANGED and executor in post.base:
+        return is_valid(post)
+    if not change & HEAD_MOVED:
+        return not (scan and _skips_live_base(post, executor))
     walk = _walk(post)
     return (
         bool(walk.ring)

@@ -2,10 +2,12 @@
 
 Phase 1 applies randomly chosen joins, fails and repairs. It keeps one
 `events.Listing` of the current network and carries it from step to step as
-the explorer does: the fails are its Fail slots and the repairs are its other
-events. Phase 2 schedules only repair events, weakly fairly, until a whole
-sweep finds no effective repair; the theorem says that point is the ideal
-state and that it stays ideal. Every event either phase applies has just had
+the explorer does, across a Join or a Fail too: the fails are its Fail slots
+and the repairs are its other events. The joins are the Joins of the pending
+joiners, kept from step to step by identifier, and one fresh lookup. Phase 2
+schedules only repair events, weakly fairly, until a whole sweep finds no
+effective repair; the theorem says that point is the ideal state and that
+it stays ideal. Every event either phase applies has just had
 its guard checked, by the listing, by `is_enabled` or by the sweep's own
 rules, so both make each successor with `events.step`.
 """
@@ -44,7 +46,7 @@ from .events import (
 )
 from .invariants import conjuncts
 from .measure import total_error, visible_state
-from .topology import _cycle_is_ordered, _walk, change_code, is_ideal
+from .topology import LIVENESS_CHANGED, _cycle_is_ordered, _walk, change_code, is_ideal
 
 CHURN = "churn"
 REPAIR = "repair"
@@ -101,6 +103,11 @@ def _kth_unblocked(k: int, blocked: list[int]) -> int:
     return k
 
 
+def _join_if_enabled(net: Network, j: int) -> Event | None:
+    ev = Event(EventKind.JOIN, j)
+    return ev if is_enabled(net, ev) else None
+
+
 def run_simulation(config: SimConfig) -> Trace:
     """Run churn then fair repair; returns the full tagged trace."""
     rng = random.Random(config.seed)
@@ -117,14 +124,20 @@ def run_simulation(config: SimConfig) -> Trace:
 
     # The listing of `net` without joiners: its members are the live set.
     listing = slot_listing(net, ())
+    # Each non-member with a lookup in progress, and its Join while the guard
+    # holds.
+    pending = {
+        j: _join_if_enabled(net, j)
+        for j, state in net.nodes.items()
+        if state.pending_new_succ is not None and j not in net.live
+    }
     for _ in range(config.churn_steps):
         live = listing.members
         joins: list[Event] = []
         if len(live) < cap:
             # A pending joiner's Join completes, or it clears a lookup whose
             # successor has died.
-            pending = (j for j in sorted(net.nodes) if net.nodes[j].pending_new_succ is not None)
-            joins = [ev for j in pending if is_enabled(net, ev := Event(EventKind.JOIN, j))]
+            joins = [ev for j in sorted(pending) if (ev := pending[j]) is not None]
             # A fresh joiner is any identifier neither live nor mid-join; the
             # base never fails, so a live contact always exists.
             blocked = sorted([*live, *(ev.node for ev in joins)])
@@ -161,12 +174,20 @@ def run_simulation(config: SimConfig) -> Trace:
         ev = _pick(rng, pool)
         post = step(net, ev)
         if post is not net:
+            x = ev.node
             # An unchanged best-successor map hands on the walk a lookup reads.
-            change = change_code(net, post, ev.node)
-            if change is None:
-                listing = slot_listing(post, ())
+            change = change_code(net, post, x)
+            listing = carried_listing(listing, post, change)
+            # A Join's guard reads its joiner's own state and the liveness of
+            # the successor that joiner looked up.
+            if change & LIVENESS_CHANGED:
+                for j in pending:
+                    if post.nodes[j].pending_new_succ == x:
+                        pending[j] = _join_if_enabled(post, j)
+            if post.nodes[x].pending_new_succ is not None and x not in post.live:
+                pending[x] = _join_if_enabled(post, x)
             else:
-                listing = carried_listing(listing, post, change)
+                pending.pop(x, None)
         net = record(ev, post, CHURN)
 
     # Phase 2: repair only, scheduled by round-robin sweeps so every enabled

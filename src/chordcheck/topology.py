@@ -29,18 +29,21 @@ def best_successor(net: Network, n: int) -> int | None:
 
 # A change code packs a successor's executor and what its step changed
 # besides the pending values and the predecessor:
-# `executor << 2 | LIST_CHANGED | HEAD_MOVED`.
+# `executor << 3 | LIVENESS_CHANGED | LIST_CHANGED | HEAD_MOVED`.
 LIST_CHANGED = 1  # the executor's list
-HEAD_MOVED = 2  # its first live entry, so the best-successor map and the walk
+HEAD_MOVED = 2  # its first live entry or its liveness, so the best-successor map and the walk
+LIVENESS_CHANGED = 4  # a Join or a Fail
 
 
-def change_code(parent: Network, post: Network, executor: int) -> int | None:
+def change_code(parent: Network, post: Network, executor: int) -> int:
     """The change code of `post`, which differs from `parent` only in
-    `executor`'s state and liveness, or None if its liveness changed.
+    `executor`'s state and liveness.
 
-    The one comparison of the executor's old and new list and first live
-    entry: the explorer reads it in `invariants.valid_after` and
+    The one comparison of the executor's old and new list, first live entry
+    and liveness: the explorer reads it in `invariants.valid_after` and
     `events.carried_listing`, and the simulator's churn phase in the latter.
+    A Join or a Fail sets `LIVENESS_CHANGED` and `HEAD_MOVED`, and a Join
+    also `LIST_CHANGED`, since its list is new to the live set.
     When the liveness is unchanged and the first live entry did not move,
     the best-successor map is the parent's, so `post` is given the walk
     memoised on `parent`, if there is one: this is the one place a walk
@@ -48,16 +51,17 @@ def change_code(parent: Network, post: Network, executor: int) -> int | None:
     """
     live = parent.live
     if (executor in live) != (executor in post.live):
-        return None
+        joined = LIST_CHANGED if executor in post.live else 0
+        return executor << 3 | LIVENESS_CHANGED | HEAD_MOVED | joined
     changed = 0
     if executor in live and parent.nodes[executor].succ_list != post.nodes[executor].succ_list:
         changed = LIST_CHANGED
         if best_successor(parent, executor) != best_successor(post, executor):
-            return executor << 2 | LIST_CHANGED | HEAD_MOVED
+            return executor << 3 | LIST_CHANGED | HEAD_MOVED
     walk = parent.__dict__.get("_walk")
     if walk is not None:
         post.__dict__["_walk"] = walk
-    return executor << 2 | changed
+    return executor << 3 | changed
 
 
 def best_successor_map(net: Network) -> dict[int, int | None]:

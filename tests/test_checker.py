@@ -35,7 +35,7 @@ from chordcheck.invariants import (
     valid_after,
 )
 from chordcheck.measure import effective_enabled, total_error
-from chordcheck.topology import _walk_graph, change_code, is_ideal
+from chordcheck.topology import LIST_CHANGED, LIVENESS_CHANGED, _walk_graph, change_code, is_ideal
 from chordcheck import checker, events, invariants
 
 import events_oracle as oracle
@@ -598,6 +598,16 @@ class TestDeltaValidity:
                     verdicts[_judged_as_in_full(net, post, change_code(net, post, n))] += 1
         assert verdicts[True] and verdicts[False]
 
+    def test_a_kept_head_with_a_later_pair_skipping_the_base(self):
+        # 7 keeps its first live entry 19, so the walk is its parent's, but
+        # its new pair (19, 7) skips the live base member 33.
+        parent = init_network(WIDE, [7, 19, 33])
+        post = parent.with_node(replace(parent.node(7), succ_list=(19, 7)))
+        change = change_code(parent, post, 7)
+        assert change == 7 << 3 | LIST_CHANGED
+        assert not valid_after(parent, post, change)
+        assert not _judged_as_in_full(parent, post, change)
+
     @staticmethod
     def _judge_liveness_changes(states):
         # No Join from a valid state skips a base member, so only a rewrite
@@ -754,7 +764,7 @@ class TestCarriedListing:
         def recording(list_, net_arg):
             def wrapped(*args):
                 listing = list_(*args)
-                listed.append((args[net_arg], listing))
+                listed.append((args[net_arg], listing, args))
                 return listing
 
             return wrapped
@@ -764,11 +774,87 @@ class TestCarriedListing:
         report = checker.explore_reachable(init, joins, fails, depth, joiners=joiners)
         expected = list(_expanded_states(init, joins, fails, depth, joiners))
         assert len(listed) == len(expected) == sum(report.info["listings"].values())
-        for (net, listing), (oracle_net, allowed, _) in zip(listed, expected):
+        for (net, listing, _), (oracle_net, allowed, _) in zip(listed, expected):
             assert net == oracle_net
             assert listing.joiners == allowed
             assert listing.events() == oracle.listing_loop(net, allowed), net
-        assert report.info["listings"]["carried"] > report.info["listings"]["rebuilt"]
+        # Only the initial state is listed from scratch: a Join or a Fail is
+        # carried like any other step.
+        assert report.info["listings"]["rebuilt"] == 1 and listed[0][2][0] is init
+        carried = [args[2] for _, _, args in listed[1:]]
+        assert bool(joins or fails) == any(change & LIVENESS_CHANGED for change in carried)
+
+    @staticmethod
+    def _across(net, ev, joiners=(), post_joiners=None):
+        """The events listed in `net` and, carried across the Join or Fail
+        `ev`, in its successor, whose listing must be the one `slot_listing`
+        makes (with `post_joiners`, when given)."""
+        parent = events.slot_listing(net, joiners)
+        post = apply_event(net, ev)
+        change = change_code(net, post, ev.node)
+        assert change & LIVENESS_CHANGED
+        listing = events.carried_listing(parent, post, change, post_joiners)
+        allowed = joiners if post_joiners is None else post_joiners
+        assert listing == events.slot_listing(post, allowed)
+        assert listing.events() == oracle.listing_loop(post, allowed)
+        return parent.events(), listing.events()
+
+    @staticmethod
+    def _ring(*nodes):
+        # The ideal ring of the base 7, 33 and 50 with 20 tracked dead, then
+        # each (state, liveness) in `nodes` set with `Network.with_node`.
+        net = make_net(
+            6, 2, base=[7, 33, 50],
+            nodes={7: (50, (33, 50)), 33: (7, (50, 7)), 50: (33, (7, 33))},
+            dead={20: (None, (33, 50))},
+        )
+        for state, live in nodes:
+            net = net.with_node(state, live)
+        return net
+
+    def test_a_stored_candidate_that_joins(self):
+        # 7 holds the candidate 20, which is not in its list: its adoption
+        # times out until 20 joins.
+        net = self._ring((NodeState(20, (), None, 33), None))
+        net = net.with_node(replace(net.node(7), pending_candidate=20))
+        before, after = self._across(net, Event(EventKind.JOIN, 20))
+        adoption = Event(EventKind.STABILIZE_FROM_NEW_SUCCESSOR, 7)
+        assert adoption not in before and adoption in after
+
+    def test_a_stored_candidate_that_fails(self):
+        net = self._ring((NodeState(20, (33, 50), 7), True))
+        net = net.with_node(replace(net.node(7), pending_candidate=20))
+        before, after = self._across(net, Event(EventKind.FAIL, 20))
+        adoption = Event(EventKind.STABILIZE_FROM_NEW_SUCCESSOR, 7)
+        assert adoption in before and adoption not in after
+
+    def test_the_rectify_sent_to_a_head_that_fails(self):
+        net = self._ring((NodeState(20, (33, 50), 7), True))
+        net = net.with_node(replace(net.node(7), succ_list=(20, 33)))
+        before, after = self._across(net, Event(EventKind.FAIL, 20))
+        rectify = Event(EventKind.RECTIFY, 20, new_pred=7)
+        assert rectify in before and rectify not in after
+
+    def test_the_rectify_sent_to_a_head_that_joins(self):
+        net = self._ring((NodeState(20, (), None, 33), None))
+        net = net.with_node(replace(net.node(7), succ_list=(20, 33)))
+        before, after = self._across(net, Event(EventKind.JOIN, 20))
+        rectify = Event(EventKind.RECTIFY, 20, new_pred=7)
+        assert rectify not in before and rectify in after
+
+    def test_a_stranded_member_gets_a_live_entry_from_a_join(self):
+        # Every entry of 40's list is dead until 45 joins.
+        net = self._ring((NodeState(40, (45, 20), 33), True), (NodeState(45, (), None, 50), None))
+        before, after = self._across(net, Event(EventKind.JOIN, 45))
+        copy = Event(EventKind.STABILIZE_FROM_OLD_SUCCESSOR, 40)
+        assert copy not in before and copy in after
+
+    def test_the_last_join_drops_the_joiner_slots(self):
+        # The explorer offers no joiner a step once its join budget is spent.
+        net = apply_join_lookup(init_network(WIDE, [7, 19, 33]), 10, known=7)
+        before, after = self._across(net, Event(EventKind.JOIN, 10), (10, 40), ())
+        assert Event(EventKind.JOIN_LOOKUP, 40) in before
+        assert all(ev.kind not in (EventKind.JOIN, EventKind.JOIN_LOOKUP) for ev in after)
 
 
 def _expanded_states(init, max_joins, max_fails, max_depth, joiners):

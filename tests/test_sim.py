@@ -17,13 +17,13 @@ from chordcheck.events import (
     slot_listing,
 )
 from chordcheck.ident import RingParams
-from chordcheck.netstate import Trace, TraceStep, init_network, network_to_dict
+from chordcheck.netstate import NodeState, Trace, TraceStep, init_network, network_to_dict
 from chordcheck.invariants import conjuncts, is_valid
 from chordcheck.measure import effective_enabled, total_error, visible_state
 from chordcheck.topology import _walk_graph, is_ideal
 from chordcheck import sim
 
-from conftest import convergence_configs, pinned_sim_configs, stranded_member_state
+from conftest import convergence_configs, make_net, pinned_sim_configs, stranded_member_state
 
 
 def run(seed=0, churn=60, r=2, max_members=16, **kw):
@@ -202,6 +202,50 @@ class TestDeterminism:
 LISTING_CONFIGS = PINNED_CONFIGS + convergence_configs(range(4, 24))
 
 
+def _recorded_run(mp, config):
+    """`TestCarriedListing.recorded` for one config, patched through `mp`."""
+    listed, picked, churn = [], [], []
+
+    def recording(list_, net_arg, kind):
+        def wrapped(*args):
+            listing = list_(*args)
+            listed.append((args[net_arg], listing, kind))
+            return listing
+
+        return wrapped
+
+    def pick(rng, items, _pick=sim._pick):
+        # A JoinLookup's contact is picked before the pool is.
+        picked[:] = [items]
+        return _pick(rng, items)
+
+    def applied(net, ev, _step=sim.step):
+        # Only a churn step is drawn from a pool.
+        if picked:
+            churn.append((net, picked.pop(), ev))
+        return _step(net, ev)
+
+    mp.setattr(sim, "slot_listing", recording(sim.slot_listing, 0, "rebuilt"))
+    mp.setattr(sim, "carried_listing", recording(sim.carried_listing, 1, "carried"))
+    mp.setattr(sim, "_pick", pick)
+    mp.setattr(sim, "step", applied)
+    return sim.run_simulation(config), listed, churn
+
+
+def _assert_join_pool(net, pool):
+    """The pending joiners' Joins, in identifier order, then at most one
+    fresh joiner's lookup: returns (Joins, lookups)."""
+    pending = (j for j in sorted(net.nodes) if net.nodes[j].pending_new_succ is not None)
+    scan = [e for j in pending if is_enabled(net, e := Event(EventKind.JOIN, j))]
+    assert pool[: len(scan)] == scan, net
+    fresh = pool[len(scan) :]
+    assert len(fresh) <= 1, net
+    for e in fresh:
+        assert e.kind is EventKind.JOIN_LOOKUP and is_enabled(net, e), net
+        assert e.node not in net.live and all(e.node != s.node for s in scan), net
+    return scan, fresh
+
+
 class TestCarriedListing:
     """The churn phase's listing, pools, unguarded steps and shared walks,
     each against its from-scratch oracle at every step."""
@@ -214,37 +258,13 @@ class TestCarriedListing:
         runs = []
         with pytest.MonkeyPatch.context() as mp:
             for config in LISTING_CONFIGS:
-                listed, picked, churn = [], [], []
-
-                def recording(list_, net_arg, kind):
-                    def wrapped(*args):
-                        listing = list_(*args)
-                        listed.append((args[net_arg], listing, kind))
-                        return listing
-
-                    return wrapped
-
-                def pick(rng, items, _pick=sim._pick):
-                    # A JoinLookup's contact is picked before the pool is.
-                    picked[:] = [items]
-                    return _pick(rng, items)
-
-                def applied(net, ev, _step=sim.step):
-                    # Only a churn step is drawn from a pool.
-                    if picked:
-                        churn.append((net, picked.pop(), ev))
-                    return _step(net, ev)
-
-                mp.setattr(sim, "slot_listing", recording(sim.slot_listing, 0, "rebuilt"))
-                mp.setattr(sim, "carried_listing", recording(sim.carried_listing, 1, "carried"))
-                mp.setattr(sim, "_pick", pick)
-                mp.setattr(sim, "step", applied)
-                runs.append((sim.run_simulation(config), listed, churn))
+                runs.append(_recorded_run(mp, config))
                 mp.undo()
         return runs
 
     def test_listing_in_force_is_the_slot_listing(self, recorded):
         made = Counter()
+        liveness_changes = 0
         for trace, listed, churn in recorded:
             made.update(kind for _, _, kind in listed)
             made_for = iter(listed)
@@ -258,20 +278,48 @@ class TestCarriedListing:
                     listing = following[1]
                     following = next(made_for, None)
                 assert listing == slot_listing(step.network, ()), step.network
+                liveness_changes += listing.members != net.live_idents()
+                net = step.network
             assert following is None
-        assert made["carried"] > made["rebuilt"]
+        # Only each initial network is listed from scratch: a Join or a Fail
+        # is carried like any other step.
+        assert made["rebuilt"] == len(recorded) and liveness_changes
 
     def test_picked_pools_are_the_oracle_pools(self, recorded):
+        drawn = Counter()
         for _, _, churn in recorded:
             for net, pool, ev in churn:
                 if ev.kind is EventKind.FAIL:
                     fails = [Event(EventKind.FAIL, n) for n in sorted(failable(net) - net.base)]
                     assert pool == fails, net
-                elif ev.kind not in (EventKind.JOIN_LOOKUP, EventKind.JOIN):
+                elif ev.kind in (EventKind.JOIN_LOOKUP, EventKind.JOIN):
+                    scan, fresh = _assert_join_pool(net, pool)
+                    drawn.update(pending=bool(scan), fresh=len(fresh))
+                else:
                     repairs = slot_listing(net, ()).events()
                     assert pool == [e for e in repairs if e.kind is not EventKind.FAIL], net
         kinds = Counter(ev.kind for _, _, churn in recorded for _, _, ev in churn)
         assert all(kinds[kind] for kind in EventKind)
+        assert drawn["pending"] and drawn["fresh"]
+
+    def test_a_blocked_join_is_offered_once_its_successor_fails(self, monkeypatch):
+        # 10's lookup answered 25, but the base member 19 lies between them,
+        # so its Join may not complete; once 25 fails it clears the lookup.
+        start = make_net(
+            6, 2, base=[7, 19, 33],
+            nodes={7: (33, (19, 25)), 19: (7, (25, 33)), 25: (19, (33, 7)), 33: (25, (7, 19))},
+        )
+        start = start.with_node(NodeState(10, (), None, 25))
+        monkeypatch.setattr(sim, "init_network", lambda params, base: start)
+        offered = Counter()
+        for seed in range(3):
+            config = sim.SimConfig(params=start.params, churn_steps=60, seed=seed)
+            _, _, churn = _recorded_run(monkeypatch, config)
+            for net, pool, ev in churn:
+                if ev.kind in (EventKind.JOIN_LOOKUP, EventKind.JOIN):
+                    scan, _ = _assert_join_pool(net, pool)
+                    offered[net.is_live(25)] += Event(EventKind.JOIN, 10) in scan
+        assert offered[False] and not offered[True]
 
     def test_every_step_replays_through_its_guard(self, recorded):
         for trace, _, _ in recorded:

@@ -10,6 +10,7 @@ from chordcheck.events import apply_fail
 from chordcheck.topology import (
     HEAD_MOVED,
     LIST_CHANGED,
+    LIVENESS_CHANGED,
     best_successor,
     change_code,
     globally_correct_pred,
@@ -202,8 +203,12 @@ class TestChangeCode:
     @pytest.mark.parametrize(
         "edit, executor, changed",
         [
-            (lambda net: net.with_node(net.node(19), live=False), 19, None),
-            (lambda net: net.with_node(NodeState(10, (19, 33), None), live=True), 10, None),
+            (lambda net: net.with_node(net.node(19), live=False), 19, LIVENESS_CHANGED | HEAD_MOVED),
+            (
+                lambda net: net.with_node(NodeState(10, (19, 33), None), live=True),
+                10,
+                LIVENESS_CHANGED | HEAD_MOVED | LIST_CHANGED,
+            ),
             (lambda net: net.with_node(NodeState(10, (), None, 19)), 10, 0),
             (lambda net: net.with_node(replace(net.node(19), pred=10)), 19, 0),
             (lambda net: net.with_node(replace(net.node(7), pending_candidate=10)), 7, 0),
@@ -223,4 +228,4 @@ class TestChangeCode:
     def test_each_outcome(self, edit, executor, changed):
         parent = _changed_start()
         code = change_code(parent, edit(parent), executor)
-        assert code == (None if changed is None else executor << 2 | changed)
+        assert code == executor << 3 | changed
