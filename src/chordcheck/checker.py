@@ -650,8 +650,10 @@ def explore_reachable(
     from that code; the initial state and a child of an invalid one get the
     full check. A state is listed only when it is expanded, by
     `carried_listing` from its parent's listing and the same code, a Join
-    or a Fail included; a Join that spends the last join drops the joiner
-    slots. Only the initial state is listed by `slot_listing`. The listed
+    or a Fail included, by the one refresh rule for every step. Once the
+    join budget is spent, the explorer drops the joiner slots itself
+    (`Listing.without_joiners`), so its descendants carry none. Only the
+    initial state is listed by `slot_listing`. The listed
     events' guards have just held, so their deltas are read by
     `effect_delta` without running the guards again. A state's verdict is
     reported when it leaves the queue, which is the order it was reached in.
@@ -699,7 +701,9 @@ def explore_reachable(
             continue
         expanded += 1
         if change is not None:
-            listing = carried_listing(listing, net, change, joiners if joins < max_joins else ())
+            listing = carried_listing(listing, net, change)
+            if joins == max_joins:
+                listing = listing.without_joiners()
         for ev in listing.slots:
             if ev is None:
                 continue

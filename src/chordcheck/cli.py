@@ -129,7 +129,18 @@ def scenario_from_dict(data: dict) -> Scenario:
     initial = data.get("initialState")
     # Without an explicit state (absent or null), the scenario starts from
     # the ideal base ring.
-    initial = init_network(params, base) if initial is None else network_from_record(initial)
+    if initial is None:
+        initial = init_network(params, base)
+    else:
+        initial = network_from_record(initial)
+        if initial.params != params:
+            got = initial.params
+            raise ValueError(
+                f"params m={params.m} r={params.r} disagree with the initialState's"
+                f" m={got.m} r={got.r}"
+            )
+        if base and frozenset(base) != initial.base:
+            raise ValueError(f"base {base} disagrees with the initialState's {sorted(initial.base)}")
     script = _field(data, "script", list, "scenario")
     expectations = _field(data, "expectations", list, "scenario", optional=True) or []
     return Scenario(

@@ -470,6 +470,10 @@ class Listing(NamedTuple):
         """The enabled Fails, in member order."""
         return [ev for ev in self.slots[_fail_slots(self)] if ev is not None]
 
+    def without_joiners(self) -> Listing:
+        """This listing with no joiner slots, which come first."""
+        return Listing((), self.members, self.slots[len(self.joiners) :]) if self.joiners else self
+
 
 def _fail_slots(listing: Listing) -> slice:
     # Each member's Fail slot follows its two stabilize slots.
@@ -501,92 +505,78 @@ def enabled_events(net: Network, joiners: Sequence[int] | None = None) -> list[E
     return slot_listing(net, joiners).events()
 
 
-def carried_listing(
-    parent: Listing, net: Network, change: int, joiners: tuple[int, ...] | None = None
-) -> Listing:
+def carried_listing(parent: Listing, net: Network, change: int) -> Listing:
     """The listing of `net` from `parent`, the listing of the state it succeeds,
-    and the `topology.change_code` of that step.
+    and the `topology.change_code` of that step; its joiners are the parent's.
 
-    With liveness unchanged, an event alters only its executor x, so only the
-    slots whose guards read x's state can move: a joiner's join step, a
-    member's adoption step and, when x's list changed, its other stabilize
-    step, the Rectify it sends and every Fail, and, when x's first live
-    entry moved, every joiner's JoinLookup. A non-member x outside `joiners`
-    moves no slot, so `parent` is returned. A Join or a Fail of x inserts or
-    removes x's slots, then refreshes only the slots whose guards read x's
-    liveness: the stabilize steps and the Rectify of each member whose list
-    holds x, the adoption step of each member whose stored candidate is x,
-    every Fail and every joiner's step. `joiners` are the distinct joiners of
-    `net`'s listing, the parent's unless given; they may differ from those
-    only after a liveness change, as when a Join spends the explorer's last
-    join. `slot_listing` is the oracle. A refreshed slot keeps its parent's
-    event object when the event is the same, so a family of listings shares
-    them.
+    The step altered only its executor x, so the head decides which slots
+    it moved. A Join or a Fail of x inserts or removes x's three member
+    slots and its Rectify slot, and names the slots whose guards read x's
+    liveness: every slot of each member whose list holds x, the adoption
+    step of each member whose stored candidate is x, and every joiner's
+    step. Any other step names x's own slots: its join step, or its
+    adoption step and, when its list changed, its other stabilize step and
+    the Rectify it sends; and, when x's first live entry moved, the
+    JoinLookup of every joiner with no lookup, since that reads the ring
+    walk. One tail refreshes the named slots, and every Fail whenever a list
+    or the live set changed. A non-member x that is not a joiner moves no
+    slot, so `parent` is returned. `slot_listing` is the oracle. A refreshed
+    slot keeps its parent's event object when the event is the same, so a
+    family of listings shares them.
     """
     x = change >> 3
-    if change & LIVENESS_CHANGED:
-        return _liveness_carried(parent, net, x, parent.joiners if joiners is None else joiners)
     joiners, members, slots = parent
-    listing = Listing(joiners, members, slots.copy())
-    slots = listing.slots
     first = len(joiners)
-    if x not in net.live:
-        # A non-member's state is read only by its own join step.
-        if x not in joiners:
-            return parent
-        slots[joiners.index(x)] = _join_step(net, x)
-        return listing
-    k = members.index(x)
-    at = first + 3 * k
-    slots[at + 1] = _enabled(net, slots[at + 1] or Event(_SFNS, x))
-    if change & LIST_CHANGED:
-        # Only the adoption step reads x's pending candidate; the rest read its list.
-        slots[at] = _enabled(net, slots[at] or Event(_SFOS, x))
-        rectify = first + 3 * len(members) + k
-        slots[rectify] = _rectify_step(net, x, slots[rectify])
-        _fill_fails(net, listing)
-    if change & HEAD_MOVED:
-        nodes = net.nodes
-        for i, j in enumerate(joiners):
-            state = nodes.get(j)
-            if state is None or state.pending_new_succ is None:
-                slots[i] = _join_step(net, j)
-    # Listings are never changed once made, so an unchanged one is shared. A
-    # joiner's step above always changes its kind.
-    return parent if slots == parent.slots else listing
-
-
-def _liveness_carried(parent: Listing, net: Network, x: int, joiners: tuple[int, ...]) -> Listing:
-    """`carried_listing` after a Join or a Fail of x."""
-    first, members, slots = len(parent.joiners), parent.members, parent.slots
-    count = len(members)
-    stabilize = slots[first : first + 3 * count]  # each member's three slots
-    rectify = slots[first + 3 * count :]
-    if x in net.live:
-        k = bisect_left(members, x)
-        members = members[:k] + (x,) + members[k:]
-        stabilize[3 * k : 3 * k] = (None, None, None)
-        rectify.insert(k, None)
-    else:
-        k = members.index(x)
-        members = members[:k] + members[k + 1 :]
-        del stabilize[3 * k : 3 * k + 3]
-        del rectify[k]
     nodes = net.nodes
-    for i, n in enumerate(members):
-        state = nodes[n]
-        at = 3 * i
-        if n == x or x in state.succ_list:
-            # Its first live entry, and so its head's liveness, may have moved.
-            stabilize[at] = _enabled(net, stabilize[at] or Event(_SFOS, n))
-            stabilize[at + 1] = _enabled(net, stabilize[at + 1] or Event(_SFNS, n))
-            rectify[i] = _rectify_step(net, n, rectify[i])
-        elif state.pending_candidate == x:
-            stabilize[at + 1] = _enabled(net, stabilize[at + 1] or Event(_SFNS, n))
-    # A joiner's lookup reads the ring walk, and its Join its successor's liveness.
-    listing = Listing(joiners, members, [_join_step(net, j) for j in joiners] + stabilize + rectify)
-    _fill_fails(net, listing)
-    return listing
+    slots = slots.copy()
+    if change & LIVENESS_CHANGED:
+        # x's place among the parent's members, or where it joins them.
+        k = bisect_left(members, x)
+        at, rectify = first + 3 * k, first + 3 * len(members) + k
+        if x in net.live:
+            slots.insert(rectify, None)
+            slots[at:at] = (None, None, None)
+        else:
+            del slots[rectify]
+            del slots[at : at + 3]
+        members = net.live_idents()
+        # Member i's adoption step reads x's liveness; when x is i or in its
+        # list (`listed`), its first live entry may move, so all its slots do.
+        named = [
+            (i, listed)
+            for i, n in enumerate(members)
+            if (listed := n == x or x in nodes[n].succ_list) or nodes[n].pending_candidate == x
+        ]
+        # A joiner's lookup reads the ring walk, and its Join its successor's liveness.
+        stale = range(first)
+        fails = True
+    elif x in net.live:
+        fails = change & LIST_CHANGED
+        named = ((members.index(x), fails),)
+        stale = ()
+        if change & HEAD_MOVED:
+            stale = (
+                i for i, j in enumerate(joiners) if j not in nodes or nodes[j].pending_new_succ is None
+            )
+    elif x in joiners:
+        # A non-member's state is read only by its own join step.
+        named, stale, fails = (), (joiners.index(x),), False
+    else:
+        return parent
+    listing = Listing(joiners, members, slots)
+    rectifies = first + 3 * len(members)  # the first Rectify slot
+    for i, listed in named:
+        n, at = members[i], first + 3 * i
+        slots[at + 1] = _enabled(net, slots[at + 1] or Event(_SFNS, n))
+        if listed:
+            slots[at] = _enabled(net, slots[at] or Event(_SFOS, n))
+            slots[rectifies + i] = _rectify_step(net, n, slots[rectifies + i])
+    for i in stale:
+        slots[i] = _join_step(net, joiners[i])
+    if fails:
+        _fill_fails(net, listing)
+    # Listings are never changed once made, so an unchanged one is shared.
+    return parent if slots == parent.slots else listing
 
 
 def _enabled(net: Network, ev: Event) -> Event | None:

@@ -10,6 +10,7 @@ expectations, the trial-invariant samplers and the counterexample search.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import pairwise
 
@@ -78,22 +79,12 @@ def conjuncts(net: Network) -> ConjunctReport:
     topology queries and is its test oracle.
     """
     walk = _walk(net)
-    live = net.live
-    live_base = [b for b in net.base if b in live]
-    nodes = net.nodes
-    # One scan of adjacent extended-list pairs; stops at the first skip.
-    base_ok = not any(
-        between(a, b, c)
-        for n in live
-        for a, c in pairwise((n,) + nodes[n].succ_list)
-        for b in live_base
-    )
     return ConjunctReport(
         at_least_one_ring=bool(walk.ring),
         at_most_one_ring=walk.cycle_count <= 1,
         ordered_ring=_cycle_is_ordered(walk.cycle),
         connected_appendages=walk.connected,
-        base_not_skipped=base_ok,
+        base_not_skipped=not _skips_live_base(net, net.live),
     )
 
 
@@ -165,23 +156,27 @@ def valid_after(parent: Network, post: Network, change: int) -> bool:
     if change & LIVENESS_CHANGED and executor in post.base:
         return is_valid(post)
     if not change & HEAD_MOVED:
-        return not (scan and _skips_live_base(post, executor))
+        return not (scan and _skips_live_base(post, (executor,)))
     walk = _walk(post)
     return (
         bool(walk.ring)
         and walk.cycle_count <= 1
         and walk.connected
         and _cycle_is_ordered(walk.cycle)
-        and not (scan and _skips_live_base(post, executor))
+        and not (scan and _skips_live_base(post, (executor,)))
     )
 
 
-def _skips_live_base(net: Network, n: int) -> bool:
-    """Some adjacent pair of live member n's extended list skips a live base member."""
-    live = net.live
+def _skips_live_base(net: Network, members: Iterable[int]) -> bool:
+    """Some adjacent pair of a live member's extended list skips a live base
+    member: one scan, which stops at the first skip."""
+    live, nodes = net.live, net.nodes
     live_base = [b for b in net.base if b in live]
     return any(
-        between(a, b, c) for a, c in pairwise((n,) + net.nodes[n].succ_list) for b in live_base
+        between(a, b, c)
+        for n in members
+        for a, c in pairwise((n,) + nodes[n].succ_list)
+        for b in live_base
     )
 
 

@@ -244,6 +244,8 @@ def network_from_dict(data: dict) -> Network:
             pending_new_succ=rec.get("pendingNewSucc"),
             pending_candidate=rec.get("pendingCandidate"),
         )
+        if not isinstance(rec["live"], bool):
+            raise ValueError(f"node {ident}: live {rec['live']!r} is not true or false")
         if rec["live"]:
             live.add(ident)
     base = frozenset(data["base"])

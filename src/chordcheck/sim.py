@@ -34,6 +34,7 @@ from .events import (
     EventKind,
     _adopts,
     _copied_list,
+    _join_step,
     _live_successor,
     _rectified_pred,
     apply_event,
@@ -103,11 +104,6 @@ def _kth_unblocked(k: int, blocked: list[int]) -> int:
     return k
 
 
-def _join_if_enabled(net: Network, j: int) -> Event | None:
-    ev = Event(EventKind.JOIN, j)
-    return ev if is_enabled(net, ev) else None
-
-
 def run_simulation(config: SimConfig) -> Trace:
     """Run churn then fair repair; returns the full tagged trace."""
     rng = random.Random(config.seed)
@@ -127,7 +123,7 @@ def run_simulation(config: SimConfig) -> Trace:
     # Each non-member with a lookup in progress, and its Join while the guard
     # holds.
     pending = {
-        j: _join_if_enabled(net, j)
+        j: _join_step(net, j)
         for j, state in net.nodes.items()
         if state.pending_new_succ is not None and j not in net.live
     }
@@ -148,8 +144,8 @@ def run_simulation(config: SimConfig) -> Trace:
                     joins.append(ev)
         fails = listing.fails()
 
-        # The repair pool holds a stabilize for every member, so it is
-        # non-empty exactly when a member is live: it is built only if picked.
+        # The repair pool holds a stabilize for every member, and the base
+        # never fails, so it is always offered: it is built only if picked.
         pools = [
             (w, p)
             for w, p, nonempty in (
@@ -159,8 +155,6 @@ def run_simulation(config: SimConfig) -> Trace:
             )
             if nonempty and w > 0
         ]
-        if not pools:
-            break
         total_w = sum(w for w, _ in pools)
         roll = rng.random() * total_w
         pool = pools[-1][1]
@@ -183,9 +177,9 @@ def run_simulation(config: SimConfig) -> Trace:
             if change & LIVENESS_CHANGED:
                 for j in pending:
                     if post.nodes[j].pending_new_succ == x:
-                        pending[j] = _join_if_enabled(post, j)
+                        pending[j] = _join_step(post, j)
             if post.nodes[x].pending_new_succ is not None and x not in post.live:
-                pending[x] = _join_if_enabled(post, x)
+                pending[x] = _join_step(post, x)
             else:
                 pending.pop(x, None)
         net = record(ev, post, CHURN)

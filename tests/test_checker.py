@@ -776,7 +776,11 @@ class TestCarriedListing:
         assert len(listed) == len(expected) == sum(report.info["listings"].values())
         for (net, listing, _), (oracle_net, allowed, _) in zip(listed, expected):
             assert net == oracle_net
-            assert listing.joiners == allowed
+            # The carry keeps its parent's joiners: the explorer drops them
+            # itself once its join budget is spent.
+            assert listing.joiners in (allowed, joiners)
+            if not allowed:
+                listing = listing.without_joiners()
             assert listing.events() == oracle.listing_loop(net, allowed), net
         # Only the initial state is listed from scratch: a Join or a Fail is
         # carried like any other step.
@@ -785,18 +789,17 @@ class TestCarriedListing:
         assert bool(joins or fails) == any(change & LIVENESS_CHANGED for change in carried)
 
     @staticmethod
-    def _across(net, ev, joiners=(), post_joiners=None):
+    def _across(net, ev, joiners=()):
         """The events listed in `net` and, carried across the Join or Fail
         `ev`, in its successor, whose listing must be the one `slot_listing`
-        makes (with `post_joiners`, when given)."""
+        makes."""
         parent = events.slot_listing(net, joiners)
         post = apply_event(net, ev)
         change = change_code(net, post, ev.node)
         assert change & LIVENESS_CHANGED
-        listing = events.carried_listing(parent, post, change, post_joiners)
-        allowed = joiners if post_joiners is None else post_joiners
-        assert listing == events.slot_listing(post, allowed)
-        assert listing.events() == oracle.listing_loop(post, allowed)
+        listing = events.carried_listing(parent, post, change)
+        assert listing == events.slot_listing(post, joiners)
+        assert listing.events() == oracle.listing_loop(post, joiners)
         return parent.events(), listing.events()
 
     @staticmethod
@@ -849,12 +852,35 @@ class TestCarriedListing:
         copy = Event(EventKind.STABILIZE_FROM_OLD_SUCCESSOR, 40)
         assert copy not in before and copy in after
 
-    def test_the_last_join_drops_the_joiner_slots(self):
-        # The explorer offers no joiner a step once its join budget is spent.
-        net = apply_join_lookup(init_network(WIDE, [7, 19, 33]), 10, known=7)
-        before, after = self._across(net, Event(EventKind.JOIN, 10), (10, 40), ())
-        assert Event(EventKind.JOIN_LOOKUP, 40) in before
-        assert all(ev.kind not in (EventKind.JOIN, EventKind.JOIN_LOOKUP) for ev in after)
+    def test_the_last_join_keeps_the_joiner_slots_until_dropped(self, monkeypatch):
+        # The carry keeps the joiner slots across the Join that spends the
+        # last join; `without_joiners` drops them, and the explorer offers
+        # no joiner a step after that Join.
+        init = init_network(WIDE, [7, 19, 33])
+        net = apply_join_lookup(init, 10, known=7)
+        post = apply_join(net, 10)
+        parent = events.slot_listing(net, (10, 40))
+        listing = events.carried_listing(parent, post, change_code(net, post, 10))
+        assert listing == events.slot_listing(post, (10, 40))
+        assert Event(EventKind.JOIN_LOOKUP, 40) in listing.events()
+        dropped = listing.without_joiners()
+        assert dropped == events.slot_listing(post, ())
+        assert dropped.events() == oracle.listing_loop(post, ())
+
+        taken = []
+
+        def recording(net, ev):
+            taken.append((net, ev))
+            return effect_delta(net, ev)
+
+        monkeypatch.setattr(checker, "effect_delta", recording)
+        checker.explore_reachable(init, 1, 0, 6, joiners=(10, 40))
+        # With no fail, a state with four members is past the one join.
+        joining = (EventKind.JOIN, EventKind.JOIN_LOOKUP)
+        before = [ev.kind for net, ev in taken if net.size == 3]
+        after = [ev.kind for net, ev in taken if net.size == 4]
+        assert EventKind.JOIN in before and after
+        assert all(kind not in joining for kind in after)
 
 
 def _expanded_states(init, max_joins, max_fails, max_depth, joiners):

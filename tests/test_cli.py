@@ -164,6 +164,24 @@ class TestReplayScenarios:
                 "base [7, 7, 19] names an identifier twice",
             ),
             (lambda s: s.update(initialState={}), "malformed network record"),
+            (
+                lambda s: s.update(
+                    initialState=_ideal_record(lambda rec: rec["nodes"][1].update(live="false"))
+                ),
+                "node 19: live 'false' is not true or false",
+            ),
+            # The initialState holds its own params and base: a scenario that
+            # names others would replay under values it does not state.
+            (
+                lambda s: s.update(
+                    params={"m": 6, "r": 3}, initialState=_ideal_record(lambda rec: None)
+                ),
+                "params m=6 r=3 disagree with the initialState's m=6 r=2",
+            ),
+            (
+                lambda s: s.update(base=[7, 19, 40], initialState=_ideal_record(lambda rec: None)),
+                "base [7, 19, 40] disagrees with the initialState's [7, 19, 33]",
+            ),
         ],
     )
     def test_mistyped_scenario_field_exit_2(self, tmp_path, capsys, edit, message):

@@ -15,6 +15,7 @@ import json
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -171,14 +172,41 @@ def test_mutated_scenarios_exit_with_a_documented_code(doc):
     _assert_documented(*_run_on_file(doc, ["replay"]))
 
 
+def _live_flag_as_text():
+    """The network with pending values, its dead node 10's `live` flag the string "false"."""
+    doc = json.loads(json.dumps(NETWORK_RECORDS[2]))
+    next(rec for rec in doc["nodes"] if rec["ident"] == 10)["live"] = "false"
+    return doc
+
+
+LIVE_FLAG_AS_TEXT = _live_flag_as_text()
+
+
 @FUZZ
 @given(_mutated_record(NETWORK_RECORDS))
 @example({**NETWORK_RECORDS[0], "m": 10**12})
+# This was once read as live: any non-empty string is truthy.
+@example(LIVE_FLAG_AS_TEXT)
 def test_mutated_network_files_exit_with_a_documented_code(doc):
     _assert_documented(
         *_run_on_file(doc, ["explore", "--net"], ["--depth", "2", "--joins", "1", "--joiners", "10"])
     )
     _assert_documented(*_run_on_file(doc, ["export-dot"]))
+
+
+def test_a_live_flag_that_is_not_a_json_boolean_is_refused_at_every_input():
+    message = "node 10: live 'false' is not true or false"
+    for argv in (["explore", "--net"], ["export-dot"]):
+        code, err = _run_on_file(LIVE_FLAG_AS_TEXT, argv)
+        assert code == cli.EXIT_PARSE and message in err, argv
+    scenario = {"params": {"m": 6, "r": 2}, "initialState": LIVE_FLAG_AS_TEXT, "script": []}
+    code, err = _run_on_file(scenario, ["replay"])
+    assert code == cli.EXIT_PARSE and message in err
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.jsonl"
+        path.write_text(json.dumps({"type": "header", "initial": LIVE_FLAG_AS_TEXT}) + "\n")
+        with pytest.raises(ValueError, match=f"trace line 1: {message}"):
+            sim.replay_trace_jsonl(str(path))
 
 
 # Each command with small, valid flag values; one flag at a time gets a bad one.

@@ -164,6 +164,13 @@ class TestSerialization:
         with pytest.raises(ValueError, match=r"base \[7, 7, 19\] names an identifier twice"):
             network_from_dict(data)
 
+    @pytest.mark.parametrize("flag", ["false", 0, 1, None])
+    def test_a_live_flag_that_is_not_a_json_boolean_is_refused(self, flag):
+        data = network_to_dict(init_network(PARAMS, [7, 19, 33]))
+        data["nodes"][1]["live"] = flag
+        with pytest.raises(ValueError, match=r"node 19: live .* is not true or false"):
+            network_from_dict(data)
+
     def test_canonical_key_distinguishes(self):
         a = init_network(PARAMS, [7, 19, 33])
         b = init_network(PARAMS, [7, 19, 34])
