@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect_right, insort
 from collections import deque
 from dataclasses import dataclass, field
 
-from .ident import RingParams, between, clockwise_distance
+from .ident import RingParams, between
 from .netstate import Network, NodeState, network_to_dict, node_key
 from .events import (
     ALL_KINDS,
@@ -41,7 +42,7 @@ from .invariants import (
     valid_after,
 )
 from .measure import effective_enabled, error_vector, error_vector_after
-from .topology import change_code, globally_correct_pred, is_ideal
+from .topology import change_code, is_ideal
 
 EXHAUSTION_MAX_NODES = 4
 EXHAUSTION_R = 2
@@ -209,70 +210,74 @@ def count_valid_states_bruteforce(params: RingParams, max_nodes: int) -> int:
 
 
 # --- constructive sampling ---------------------------------------------------
+#
+# A sampled network is built from its random draws and linear bookkeeping
+# over its sorted identifiers. The same `rng` makes the same calls, in the
+# same order, as the builder kept in tests/sampler_oracle.py, so a seed
+# yields the same networks, node order included, and leaves `rng` in the
+# same state.
 
 
 def _build_member_list(
     rng: random.Random,
-    x: int,
-    ring_seq: list[int],
-    nonring_ids: list[int],
-    dead_ids: set[int],
-    base: frozenset[int],
+    x_at: int,
+    seq: list[int],
+    seq_at: list[int],
+    ids2: list[int],
+    live: frozenset[int],
+    base_at: list[int],
     r: int,
-    space: int,
-    avoid_base_skips: bool,
 ) -> tuple[int, ...]:
-    """A successor list for ring member x whose first live entry is its ring successor.
+    """A successor list for the ring member at `ids2[x_at]` whose first live
+    entry is its ring successor.
 
-    Entries advance strictly clockwise from x; optional dead prefixes, stale
-    inserts and far jumps produce non-ideal but legal shapes. When asked, any
-    jump span containing a base member is rejected so the stable base is never
-    skipped.
+    Entries advance strictly clockwise; optional dead prefixes, stale
+    inserts and far jumps produce non-ideal but legal shapes, and no jump
+    passes a base member. Identifiers are named by their index in `ids2`,
+    the sorted identifiers twice over, so the other identifiers, clockwise
+    from x, are `ids2[x_at + 1 : x_at + n]`. `seq` holds the other ring
+    members in that order and `seq_at` their indices; `base_at` holds the
+    base members' indices in that range, ascending, x's own as `x_at + n`.
     """
-
-    def dist(v: int) -> int:
-        return clockwise_distance(x, v, space)
-
-    y1 = ring_seq[0]
+    n = len(ids2) // 2
+    last = x_at + n - 1
     entries: list[int] = []
-    dead_prefix_pool = sorted(
-        (w for w in nonring_ids if w in dead_ids and 0 < dist(w) < dist(y1)),
-        key=dist,
-    )
-    while len(entries) < r - 1 and dead_prefix_pool and rng.random() < 0.3:
-        w = dead_prefix_pool.pop(rng.randrange(len(dead_prefix_pool)))
-        dead_prefix_pool = [p for p in dead_prefix_pool if dist(p) > dist(w)]
-        entries.append(w)
-    entries.sort(key=dist)
-    entries.append(y1)
+    # The dead identifiers between x and its ring successor.
+    prefix = [w for w in ids2[x_at + 1 : seq_at[0]] if w not in live]
+    lo = 0
+    while len(entries) < r - 1 and lo < len(prefix) and rng.random() < 0.3:
+        lo += rng.randrange(len(prefix) - lo)
+        entries.append(prefix[lo])
+        lo += 1
+    entries.append(seq[0])
 
-    ring_cursor = 1
+    p = seq_at[0]  # the last entry's index
+    cursor = 1  # the first ring member past p
+    b = 0  # the first base member past p
     while len(entries) < r:
-        prev = entries[-1]
-        aligned = ring_seq[ring_cursor] if ring_cursor < len(ring_seq) else None
-        if aligned is not None and rng.random() < 0.6:
-            entries.append(aligned)
-            ring_cursor += 1
+        if cursor < len(seq) and rng.random() < 0.6:
+            entries.append(seq[cursor])
+            p = seq_at[cursor]
+            cursor += 1
             continue
-        pool = []
-        for w in nonring_ids + ring_seq[ring_cursor:]:
-            if w == x or dist(w) <= dist(prev):
-                continue
-            if avoid_base_skips and any(between(prev, b, w) for b in base):
-                continue
-            pool.append(w)
-        if not pool:
-            if aligned is None:
-                # Nothing legal remains clockwise; fall back to the plain
-                # aligned walk, which is always legal.
-                return tuple(ring_seq[:r])
-            entries.append(aligned)
-            ring_cursor += 1
-            continue
-        w = sorted(pool)[rng.randrange(len(pool))]
-        entries.append(w)
-        while ring_cursor < len(ring_seq) and dist(ring_seq[ring_cursor]) <= dist(w):
-            ring_cursor += 1
+        while b < len(base_at) and base_at[b] <= p:
+            b += 1
+        limit = min(base_at[b], last) if b < len(base_at) else last
+        if limit == p:
+            # Nothing remains clockwise, so no ring member either: fall
+            # back to the plain aligned walk, which is always legal.
+            return tuple(seq[:r])
+        # The pool is p+1 .. limit, drawn from in identifier order: indices
+        # from n on wrap past zero, so they come first.
+        j = rng.randrange(limit - p)
+        if p + 1 < n <= limit:
+            wrapped = limit - n + 1
+            p = n + j if j < wrapped else p + 1 + j - wrapped
+        else:
+            p += 1 + j
+        entries.append(ids2[p])
+        while cursor < len(seq) and seq_at[cursor] <= p:
+            cursor += 1
     return tuple(entries)
 
 
@@ -284,68 +289,77 @@ def _structured_network(
     with_base: bool,
     min_ring: int | None = None,
 ) -> Network:
+    """A random network with one ordered ring, appendages hanging off it and
+    departed placeholders; `with_base` draws a stable base from the ring and
+    keeps every list from skipping it."""
     r = params.r
-    space = params.space
     # Rings below r+1 cannot carry full aligned lists; never sample them.
     floor = max(min_ring or 0, r + 1)
     n_total = rng.randint(floor, max_nodes)
-    ids = sorted(rng.sample(range(space), n_total))
+    ids = sorted(rng.sample(range(params.space), n_total))
     live_count = rng.randint(floor, n_total)
     live = sorted(rng.sample(ids, live_count))
-    dead = [i for i in ids if i not in live]
+    live_set = frozenset(live)
+    dead = [i for i in ids if i not in live_set]
     ring_size = rng.randint(floor, live_count)
     ring = sorted(rng.sample(live, ring_size))
-    appendages = [x for x in live if x not in ring]
+    in_ring = set(ring)
+    order = [x for x in live if x not in in_ring]  # the appendages
     base = frozenset(rng.sample(ring, r + 1)) if with_base else frozenset()
 
-    nodes: dict[int, NodeState] = {}
-    k = len(ring)
-    nonring = [i for i in ids if i not in ring]
+    n = len(ids)
+    ids2 = ids + ids
+    at = {v: i for i, v in enumerate(ids)}
+    ring_at = [at[x] for x in ring]
+    base_ids = sorted(at[b] for b in base)
+    lists: dict[int, tuple[int, ...]] = {}
     for pos, x in enumerate(ring):
-        seq = [ring[(pos + j) % k] for j in range(1, k)]
-        lst = _build_member_list(
-            rng, x, seq, nonring, set(dead), base, r, space, with_base
-        )
-        nodes[x] = NodeState(ident=x, succ_list=lst)
+        i = ring_at[pos]
+        seq = ring[pos + 1 :] + ring[:pos]
+        seq_at = ring_at[pos + 1 :] + [j + n for j in ring_at[:pos]]
+        s = bisect_right(base_ids, i)
+        base_at = base_ids[s:] + [j + n for j in base_ids[:s]]
+        lists[x] = _build_member_list(rng, i, seq, seq_at, ids2, live_set, base_at, r)
 
-    order = list(appendages)
+    # Each appendage copies the list of a target from the ring or the
+    # appendages already attached, drawn in identifier order; with a base,
+    # the target lies no further clockwise than the nearest base member.
     rng.shuffle(order)
-    attached: list[int] = []
+    targets = ring.copy()
+    base_sorted = sorted(base)
     for a in order:
-        candidates = []
-        for t in ring + attached:
-            if t == a:
-                continue
-            if with_base and any(between(a, b, t) for b in base):
-                continue
-            candidates.append(t)
-        # The nearest clockwise ring member is always a legal target.
-        fallback = min(ring, key=lambda v: clockwise_distance(a, v, space))
-        target = sorted(candidates)[rng.randrange(len(candidates))] if candidates else fallback
-        lst = (target,) + nodes[target].succ_list[: r - 1]
-        nodes[a] = NodeState(ident=a, succ_list=lst)
-        attached.append(a)
+        lo = bisect_right(targets, a)
+        if base_sorted:
+            nearest = base_sorted[bisect_right(base_sorted, a) % len(base_sorted)]
+            hi = bisect_right(targets, nearest)
+            if nearest > a:
+                target = targets[lo + rng.randrange(hi - lo)]
+            else:
+                j = rng.randrange(hi + len(targets) - lo)
+                target = targets[j] if j < hi else targets[lo + j - hi]
+        else:
+            target = targets[rng.randrange(len(targets))]
+        lists[a] = (target,) + lists[target][: r - 1]
+        insort(targets, a)
 
     # Predecessors do not affect validity; mix correct, missing and stale ones.
-    live_set = frozenset(live)
-    net = Network(params=params, base=base, nodes=nodes, live=live_set)
-    for x in live:
+    preds: dict[int, int | None] = {}
+    for k, x in enumerate(live):
         roll = rng.random()
         if roll < 0.55:
-            pred: int | None = globally_correct_pred(net, x)
+            preds[x] = live[k - 1]  # the globally correct predecessor
         elif roll < 0.7:
-            pred = None
+            preds[x] = None
         elif roll < 0.9 or not dead:
-            pred = rng.choice(live)
+            preds[x] = rng.choice(live)
         else:
-            pred = rng.choice(dead)
-        nodes[x] = NodeState(x, nodes[x].succ_list, pred)
-
+            preds[x] = rng.choice(dead)
+    nodes = {x: NodeState(x, lst, preds[x]) for x, lst in lists.items()}
     for d in dead:
-        others = sorted((i for i in ids if i != d), key=lambda v: clockwise_distance(d, v, space))
-        nodes[d] = NodeState(ident=d, succ_list=tuple((others * r)[:r]), pred=None)
-
-    return Network(params=params, base=base, nodes=nodes, live=live_set)
+        # A departed node keeps the r identifiers clockwise after it.
+        i = at[d]
+        nodes[d] = NodeState(d, tuple(ids2[i + 1 : i + 1 + r]))
+    return Network(params, base, nodes, live_set)
 
 
 def sample_valid_states(params: RingParams, max_nodes: int, count: int, seed: int):
@@ -652,7 +666,8 @@ def explore_reachable(
     `carried_listing` from its parent's listing and the same code, a Join
     or a Fail included, by the one refresh rule for every step. Once the
     join budget is spent, the explorer drops the joiner slots itself
-    (`Listing.without_joiners`), so its descendants carry none. Only the
+    (`Listing.without_joiners`) before the carry, so no guard is run for a
+    slot about to go, and its descendants carry none. Only the
     initial state is listed by `slot_listing`. The listed
     events' guards have just held, so their deltas are read by
     `effect_delta` without running the guards again. A state's verdict is
@@ -701,9 +716,9 @@ def explore_reachable(
             continue
         expanded += 1
         if change is not None:
-            listing = carried_listing(listing, net, change)
             if joins == max_joins:
                 listing = listing.without_joiners()
+            listing = carried_listing(listing, net, change)
         for ev in listing.slots:
             if ev is None:
                 continue

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import pairwise
 
 from .ident import between
 from .measure import effective_enabled, total_error
@@ -169,15 +168,24 @@ def valid_after(parent: Network, post: Network, change: int) -> bool:
 
 def _skips_live_base(net: Network, members: Iterable[int]) -> bool:
     """Some adjacent pair of a live member's extended list skips a live base
-    member: one scan, which stops at the first skip."""
+    member: one scan, which stops at the first skip. `between(a, b, c)` is
+    written out: inside a < c when a < b < c, and around zero otherwise,
+    where a == c holds every b but a."""
     live, nodes = net.live, net.nodes
     live_base = [b for b in net.base if b in live]
-    return any(
-        between(a, b, c)
-        for n in members
-        for a, c in pairwise((n,) + nodes[n].succ_list)
-        for b in live_base
-    )
+    for n in members:
+        a = n
+        for c in nodes[n].succ_list:
+            if a < c:
+                for b in live_base:
+                    if a < b < c:
+                        return True
+            else:
+                for b in live_base:
+                    if a < b or b < c:
+                        return True
+            a = c
+    return False
 
 
 def list_properties(net: Network, n: int) -> ListProperties:

@@ -5,6 +5,7 @@ from itertools import combinations
 from dataclasses import replace
 
 from hypothesis import given, strategies as st
+import pytest
 
 from chordcheck.ident import RingParams
 from chordcheck.netstate import init_network
@@ -19,6 +20,7 @@ from chordcheck.invariants import (
     six_conjunct_trial,
     skips,
     trial_predicates,
+    _skips_live_base,
 )
 from chordcheck.checker import (
     enumerate_raw_list_states,
@@ -201,3 +203,47 @@ class TestConjunctsMatchReference:
     def test_sampled_raw_states(self, seed):
         for net in sample_raw_states(RingParams(6, 3), 9, 20, seed):
             assert conjuncts(net) == conjuncts_reference(net), net
+
+
+class TestBaseSkipScan:
+    """`_skips_live_base`, the loop-form scan behind `conjuncts` and
+    `valid_after`, against the `skips`-based scan of `conjuncts_reference`,
+    over every live member at once and each one alone."""
+
+    @staticmethod
+    def _check(nets):
+        """Check each network; return how many adjacent pairs wrap to their own id."""
+        wraps = 0
+        # A member's verdict reads only its list and the live base, which
+        # many enumerated networks share.
+        seen: dict[tuple, bool] = {}
+        for net in nets:
+            live_base = tuple(sorted(b for b in net.base if net.is_live(b)))
+            per_member = {}
+            for n in net.live:
+                key = (n, net.node(n).succ_list, live_base)
+                if key not in seen:
+                    seen[key] = any(skips(net, n, b) for b in live_base)
+                    ext = (n,) + key[1]
+                    wraps += sum(a == c for a, c in zip(ext, ext[1:]))
+                per_member[n] = seen[key]
+            assert _skips_live_base(net, net.live) == any(per_member.values()), net
+            for n, expected in per_member.items():
+                assert _skips_live_base(net, (n,)) == expected, (net, n)
+        return wraps
+
+    def test_every_raw_list_state_up_to_four_nodes(self):
+        assert self._check(enumerate_raw_list_states(RingParams(3, 2), 4)) > 0
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_sampled_raw_states(self, r):
+        assert self._check(sample_raw_states(RingParams(6, r), 9, 3000, seed=90 + r)) > 0
+
+    def test_a_pair_wrapping_to_its_own_id(self):
+        # between(x, y, x) holds for every y but x: the pair (7, 7) skips
+        # every other live base member, and nothing when 7 is the only one.
+        base, lists = (7, 19, 33), {7: (None, (7, 19)), 19: (None, (33, 7)), 33: (None, (7, 19))}
+        net = make_net(6, 2, base, lists)
+        assert _skips_live_base(net, (7,)) and skips(net, 7, 19)
+        alone = make_net(6, 2, base, {7: (None, (7, 7))}, dead={19: (None, (33, 7)), 33: (None, (7, 19))})
+        assert not _skips_live_base(alone, (7,)) and not skips(alone, 7, 7)
