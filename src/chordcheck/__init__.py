@@ -4,9 +4,9 @@ checker, and convergence simulator."""
 from .ident import RingParams, between, clockwise_rank
 from .netstate import Network, NodeState, Trace, extended_succ_list, init_network
 from .events import Event, EventKind, apply_event, enabled_events
-from .topology import best_successor, globally_correct_succ, is_ideal, lookup_succ, ring_members
+from .topology import best_successor, is_ideal, lookup_succ, ring_members
 from .invariants import conjuncts, list_properties, skips, trial_predicates
-from .measure import effective_enabled, error_vector, pointer_error, total_error
+from .measure import effective_enabled, error_vector, total_error
 
 __all__ = [
     "RingParams",
@@ -22,7 +22,6 @@ __all__ = [
     "apply_event",
     "enabled_events",
     "best_successor",
-    "globally_correct_succ",
     "is_ideal",
     "lookup_succ",
     "ring_members",
@@ -32,6 +31,5 @@ __all__ = [
     "trial_predicates",
     "effective_enabled",
     "error_vector",
-    "pointer_error",
     "total_error",
 ]

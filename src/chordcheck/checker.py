@@ -41,7 +41,7 @@ from .invariants import (
     trial_predicate_name,
     valid_after,
 )
-from .measure import effective_enabled, error_vector, error_vector_after
+from .measure import effective_enabled, error_vector, error_vector_after, member_error
 from .topology import change_code, is_ideal
 
 EXHAUSTION_MAX_NODES = 4
@@ -287,14 +287,13 @@ def _structured_network(
     max_nodes: int,
     *,
     with_base: bool,
-    min_ring: int | None = None,
 ) -> Network:
     """A random network with one ordered ring, appendages hanging off it and
     departed placeholders; `with_base` draws a stable base from the ring and
     keeps every list from skipping it."""
     r = params.r
     # Rings below r+1 cannot carry full aligned lists; never sample them.
-    floor = max(min_ring or 0, r + 1)
+    floor = r + 1
     n_total = rng.randint(floor, max_nodes)
     ids = sorted(rng.sample(range(params.space), n_total))
     live_count = rng.randint(floor, n_total)
@@ -386,7 +385,7 @@ def sample_trial_states(
     produced = 0
     attempts = 0
     while produced < count:
-        net = _structured_network(rng, params, max_nodes, with_base=False, min_ring=3)
+        net = _structured_network(rng, params, max_nodes, with_base=False)
         attempts += 1
         if predicate(net):
             produced += 1
@@ -595,17 +594,13 @@ def check_monotonicity(states, bounds: dict | None = None) -> CheckReport:
 
 def check_executor_local_monotonicity(states, bounds: dict | None = None) -> CheckReport:
     """The executor's own pointer errors never rise and strictly improve overall."""
-    from .measure import pointer_error, succ_role, ROLE_PRED
-
     report = CheckReport(lemma="ExecutorLocalMonotonicity", bounds=bounds or {})
     for net in states:
         report.states_checked += 1
-        roles = [ROLE_PRED] + [succ_role(i) for i in range(1, net.params.r + 1)]
         for ev in effective_enabled(net):
             n = ev.node
-            post = step(net, ev)
-            before = sum(pointer_error(net, n, role) for role in roles)
-            after = sum(pointer_error(post, n, role) for role in roles)
+            before = member_error(net, n)
+            after = member_error(step(net, ev), n)
             if after >= before:
                 report.add_violation(
                     net, ev, f"executor error {before} -> {after}"

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections import Counter
 from dataclasses import dataclass
@@ -42,6 +43,8 @@ EXIT_PARSE = 2
 EXIT_DISABLED_EVENT = 3
 EXIT_EXPECTATION = 4
 EXIT_USAGE = 64
+# A reader closed stdout early (`| head`); the shell's code for SIGPIPE.
+EXIT_BROKEN_PIPE = 141
 
 
 # --- scenario replay ---------------------------------------------------------
@@ -566,7 +569,17 @@ def main(argv=None) -> int:
         "replay": _cmd_replay,
         "export-dot": _cmd_export_dot,
     }
-    return handlers[args.command](args)
+    try:
+        code = handlers[args.command](args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Nothing more reaches the reader, and the interpreter's last flush
+        # must not fail again, so stdout goes to the null device.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
+    return code
 
 
 if __name__ == "__main__":

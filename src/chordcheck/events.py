@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 from .ident import between
 from .netstate import Network, NodeState
-from .topology import HEAD_MOVED, LIST_CHANGED, LIVENESS_CHANGED, best_successor, lookup_succ
+from .topology import HEAD_MOVED, LIST_CHANGED, LIVENESS_CHANGED, _walk, best_successor, lookup_succ
 
 
 class EventKind(Enum):
@@ -58,7 +58,6 @@ _RECTIFY = EventKind.RECTIFY
 _FAIL = EventKind.FAIL
 _SFOS = EventKind.STABILIZE_FROM_OLD_SUCCESSOR
 _SFNS = EventKind.STABILIZE_FROM_NEW_SUCCESSOR
-_KIND_ORDER = {kind: i for i, kind in enumerate(EventKind)}
 
 
 class Event(NamedTuple):
@@ -68,9 +67,6 @@ class Event(NamedTuple):
     node: int
     new_pred: int | None = None  # Rectify only: the notifying node
     known: int | None = None  # JoinLookup only: the bootstrap contact
-
-    def sort_key(self) -> tuple:
-        return (_KIND_ORDER[self.kind], self.node, self.new_pred or -1, self.known or -1)
 
 
 class EventNotEnabled(Exception):
@@ -181,8 +177,9 @@ def _join_lookup_guard(net: Network, ev: Event) -> str | None:
         return f"{j} already has a join in progress"
     if _contact_dead(net, ev):
         return None  # the query times out before any member answers
-    result = lookup_succ(net, j)
-    if result is None or result not in net.live:
+    # A ring answers every lookup (`topology.lookup_succ`), so only the
+    # effect asks it which member.
+    if _walk(net).cycle is None:
         return "no ring member to answer the lookup"
     return None
 

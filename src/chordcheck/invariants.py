@@ -81,7 +81,7 @@ def conjuncts(net: Network) -> ConjunctReport:
     return ConjunctReport(
         at_least_one_ring=bool(walk.ring),
         at_most_one_ring=walk.cycle_count <= 1,
-        ordered_ring=_cycle_is_ordered(walk.cycle),
+        ordered_ring=walk.ordered,
         connected_appendages=walk.connected,
         base_not_skipped=not _skips_live_base(net, net.live),
     )
@@ -126,7 +126,8 @@ def conjuncts_reference(net: Network) -> ConjunctReport:
 
 
 def is_valid(net: Network) -> bool:
-    return conjuncts(net).valid
+    """`conjuncts(net).valid`: the walk's verdict, then the base-skip scan."""
+    return _walk(net).valid and not _skips_live_base(net, net.live)
 
 
 def valid_after(parent: Network, post: Network, change: int) -> bool:
@@ -138,8 +139,8 @@ def valid_after(parent: Network, post: Network, change: int) -> bool:
     - a liveness change (Join, Fail) of a stable-base member moves the live
       base and gets the full check;
     - any other liveness change, or a moved first live entry, changes the
-      best-successor map (`HEAD_MOVED`), so the first four conjuncts are
-      read from the walk of `post`; otherwise the walk, and so those
+      best-successor map (`HEAD_MOVED`), so the four ring conjuncts are
+      the verdict of the walk of `post`; otherwise the walk, and so those
       conjuncts, are the parent's;
     - the live base is then the parent's, so BaseNotSkipped can only fail in
       the executor's own adjacent pairs, and only when its list changed or
@@ -154,16 +155,9 @@ def valid_after(parent: Network, post: Network, change: int) -> bool:
     executor, scan = change >> 3, change & LIST_CHANGED
     if change & LIVENESS_CHANGED and executor in post.base:
         return is_valid(post)
-    if not change & HEAD_MOVED:
-        return not (scan and _skips_live_base(post, (executor,)))
-    walk = _walk(post)
-    return (
-        bool(walk.ring)
-        and walk.cycle_count <= 1
-        and walk.connected
-        and _cycle_is_ordered(walk.cycle)
-        and not (scan and _skips_live_base(post, (executor,)))
-    )
+    if change & HEAD_MOVED and not _walk(post).valid:
+        return False
+    return not (scan and _skips_live_base(post, (executor,)))
 
 
 def _skips_live_base(net: Network, members: Iterable[int]) -> bool:
@@ -197,17 +191,6 @@ def list_properties(net: Network, n: int) -> ListProperties:
     )
 
 
-def must_pre_date(net: Network, n1: int, n2: int) -> bool:
-    """Both ring members, and some ring member (possibly n1) mentions n1 and skips n2."""
-    ring = ring_members(net)
-    if n1 not in ring or n2 not in ring:
-        return False
-    for n3 in ring:
-        if n1 in extended_succ_list(net, n3) and skips(net, n3, n2):
-            return True
-    return False
-
-
 def trial_predicates(net: Network) -> TrialPredicates:
     ring = _walk(net).ring
     appendages = frozenset(net.live) - ring
@@ -239,8 +222,7 @@ def trial_predicates(net: Network) -> TrialPredicates:
 
 def six_conjunct_trial(net: Network) -> bool:
     """Four original conjuncts plus NoDuplicates and OrderedSuccessorLists."""
-    c = conjuncts(net)
-    if not (c.at_least_one_ring and c.at_most_one_ring and c.ordered_ring and c.connected_appendages):
+    if not _walk(net).valid:
         return False
     for n in net.live:
         props = list_properties(net, n)

@@ -24,48 +24,8 @@ from __future__ import annotations
 
 from operator import itemgetter, ne
 
-from .ident import clockwise_rank
 from .netstate import Network, NodeState
 from .events import Event, EventKind, _adopts, _copied_list, _rectified_pred
-
-ROLE_PRED = "pred"
-
-
-def succ_role(i: int) -> str:
-    return f"succ{i}"
-
-
-def pointer_error(net: Network, n: int, role: str) -> int:
-    """Error of one pointer of one member.
-
-    Predecessor and first successor score their clockwise rank distance from
-    the globally correct target, s for a missing predecessor, s+1 for a dead
-    target. A later successor scores 0 only when the first successor is live
-    and the entry coincides with the matching entry of that successor's list.
-    """
-    if not net.is_live(n):
-        raise ValueError(f"{n} is not a live member")
-    state = net.node(n)
-    s = net.size
-    live = net.live
-    if role == ROLE_PRED:
-        v = state.pred
-        if v is None:
-            return s
-        if v not in live:
-            return s + 1
-        return clockwise_rank(v, n, live)
-    if role == succ_role(1):
-        v = state.succ_list[0]
-        if v not in live:
-            return s + 1
-        return clockwise_rank(n, v, live)
-    idx = int(role[4:])
-    v = state.succ_list[idx - 1]
-    head = state.succ_list[0]
-    if head in live and v == net.node(head).succ_list[idx - 2]:
-        return 0
-    return 1
 
 
 def _positions(net: Network) -> dict[int, int]:
@@ -113,7 +73,8 @@ def error_vector(net: Network) -> tuple[int, ...]:
 
     Entry 0 sums every live member's predecessor and first-successor errors;
     entry k-1 (2 <= k <= r) sums the members' k-th successor scores.
-    Per-role sums of `pointer_error` are the test oracle.
+    Per-role sums of `pointer_error` in `tests/measure_oracle.py` are the
+    test oracle.
     """
     nodes = net.nodes
     pos = _positions(net)
@@ -156,6 +117,12 @@ def total_error(net: Network) -> int:
     return sum(error_vector(net))
 
 
+def member_error(net: Network, n: int) -> int:
+    """The sum of live member n's pointer errors, by the rule of `error_vector`."""
+    pos = _positions(net)
+    return sum(_member_errors(net.nodes[n], pos[n], pos, net.nodes))
+
+
 def visible_state(net: Network, n: int) -> tuple:
     """The pointer state of a member that the error measure can observe."""
     state = net.node(n)
@@ -173,7 +140,8 @@ def effective_enabled(net: Network) -> list[Event]:
 
     One pass over the sorted members lists both stabilize kinds in node
     order and each member's Rectify of its head; only the Rectify part is
-    sorted, by (node, notifier), to give `Event.sort_key` order.
+    sorted, by (node, notifier), so the events come in kind order, then by
+    node.
     """
     copy, adopt = EventKind.STABILIZE_FROM_OLD_SUCCESSOR, EventKind.STABILIZE_FROM_NEW_SUCCESSOR
     rectify = EventKind.RECTIFY

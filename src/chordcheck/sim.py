@@ -45,9 +45,9 @@ from .events import (
     slot_listing,
     step,
 )
-from .invariants import conjuncts
+from .invariants import is_valid
 from .measure import total_error, visible_state
-from .topology import LIVENESS_CHANGED, _cycle_is_ordered, _walk, change_code, is_ideal
+from .topology import LIVENESS_CHANGED, _walk, change_code, is_ideal
 
 CHURN = "churn"
 REPAIR = "repair"
@@ -289,10 +289,10 @@ def write_trace_jsonl(trace: Trace, path: str, snapshot_interval: int = 0) -> No
                 rec["structure"] = {
                     "ringMembers": sorted(walk.ring),
                     "appendageMembers": sorted(traced.network.live - walk.ring),
-                    "orderedRingFlag": _cycle_is_ordered(walk.cycle),
+                    "orderedRingFlag": walk.ordered,
                 }
                 rec["totalError"] = total_error(traced.network)
-                rec["valid"] = conjuncts(traced.network).valid
+                rec["valid"] = is_valid(traced.network)
                 rec["ideal"] = is_ideal(traced.network)
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 

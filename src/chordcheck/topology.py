@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .ident import between, clockwise_distance
+from .ident import between
 from .netstate import Network
 
 
@@ -112,6 +112,13 @@ class _Walk(NamedTuple):
     cycle_count: int
     cycle: tuple[int, ...] | None
     connected: bool
+    ordered: bool
+
+    @property
+    def valid(self) -> bool:
+        """The four ring conjuncts: at least one ring and at most one (exactly
+        one cycle), the ring ordered, and every appendage's chain on it."""
+        return self.cycle_count == 1 and self.ordered and self.connected
 
 
 def _walk(net: Network) -> _Walk:
@@ -120,9 +127,11 @@ def _walk(net: Network) -> _Walk:
     Builds the best-successor map once, then follows each chain until it
     ends (no live successor), closes a new cycle, or joins a chain already
     walked. Returns the members on any cycle, the number of cycles, the cycle
-    through the smallest ring member, and whether every live member's chain
-    ends on a cycle. `ring_members`, `ring_cycle` and `best_successor_map`
-    compute the same facts from scratch and serve as its test oracle.
+    through the smallest ring member, whether every live member's chain
+    ends on a cycle, and whether that cycle is ordered: the one verdict of
+    the four ring conjuncts (`_Walk.valid`). `ring_members`, `ring_cycle` and
+    `best_successor_map` compute the same facts from scratch and serve as
+    its test oracle.
 
     Networks are immutable, so the walk is kept in the instance's `__dict__`
     (beside its dataclass fields, which alone decide equality): a lookup's
@@ -181,35 +190,8 @@ def _walk_graph(net: Network) -> _Walk:
             seq.append(cur)
             cur = bs[cur]
         cycle = tuple(seq)
-    return _Walk(frozenset(ring), cycle_count, cycle, all(ends_on_ring.values()))
-
-
-def globally_correct_succ(net: Network, n: int, i: int) -> int:
-    """The i-th nearest live member clockwise from n (1-based)."""
-    if not net.is_live(n):
-        raise ValueError(f"{n} is not a live member")
-    if i < 1:
-        raise ValueError("successor index must be >= 1")
-    others = sorted(
-        (x for x in net.live if x != n),
-        key=lambda x: clockwise_distance(n, x, net.params.space),
-    )
-    if i > len(others):
-        raise ValueError(f"network has only {len(others)} other members, wanted {i}")
-    return others[i - 1]
-
-
-def globally_correct_pred(net: Network, n: int) -> int:
-    """The nearest live member counterclockwise from n."""
-    if not net.is_live(n):
-        raise ValueError(f"{n} is not a live member")
-    others = sorted(
-        (x for x in net.live if x != n),
-        key=lambda x: clockwise_distance(n, x, net.params.space),
-    )
-    if not others:
-        raise ValueError("no other live members")
-    return others[-1]
+    connected = all(ends_on_ring.values())
+    return _Walk(frozenset(ring), cycle_count, cycle, connected, _cycle_is_ordered(cycle))
 
 
 def is_ideal(net: Network) -> bool:
@@ -217,7 +199,8 @@ def is_ideal(net: Network) -> bool:
 
     Sorts the live set once: in the sorted ring, a member's globally correct
     successors are the next r positions and its predecessor the previous one.
-    `globally_correct_succ` and `globally_correct_pred` are the test oracle.
+    `globally_correct_succ` and `globally_correct_pred` in
+    `tests/topology_oracle.py` are the test oracle.
     """
     r = net.params.r
     ring = sorted(net.live)
@@ -236,7 +219,10 @@ def lookup_succ(net: Network, joining: int) -> int | None:
     """The joining identifier's proper ring successor.
 
     Realized as an oracle over the snapshot: the ring member y whose ring
-    predecessor x satisfies between(x, joining, y).
+    predecessor x satisfies between(x, joining, y). Every cycle member is
+    live and the clockwise arcs of a closed cycle cover every other
+    identifier, so the answer is None exactly when there is no ring, which
+    is all the `JoinLookup` guard asks of the walk.
     """
     if joining in net.live:
         raise ValueError(f"{joining} is already a live member")

@@ -10,7 +10,8 @@ and `effective_enabled`, which restated the kernel's stabilize copy,
 adoption test and rectify choice before `chordcheck.measure` read them
 from `chordcheck.events`. `listing_loop` is the kernel's listing as a
 plain loop over the guard table, from before `enabled_events` read the
-explorer's slots; it is the oracle of the listing's order.
+explorer's slots; it is the oracle of the listing's order. `sort_key` is
+the event order the old listings sorted by, once `Event.sort_key`.
 """
 
 from __future__ import annotations
@@ -40,12 +41,17 @@ from chordcheck.topology import best_successor, lookup_succ
 from chordcheck import checker
 
 ALL_KINDS = tuple(EventKind)
+_KIND_ORDER = {kind: i for i, kind in enumerate(EventKind)}
 _NO_FAULTS = FaultFlags()
 TRIAL_INVARIANTS = {
     "six-conjunct": six_conjunct_trial,
     "eight-conjunct": eight_conjunct_trial,
     "valid": is_valid,
 }
+
+
+def sort_key(ev: Event) -> tuple:
+    return (_KIND_ORDER[ev.kind], ev.node, ev.new_pred or -1, ev.known or -1)
 
 
 def fail_guard_holds(net: Network, n: int) -> bool:
@@ -311,7 +317,7 @@ def enabled_events(
         ev = Event(EventKind.RECTIFY, head, new_pred=p)
         if is_enabled(net, ev):
             events.append(ev)
-    return sorted(events, key=Event.sort_key)
+    return sorted(events, key=sort_key)
 
 
 def effective_enabled(net: Network) -> list[Event]:
@@ -346,7 +352,7 @@ def effective_enabled(net: Network) -> list[Event]:
             continue
         if cur is None or not net.is_live(cur) or between(cur, p, n):
             events.append(Event(EventKind.RECTIFY, n, new_pred=p))
-    return sorted(events, key=Event.sort_key)
+    return sorted(events, key=sort_key)
 
 
 def _repair_pool(net: Network, live: tuple[int, ...]) -> list[Event]:

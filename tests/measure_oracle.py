@@ -1,16 +1,57 @@
-"""The per-pointer error report, kept as an oracle for `chordcheck.measure`.
+"""The per-pointer error score and report, kept as an oracle for `chordcheck.measure`.
 
-It scores every pointer role of every live member one `pointer_error` call
-at a time; `error_vector` and `total_error` compute the same sums in one
-pass.
+`pointer_error` scores one pointer role of one live member from scratch,
+ranking its target with `clockwise_rank`; `error_report` scores every role
+of every live member one call at a time. `error_vector`, `member_error` and
+`total_error` compute the same sums from one position map of the sorted
+ring.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from chordcheck.measure import ROLE_PRED, pointer_error, succ_role
+from chordcheck.ident import clockwise_rank
 from chordcheck.netstate import Network
+
+ROLE_PRED = "pred"
+
+
+def succ_role(i: int) -> str:
+    return f"succ{i}"
+
+
+def pointer_error(net: Network, n: int, role: str) -> int:
+    """Error of one pointer of one member.
+
+    Predecessor and first successor score their clockwise rank distance from
+    the globally correct target, s for a missing predecessor, s+1 for a dead
+    target. A later successor scores 0 only when the first successor is live
+    and the entry coincides with the matching entry of that successor's list.
+    """
+    if not net.is_live(n):
+        raise ValueError(f"{n} is not a live member")
+    state = net.node(n)
+    s = net.size
+    live = net.live
+    if role == ROLE_PRED:
+        v = state.pred
+        if v is None:
+            return s
+        if v not in live:
+            return s + 1
+        return clockwise_rank(v, n, live)
+    if role == succ_role(1):
+        v = state.succ_list[0]
+        if v not in live:
+            return s + 1
+        return clockwise_rank(n, v, live)
+    idx = int(role[4:])
+    v = state.succ_list[idx - 1]
+    head = state.succ_list[0]
+    if head in live and v == net.node(head).succ_list[idx - 2]:
+        return 0
+    return 1
 
 
 def _roles(r: int) -> list[str]:

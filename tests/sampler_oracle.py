@@ -15,7 +15,7 @@ import random
 
 from chordcheck.ident import RingParams, between, clockwise_distance
 from chordcheck.netstate import Network, NodeState
-from chordcheck.topology import globally_correct_pred
+from topology_oracle import globally_correct_pred
 
 
 def _build_member_list(

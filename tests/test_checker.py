@@ -608,6 +608,27 @@ class TestDeltaValidity:
         assert not valid_after(parent, post, change)
         assert not _judged_as_in_full(parent, post, change)
 
+    def test_a_canary_adoption_whose_later_pair_skips_the_base(self):
+        # The dead 7 retains (10, 30, 40). Adopting it as the
+        # unchecked_adoption canary does gives 5 the list (7, 10, 30): its
+        # first live entry is still 10, so the walk is the parent's, but its
+        # pair (10, 30) skips the base member 20. Only the executor's pair
+        # scan in `valid_after` sees that.
+        live = {5: (10, 20, 30), 10: (20, 30, 40), 20: (30, 40, 5), 30: (40, 5, 10), 40: (5, 10, 20)}
+        net = make_net(
+            6, 3, [10, 20, 30, 40], {n: (None, lst) for n, lst in live.items()}, dead={7: (None, (10, 30, 40))}
+        )
+        assert is_valid(net)
+        faults = FaultFlags(unchecked_adoption=True)
+        report = checker.check_preservation([net], faults=faults)
+        assert [v.event for v in report.violations] == [Event(EventKind.STABILIZE_FROM_NEW_SUCCESSOR, 5)]
+        v = report.violations[0]
+        post = apply_event(v.network, v.event, faults=faults)
+        assert post.node(5).succ_list == (7, 10, 30)
+        assert conjuncts(post) == replace(conjuncts(net), base_not_skipped=False)
+        clean = checker.check_preservation([net])
+        assert clean.passed and clean.info["cases"] == 14
+
     @staticmethod
     def _judge_liveness_changes(states):
         # No Join from a valid state skips a base member, so only a rewrite
@@ -706,9 +727,15 @@ class TestDeltaValidity:
     def test_benchmark_explorations_check_only_the_start_in_full(self, monkeypatch, name):
         make_init, joins, fails, depth, joiners = self.CONFIGS[name]
         init = make_init()
+        # A full check is `is_valid`, called by the explorer or inside
+        # `valid_after`, or a `conjuncts` report.
         full = []
-        full_check = invariants.conjuncts
-        monkeypatch.setattr(invariants, "conjuncts", lambda net: full.append(net) or full_check(net))
+
+        def counted(check):
+            return lambda net: full.append(net) or check(net)
+
+        for module, check in ((checker, is_valid), (invariants, is_valid), (invariants, conjuncts)):
+            monkeypatch.setattr(module, check.__name__, counted(check))
         report = checker.explore_reachable(init, joins, fails, depth, joiners=joiners)
         info = report.info
         assert (info["states"], info["transitions"], info["selfLoops"]) == self.BENCH_COUNTS[name]

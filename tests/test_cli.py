@@ -2,7 +2,10 @@
 
 import itertools
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,7 +14,8 @@ from chordcheck import cli
 from chordcheck.ident import RingParams
 from chordcheck.netstate import init_network, network_to_dict, network_to_json
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = ROOT / "scenarios"
 
 
 def _ideal_record(edit):
@@ -484,6 +488,30 @@ class TestSimulateAndExplore:
         )
         assert code == cli.EXIT_OK
         assert "explored" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--m", "12", "--r", "3", "--churn-steps", "384", "--seed", "7", "--max-members", "64"],
+        ["explore", "--base", "7,19,33", "--depth", "3"],
+    ],
+    ids=["simulate", "explore"],
+)
+def test_a_closed_stdout_exits_quietly(argv):
+    # The pipe's reader is gone before the command starts, as after
+    # `| head -0`, so its first write or flush breaks the pipe. That is not
+    # a failed check: no traceback, and the documented code, not 1.
+    read, write = os.pipe()
+    os.close(read)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "chordcheck", *argv], stdout=write, stderr=subprocess.PIPE, env=env, timeout=120
+        )
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (cli.EXIT_BROKEN_PIPE, b"")
 
 
 def test_every_predicate_answers_on_every_state_of_the_packaged_scenarios():

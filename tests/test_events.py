@@ -441,7 +441,7 @@ class TestGuardTableMatchesTheOracle:
             # Order included: the simulator draws by index, and the explorer
             # reports violations in slot order.
             assert listing == oracle.listing_loop(net), net
-            assert sorted(listing, key=Event.sort_key) == oracle.enabled_events(net)
+            assert sorted(listing, key=oracle.sort_key) == oracle.enabled_events(net)
             if all(best_successor(net, n) is not None for n in net.live):
                 # The simulator's repair pool, in the order it draws from.
                 pool = [ev for ev in enabled_events(net, ()) if ev.kind is not EventKind.FAIL]

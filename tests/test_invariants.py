@@ -8,22 +8,30 @@ from hypothesis import given, strategies as st
 import pytest
 
 from chordcheck.ident import RingParams
-from chordcheck.netstate import init_network
-from chordcheck.events import apply_event, apply_fail, apply_stabilize_from_old_successor
+from chordcheck.netstate import Network, extended_succ_list, init_network
+from chordcheck.events import (
+    Event,
+    EventKind,
+    apply_event,
+    apply_fail,
+    apply_stabilize_from_old_successor,
+    guard,
+)
 from chordcheck.invariants import (
     conjuncts,
     conjuncts_reference,
     eight_conjunct_trial,
     is_valid,
     list_properties,
-    must_pre_date,
     six_conjunct_trial,
     skips,
     trial_predicates,
     _skips_live_base,
 )
+from chordcheck.topology import _walk, lookup_succ, ring_members
 from chordcheck.checker import (
-    enumerate_raw_list_states,
+    _list_states,
+    _raw_lists,
     enumerate_valid_states,
     preservation_cases,
     sample_raw_states,
@@ -39,6 +47,21 @@ from conftest import (
 )
 
 PARAMS = RingParams(m=6, r=2)
+
+
+def must_pre_date(net: Network, n1: int, n2: int) -> bool:
+    """Both ring members, and some ring member (possibly n1) mentions n1 and skips n2.
+
+    The from-scratch form of one pair of the date relation that
+    `trial_predicates` builds for every ring member at once.
+    """
+    ring = ring_members(net)
+    if n1 not in ring or n2 not in ring:
+        return False
+    for n3 in ring:
+        if n1 in extended_succ_list(net, n3) and skips(net, n3, n2):
+            return True
+    return False
 
 
 class TestSkips:
@@ -187,8 +210,37 @@ class TestConjunctsMatchReference:
     """The one-pass conjuncts against the from-scratch oracle."""
 
     def test_every_raw_list_state_up_to_four_nodes(self):
-        for net in enumerate_raw_list_states(RingParams(3, 2), 4):
-            assert conjuncts(net) == conjuncts_reference(net), net
+        # One sweep of the raw list states of `enumerate_raw_list_states`
+        # judges the conjuncts, the walk's ring verdict, the validity
+        # verdict, the base-skip scan (`TestBaseSkipScan`) and the JoinLookup
+        # guard, each against its oracle. The states come from `_list_states`
+        # in groups that differ only in the base, so what reads no base is
+        # judged once per group: the oracle's four ring conjuncts, the walk's
+        # verdict, and the guard, which asks only whether the walk has a
+        # cycle while the lookup must then answer the smallest non-member.
+        params = RingParams(3, 2)
+        seen: dict[tuple, bool] = {}
+        states = wraps = no_ring = 0
+        for _, live, nodes, bases in _list_states(params, 4, _raw_lists):
+            references = None
+            for base in bases:
+                net = Network(params, base, nodes, live)
+                if references is None:
+                    # The group's two possible reports, by BaseNotSkipped.
+                    ring = replace(conjuncts_reference(net), base_not_skipped=True)
+                    references = {True: ring, False: replace(ring, base_not_skipped=False)}
+                    assert _walk(net).valid == ring.valid, net
+                    j = next(i for i in range(params.space) if i not in live)
+                    answered = guard(net, Event(EventKind.JOIN_LOOKUP, j)) is None
+                    assert answered == (lookup_succ(net, j) is not None), net
+                    no_ring += not answered
+                skipped, new_wraps = TestBaseSkipScan.check(net, seen)
+                reference = references[not skipped]
+                assert conjuncts(net) == reference, net
+                assert is_valid(net) == reference.valid, net
+                states += 1
+                wraps += new_wraps
+        assert states == 279_257 and wraps > 0 and no_ring > 0
 
     def test_every_post_event_state_of_the_three_node_sweep(self):
         checked = 0
@@ -202,42 +254,48 @@ class TestConjunctsMatchReference:
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
     def test_sampled_raw_states(self, seed):
         for net in sample_raw_states(RingParams(6, 3), 9, 20, seed):
-            assert conjuncts(net) == conjuncts_reference(net), net
+            reference = conjuncts_reference(net)
+            assert conjuncts(net) == reference, net
+            assert is_valid(net) == reference.valid, net
+            assert _walk(net).valid == replace(reference, base_not_skipped=True).valid, net
 
 
 class TestBaseSkipScan:
     """`_skips_live_base`, the loop-form scan behind `conjuncts` and
     `valid_after`, against the `skips`-based scan of `conjuncts_reference`,
-    over every live member at once and each one alone."""
+    over every live member at once and each one alone. The raw list states
+    up to four nodes are judged in `TestConjunctsMatchReference`'s sweep."""
 
     @staticmethod
-    def _check(nets):
-        """Check each network; return how many adjacent pairs wrap to their own id."""
-        wraps = 0
-        # A member's verdict reads only its list and the live base, which
-        # many enumerated networks share.
-        seen: dict[tuple, bool] = {}
-        for net in nets:
-            live_base = tuple(sorted(b for b in net.base if net.is_live(b)))
-            per_member = {}
-            for n in net.live:
-                key = (n, net.node(n).succ_list, live_base)
-                if key not in seen:
-                    seen[key] = any(skips(net, n, b) for b in live_base)
-                    ext = (n,) + key[1]
-                    wraps += sum(a == c for a, c in zip(ext, ext[1:]))
-                per_member[n] = seen[key]
-            assert _skips_live_base(net, net.live) == any(per_member.values()), net
-            for n, expected in per_member.items():
-                assert _skips_live_base(net, (n,)) == expected, (net, n)
-        return wraps
+    def check(net, seen: dict[tuple, bool]) -> tuple[bool, int]:
+        """Check one network; return the oracle's verdict (some live member
+        skips a live base member) and how many adjacent pairs of the members
+        not yet in `seen` wrap to their own id.
 
-    def test_every_raw_list_state_up_to_four_nodes(self):
-        assert self._check(enumerate_raw_list_states(RingParams(3, 2), 4)) > 0
+        A member's verdict, by either scan, reads only its list and the live
+        base, which many enumerated networks share, so it is judged once per
+        such key and `seen` keeps the oracle's across networks.
+        """
+        wraps = 0
+        live_base = tuple(sorted(b for b in net.base if net.is_live(b)))
+        per_member = []
+        for n in net.live:
+            key = (n, net.node(n).succ_list, live_base)
+            if key not in seen:
+                seen[key] = any(skips(net, n, b) for b in live_base)
+                assert _skips_live_base(net, (n,)) == seen[key], (net, n)
+                ext = (n,) + key[1]
+                wraps += sum(a == c for a, c in zip(ext, ext[1:]))
+            per_member.append(seen[key])
+        skipped = any(per_member)
+        assert _skips_live_base(net, net.live) == skipped, net
+        return skipped, wraps
 
     @pytest.mark.parametrize("r", [2, 3])
     def test_sampled_raw_states(self, r):
-        assert self._check(sample_raw_states(RingParams(6, r), 9, 3000, seed=90 + r)) > 0
+        seen: dict[tuple, bool] = {}
+        nets = sample_raw_states(RingParams(6, r), 9, 3000, seed=90 + r)
+        assert sum(self.check(net, seen)[1] for net in nets) > 0
 
     def test_a_pair_wrapping_to_its_own_id(self):
         # between(x, y, x) holds for every y but x: the pair (7, 7) skips

@@ -20,12 +20,10 @@ from chordcheck.events import (
     effect_delta,
 )
 from chordcheck.measure import (
-    ROLE_PRED,
     effective_enabled,
     error_vector,
     error_vector_after,
-    pointer_error,
-    succ_role,
+    member_error,
     total_error,
     visible_state,
 )
@@ -33,7 +31,7 @@ from chordcheck.topology import is_ideal
 from chordcheck.checker import enumerate_valid_states, sample_raw_states, sample_valid_states
 
 import events_oracle as oracle
-from measure_oracle import error_report
+from measure_oracle import ROLE_PRED, error_report, pointer_error, succ_role
 from conftest import (
     convergence_configs,
     cross_term_state,
@@ -204,15 +202,20 @@ class TestErrorVector:
             assert (not any(vec)) == is_ideal(net)
 
     def test_matches_per_role_pointer_error_sums(self):
+        # Per level for `error_vector`, and per member for `member_error`,
+        # the executor-local monotonicity check's score.
         nonzero = 0
         for net in oracle_states():
             r = net.params.r
             level_roles = [(ROLE_PRED, succ_role(1))] + [(succ_role(k),) for k in range(2, r + 1)]
-            expected = tuple(
-                sum(pointer_error(net, n, role) for n in net.live for role in roles)
-                for roles in level_roles
-            )
+            per_member = {
+                n: [sum(pointer_error(net, n, role) for role in roles) for roles in level_roles]
+                for n in net.live
+            }
+            expected = tuple(sum(levels[k] for levels in per_member.values()) for k in range(r))
             assert error_vector(net) == expected, net
+            for n, levels in per_member.items():
+                assert member_error(net, n) == sum(levels), (net, n)
             nonzero += any(expected)
         assert nonzero > 0
 

@@ -15,10 +15,13 @@ from chordcheck.ident import RingParams
 import sampler_oracle as oracle
 
 GRID = ((3, 2, 8), (3, 6, 8), (3, 7, 8), (3, 4, 5), (6, 2, 9), (6, 3, 9), (6, 3, 64), (8, 3, 40))
+# The builder's keywords, then the oracle's. The builder has no `min_ring`:
+# RingParams forces r >= 2, so its ring floor r + 1 is at least 3 already,
+# and the oracle's `min_ring=3` branch must draw the same networks.
 BRANCHES = {
-    "base": {"with_base": True},
-    "no-base": {"with_base": False},
-    "no-base-ring3": {"with_base": False, "min_ring": 3},
+    "base": ({"with_base": True}, {"with_base": True}),
+    "no-base": ({"with_base": False}, {"with_base": False}),
+    "no-base-ring3": ({"with_base": False}, {"with_base": False, "min_ring": 3}),
 }
 SEEDS = range(40)
 DRAWS = 5
@@ -27,12 +30,12 @@ DRAWS = 5
 @pytest.mark.parametrize("branch", BRANCHES)
 @pytest.mark.parametrize("m,r,max_nodes", GRID)
 def test_networks_and_rng_state_match_the_oracle(m, r, max_nodes, branch):
-    params, kwargs = RingParams(m, r), BRANCHES[branch]
+    params, (kwargs, oracle_kwargs) = RingParams(m, r), BRANCHES[branch]
     for seed in SEEDS:
         fast, old = random.Random(seed), random.Random(seed)
         for draw in range(DRAWS):
             net = checker._structured_network(fast, params, max_nodes, **kwargs)
-            expected = oracle._structured_network(old, params, max_nodes, **kwargs)
+            expected = oracle._structured_network(old, params, max_nodes, **oracle_kwargs)
             where = (seed, draw)
             assert net == expected, where
             assert list(net.nodes) == list(expected.nodes), where

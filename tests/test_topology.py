@@ -13,8 +13,6 @@ from chordcheck.topology import (
     LIVENESS_CHANGED,
     best_successor,
     change_code,
-    globally_correct_pred,
-    globally_correct_succ,
     is_ideal,
     lookup_succ,
     ring_cycle,
@@ -26,6 +24,7 @@ from chordcheck.measure import total_error
 from chordcheck.checker import sample_valid_states
 
 from conftest import make_net, oracle_states, valid_with_appendage_chain, wrap_trap_state
+from topology_oracle import globally_correct_pred, globally_correct_succ
 
 PARAMS = RingParams(m=6, r=2)
 
