@@ -34,6 +34,7 @@ from .events import (
 )
 from .invariants import (
     PREDICATES,
+    _skips_live_base,
     conjuncts,
     conjuncts_reference,
     is_valid,
@@ -183,6 +184,27 @@ def enumerate_valid_states(params: RingParams, max_nodes: int):
                 yield Network(params, base, expanded, live)
 
 
+def enumerate_trial_states(params: RingParams, max_nodes: int, trial: str):
+    """Every state over at most `max_nodes` identifiers that satisfies a trial
+    invariant, in `_list_states` order.
+
+    The `valid` trial is `enumerate_valid_states`. The six- and
+    eight-conjunct trials hold no stable base: their states are the
+    duplicate-free ordered list assignments that satisfy the trial, with
+    predecessors unset. Nothing is lost by either restriction: every state
+    of either trial has duplicate-free ordered lists, and neither the trial
+    predicates nor a swept event's effect on a list reads a predecessor.
+    """
+    if trial == "valid":
+        yield from enumerate_valid_states(params, max_nodes)
+        return
+    predicate = PREDICATES[trial_predicate_name(trial)][0]
+    for _, live, nodes, _ in _list_states(params, max_nodes, _ordered_lists):
+        net = Network(params, frozenset(), nodes, live)
+        if predicate(net):
+            yield net
+
+
 def count_valid_states_bruteforce(params: RingParams, max_nodes: int) -> int:
     """Independent oracle: unpruned generate-and-filter count of valid states.
 
@@ -281,16 +303,10 @@ def _build_member_list(
     return tuple(entries)
 
 
-def _structured_network(
-    rng: random.Random,
-    params: RingParams,
-    max_nodes: int,
-    *,
-    with_base: bool,
-) -> Network:
-    """A random network with one ordered ring, appendages hanging off it and
-    departed placeholders; `with_base` draws a stable base from the ring and
-    keeps every list from skipping it."""
+def _structured_network(rng: random.Random, params: RingParams, max_nodes: int) -> Network:
+    """A random valid network: one ordered ring, appendages hanging off it,
+    departed placeholders, and a stable base drawn from the ring that no
+    list skips."""
     r = params.r
     # Rings below r+1 cannot carry full aligned lists; never sample them.
     floor = r + 1
@@ -304,7 +320,7 @@ def _structured_network(
     ring = sorted(rng.sample(live, ring_size))
     in_ring = set(ring)
     order = [x for x in live if x not in in_ring]  # the appendages
-    base = frozenset(rng.sample(ring, r + 1)) if with_base else frozenset()
+    base = frozenset(rng.sample(ring, r + 1))
 
     n = len(ids)
     ids2 = ids + ids
@@ -321,23 +337,20 @@ def _structured_network(
         lists[x] = _build_member_list(rng, i, seq, seq_at, ids2, live_set, base_at, r)
 
     # Each appendage copies the list of a target from the ring or the
-    # appendages already attached, drawn in identifier order; with a base,
-    # the target lies no further clockwise than the nearest base member.
+    # appendages already attached, drawn in identifier order, that lies no
+    # further clockwise than the nearest base member.
     rng.shuffle(order)
     targets = ring.copy()
     base_sorted = sorted(base)
     for a in order:
         lo = bisect_right(targets, a)
-        if base_sorted:
-            nearest = base_sorted[bisect_right(base_sorted, a) % len(base_sorted)]
-            hi = bisect_right(targets, nearest)
-            if nearest > a:
-                target = targets[lo + rng.randrange(hi - lo)]
-            else:
-                j = rng.randrange(hi + len(targets) - lo)
-                target = targets[j] if j < hi else targets[lo + j - hi]
+        nearest = base_sorted[bisect_right(base_sorted, a) % len(base_sorted)]
+        hi = bisect_right(targets, nearest)
+        if nearest > a:
+            target = targets[lo + rng.randrange(hi - lo)]
         else:
-            target = targets[rng.randrange(len(targets))]
+            j = rng.randrange(hi + len(targets) - lo)
+            target = targets[j] if j < hi else targets[lo + j - hi]
         lists[a] = (target,) + lists[target][: r - 1]
         insort(targets, a)
 
@@ -362,36 +375,14 @@ def _structured_network(
 
 
 def sample_valid_states(params: RingParams, max_nodes: int, count: int, seed: int):
-    """Constructively sampled valid networks, reproducible from the seed."""
-    rng = random.Random(seed)
-    produced = 0
-    attempts = 0
-    while produced < count:
-        net = _structured_network(rng, params, max_nodes, with_base=True)
-        attempts += 1
-        if is_valid(net):
-            produced += 1
-            yield net
-        elif attempts > 50 * (count + 1):
-            raise RuntimeError("constructive sampler failed to produce valid states")
+    """Constructively sampled valid networks, reproducible from the seed.
 
-
-def sample_trial_states(
-    params: RingParams, max_nodes: int, count: int, seed: int, trial: str
-):
-    """Sampled networks satisfying a named trial invariant (no stable base)."""
-    predicate = PREDICATES[trial_predicate_name(trial)][0]
+    Every draw is valid by construction, so none is checked here;
+    tests/test_sampler.py asserts it over a grid of bounds and seeds.
+    """
     rng = random.Random(seed)
-    produced = 0
-    attempts = 0
-    while produced < count:
-        net = _structured_network(rng, params, max_nodes, with_base=False)
-        attempts += 1
-        if predicate(net):
-            produced += 1
-            yield net
-        if attempts > 200 * (count + 1):
-            raise RuntimeError(f"sampler failed to produce {trial} states")
+    for _ in range(count):
+        yield _structured_network(rng, params, max_nodes)
 
 
 def sample_raw_states(params: RingParams, max_nodes: int, count: int, seed: int):
@@ -613,7 +604,7 @@ def check_implications(states, bounds: dict | None = None) -> CheckReport:
     report = CheckReport(lemma="BaseNotSkippedImplications", bounds=bounds or {})
     for net in states:
         report.states_checked += 1
-        if not conjuncts(net).base_not_skipped:
+        if _skips_live_base(net, net.live):
             continue
         for n in net.live:
             props = list_properties(net, n)
@@ -768,25 +759,21 @@ def search_trial_counterexample(
     trial: str,
     params: RingParams,
     max_nodes: int,
-    seed: int,
-    max_states: int = 20_000,
     require_break: str | None = None,
 ) -> tuple[Network, Event] | None:
-    """Hunt for a state satisfying a trial invariant that one event breaks.
+    """The first state of `enumerate_trial_states` that one event takes out
+    of the trial invariant, with that event; None when no state does.
 
     Sweeps the preservation cases of stabilize copies, stabilize adoptions
-    and fails over sampled trial-invariant states; rectifies never touch
-    list structure and cannot break any of the structural conjuncts.
-    `require_break` names a registry predicate that must be false afterwards,
-    restricting which counterexample shape counts.
+    and fails; rectifies never touch list structure and cannot break any of
+    the structural conjuncts. `require_break` names a registry predicate that
+    must be false afterwards, restricting which counterexample shape counts.
+    The search is exhaustive, so it takes the exhaustive bounds
+    (`require_exhaustible`).
     """
     predicate = PREDICATES[trial_predicate_name(trial)][0]
     broken = PREDICATES[require_break][0] if require_break else None
-    if trial == "valid":
-        states = sample_valid_states(params, max_nodes, max_states, seed)
-    else:
-        states = sample_trial_states(params, max_nodes, max_states, seed, trial)
-    for net in states:
+    for net in enumerate_trial_states(params, max_nodes, trial):
         for prepared, ev in preservation_cases(net, _SEARCH_KINDS):
             post = apply_event(prepared, ev)
             if not predicate(post) and (broken is None or not broken(post)):

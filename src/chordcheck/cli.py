@@ -368,8 +368,8 @@ def _cmd_init(args) -> int:
 
 def _cmd_check(args) -> int:
     r = args.r
-    # trial-search always samples; it ignores --mode.
-    exhaustive = args.mode == "exhaustive" and args.target != "trial-search"
+    # trial-search is always exhaustive; it ignores --mode, --seed and --samples.
+    exhaustive = args.mode == "exhaustive" or args.target == "trial-search"
     try:
         params = RingParams(m=(3 if exhaustive else 6) if args.m is None else args.m, r=r)
         _require_floors(args, samples=1)
@@ -384,9 +384,7 @@ def _cmd_check(args) -> int:
 
     if args.target == "trial-search":
         trial = args.trial or "six-conjunct"
-        found = checker.search_trial_counterexample(
-            trial, params, max_nodes=args.n, seed=args.seed, max_states=args.samples
-        )
+        found = checker.search_trial_counterexample(trial, params, max_nodes=args.n)
         if found is None:
             print(f"trial-search[{trial}]: no counterexample within bounds")
             return EXIT_CHECK_FAILED
@@ -395,7 +393,6 @@ def _cmd_check(args) -> int:
         # The artifact doubles as a replayable scenario.
         artifact = {
             "trial": trial,
-            "seed": args.seed,
             "params": {"m": net.params.m, "r": net.params.r},
             "base": sorted(net.base),
             "initialState": network_to_dict(net),

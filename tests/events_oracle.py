@@ -28,7 +28,7 @@ from chordcheck.events import (
     failable,
     join_precondition_holds,
 )
-from chordcheck.ident import RingParams, between
+from chordcheck.ident import between
 from chordcheck.invariants import (
     conjuncts,
     eight_conjunct_trial,
@@ -38,7 +38,6 @@ from chordcheck.invariants import (
 )
 from chordcheck.netstate import Network, NodeState
 from chordcheck.topology import best_successor, lookup_succ
-from chordcheck import checker
 
 ALL_KINDS = tuple(EventKind)
 _KIND_ORDER = {kind: i for i, kind in enumerate(EventKind)}
@@ -470,26 +469,20 @@ def _broken_conjunct_check(name: str | None):
 
 def search_trial_counterexample(
     trial: str,
-    params: RingParams,
-    max_nodes: int,
-    seed: int,
-    max_states: int = 20_000,
+    states,
     require_break: str | None = None,
 ) -> tuple[Network, Event] | None:
     """Hunt for a state satisfying a trial invariant that one event breaks.
 
-    Sweeps fails, stabilize copies and stabilize adoptions over sampled
+    Sweeps fails, stabilize copies and stabilize adoptions over the given
     trial-invariant states; rectifies never touch list structure and cannot
     break any of the structural conjuncts. `require_break` names a specific
     conjunct that must be false afterwards, restricting which counterexample
-    shape counts.
+    shape counts. It takes the states as a stream, so it sweeps the states
+    the checker's search sweeps.
     """
     predicate = TRIAL_INVARIANTS[trial]
     broken = _broken_conjunct_check(require_break)
-    if trial == "valid":
-        states = checker.sample_valid_states(params, max_nodes, max_states, seed)
-    else:
-        states = checker.sample_trial_states(params, max_nodes, max_states, seed, trial)
     for net in states:
         fails = failable(net) - net.base
         for n in net.live_idents():

@@ -184,16 +184,14 @@ def test_criterion_5_implications():
 
 
 def test_criterion_6_trial_invariant_counterexamples():
-    params = RingParams(6, 2)
+    # Exhaustive at the smallest scope: every trial state over four identifiers.
+    params = RingParams(3, 2)
     t0 = time.time()
-    wrap = checker.search_trial_counterexample(
-        "six-conjunct", params, 7, seed=0, max_states=20_000, require_break="orderedRing"
-    )
+    wrap = checker.search_trial_counterexample("six-conjunct", params, 4, require_break="orderedRing")
     t_wrap = time.time() - t0
     t0 = time.time()
     dates = checker.search_trial_counterexample(
-        "eight-conjunct", params, 7, seed=0, max_states=20_000,
-        require_break="noConflictingDates",
+        "eight-conjunct", params, 4, require_break="noConflictingDates"
     )
     t_dates = time.time() - t0
 

@@ -369,6 +369,29 @@ def _rejoined_start():
     return net
 
 
+def _relabeled(net, params, f):
+    """`net` in the identifier space of `params`, with every identifier x renamed f(x)."""
+
+    def g(x):
+        return None if x is None else f(x)
+
+    nodes = {
+        f(x): NodeState(
+            f(x), tuple(map(f, s.succ_list)), g(s.pred), g(s.pending_new_succ), g(s.pending_candidate)
+        )
+        for x, s in net.nodes.items()
+    }
+    return Network(params, frozenset(map(f, net.base)), nodes, frozenset(map(f, net.live)))
+
+
+# Renamings that keep the circular order: an order-preserving one into a
+# wider space, and a rotation of the same space.
+RELABELINGS = {
+    "widened": (RingParams(8, 2), lambda x: 4 * x + 1),
+    "rotated": (WIDE, lambda x: (x + 37) % WIDE.space),
+}
+
+
 class TestExploreReachable:
     def test_join_exploration_stays_valid_and_covers_the_walkthrough(self):
         init = init_network(WIDE, [7, 19, 33])
@@ -487,6 +510,21 @@ class TestExploreReachable:
         assert report.passed and not report.info["truncated"]
         if name in self.ORACLE_COUNTS:
             assert (len(order), transitions) == self.ORACLE_COUNTS[name]
+
+    @pytest.mark.parametrize("name", ["walkthrough", "dead-lookup", "rejoin", "bench-r2"])
+    def test_relabeling_keeps_the_counts(self, name):
+        # The relation reads identifiers only through the circular order, so
+        # a verdict holds for every placement with the same cyclic pattern.
+        make_init, joins, fails, depth, joiners = self.ORACLE_CONFIGS[name]
+        init = make_init()
+
+        def counts(net, joiners):
+            info = checker.explore_reachable(net, joins, fails, depth, joiners=joiners).info
+            return [info[k] for k in ("states", "transitions", "transitionsByKind", "selfLoops")]
+
+        expected = counts(init, joiners)
+        for params, f in RELABELINGS.values():
+            assert counts(_relabeled(init, params, f), tuple(map(f, joiners))) == expected
 
     def test_a_network_is_built_only_for_each_new_state(self, monkeypatch):
         built = []
@@ -1018,9 +1056,11 @@ def _collect_reachable_nets(init, joiners, depth):
 
 
 class TestTrialSearch:
+    """The exhaustive search at n <= 4: its first witnesses are the smallest-scope ones."""
+
     def test_six_conjunct_wrap_found(self):
         found = checker.search_trial_counterexample(
-            "six-conjunct", WIDE, 7, seed=0, max_states=5000, require_break="orderedRing"
+            "six-conjunct", SMALL, 4, require_break="orderedRing"
         )
         assert found is not None
         net, ev = found
@@ -1028,15 +1068,15 @@ class TestTrialSearch:
         post = apply_event(net, ev)
         assert not six_conjunct_trial(post)
         assert not conjuncts(post).ordered_ring
+        # The first witness in enumeration order.
+        assert ev == Event(EventKind.FAIL, 0)
+        assert {x: net.node(x).succ_list for x in net.live} == {
+            0: (1, 2), 1: (3, 0), 2: (0, 1), 3: (0, 2)
+        }
 
     def test_eight_conjunct_date_conflict_found(self):
         found = checker.search_trial_counterexample(
-            "eight-conjunct",
-            WIDE,
-            7,
-            seed=0,
-            max_states=20_000,
-            require_break="noConflictingDates",
+            "eight-conjunct", SMALL, 4, require_break="noConflictingDates"
         )
         assert found is not None
         net, ev = found
@@ -1050,10 +1090,24 @@ class TestTrialSearch:
         )
 
     def test_final_invariant_yields_no_counterexample(self):
-        found = checker.search_trial_counterexample(
-            "valid", WIDE, 7, seed=0, max_states=1500
+        assert checker.search_trial_counterexample("valid", SMALL, 4) is None
+
+    @pytest.mark.parametrize("trial", ["six-conjunct", "eight-conjunct"])
+    def test_trial_states_are_the_raw_assignments_that_satisfy_the_trial(self, trial):
+        # Drawing lists from duplicate-free ordered pairs loses no state.
+        holds = invariants.PREDICATES[invariants.trial_predicate_name(trial)][0]
+        raw = (
+            Network(SMALL, frozenset(), nodes, live)
+            for _, live, nodes, _ in checker._list_states(SMALL, 4, checker._raw_lists)
         )
-        assert found is None
+        expected = [net.pred_free_key() for net in raw if holds(net)]
+        states = [net.pred_free_key() for net in checker.enumerate_trial_states(SMALL, 4, trial)]
+        assert len(states) == len(set(states))
+        assert set(states) == set(expected)
+
+    def test_the_search_needs_the_exhaustive_bounds(self):
+        with pytest.raises(ValueError, match="exhaustion ceiling"):
+            checker.search_trial_counterexample("six-conjunct", RingParams(6, 3), 4)
 
 
 class TestOneCandidateListing:
@@ -1070,10 +1124,17 @@ class TestOneCandidateListing:
         assert cases > 30_000
 
     @pytest.mark.parametrize(
-        "trial, max_states, require_break",
-        [("six-conjunct", 5000, "orderedRing"), ("eight-conjunct", 5000, "noEjects"), ("valid", 300, None)],
+        "trial, require_break",
+        [
+            ("six-conjunct", "orderedRing"),
+            ("six-conjunct", None),
+            ("eight-conjunct", "noConflictingDates"),
+            ("eight-conjunct", "noEjects"),
+            ("eight-conjunct", None),
+            ("valid", None),
+        ],
     )
-    def test_trial_search_finds_the_same_counterexample(self, trial, max_states, require_break):
-        for seed in (0, 1):
-            args = (trial, WIDE, 7, seed, max_states, require_break)
-            assert checker.search_trial_counterexample(*args) == oracle.search_trial_counterexample(*args)
+    def test_trial_search_finds_the_same_counterexample(self, trial, require_break):
+        states = checker.enumerate_trial_states(SMALL, 4, trial)
+        expected = oracle.search_trial_counterexample(trial, states, require_break)
+        assert checker.search_trial_counterexample(trial, SMALL, 4, require_break) == expected

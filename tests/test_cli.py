@@ -218,7 +218,9 @@ class TestReplayScenarios:
         ("init --base 1,1", "distinct"),
         ("explore --base 7,19", "r+1=3 members"),
         ("check progress --mode random --n 2", "[r+1, 2^m]"),
-        ("check trial-search --n 2", "[r+1, 2^m]"),
+        ("check trial-search --n 2", "exhaustion ceiling"),
+        ("check trial-search --n 5", "exhaustion ceiling"),
+        ("check trial-search --r 3 --n 4", "exhaustion ceiling"),
         ("check implications --mode exhaustive --n 9", "exhaustion ceiling"),
         ("check preservation --n 2", "exhaustion ceiling"),
         ("check preservation --n 0", "exhaustion ceiling"),
@@ -254,7 +256,7 @@ def test_bad_flag_value_exit_64_with_one_line(argv, named, capsys):
     [
         "init --base 7,19,33 --out {out}",
         "check preservation --n 3 --out {out}",
-        "check trial-search --n 7 --samples 5000 --out {out}",
+        "check trial-search --n 4 --out {out}",
         "simulate --churn-steps 5 --trace-out {out}",
         "export-dot {net} --out {out}",
     ],
@@ -414,7 +416,7 @@ class TestCheckCommand:
         code = cli.main(
             [
                 "check", "trial-search", "--trial", "six-conjunct", "--r", "2",
-                "--n", "7", "--seed", "0", "--samples", "5000", "--out", str(out),
+                "--n", "4", "--out", str(out),
             ]
         )
         assert code == cli.EXIT_OK
@@ -423,6 +425,22 @@ class TestCheckCommand:
         assert artifact["event"]["kind"] in (
             "Fail", "StabilizeFromOldSuccessor", "StabilizeFromNewSuccessor"
         )
+        assert "seed" not in artifact
+
+    def test_trial_search_ignores_the_sampling_flags(self, tmp_path, capsys):
+        texts = []
+        for extra in ([], ["--mode", "random", "--seed", "9", "--samples", "3"]):
+            out = tmp_path / "cex.json"
+            argv = ["check", "trial-search", "--trial", "eight-conjunct", "--out", str(out)]
+            assert cli.main(argv + extra) == cli.EXIT_OK
+            texts.append(out.read_text())
+        assert texts[0] == texts[1]
+        assert json.loads(texts[0])["params"] == {"m": 3, "r": 2}
+
+    def test_trial_search_of_the_final_invariant_finds_nothing(self, capsys):
+        assert cli.main(["check", "trial-search", "--trial", "valid"]) == cli.EXIT_CHECK_FAILED
+        out = capsys.readouterr().out
+        assert out == "trial-search[valid]: no counterexample within bounds\n"
 
 
 class TestSimulateAndExplore:

@@ -214,7 +214,7 @@ COMMANDS = [
     ["init", "--m", "6", "--r", "2", "--base", "7,19,33"],
     ["check", "preservation", "--n", "4", "--r", "2", "--mode", "random", "--samples", "3"],
     ["check", "progress", "--n", "3", "--r", "2", "--m", "3"],
-    ["check", "trial-search", "--n", "5", "--r", "2", "--samples", "3"],
+    ["check", "trial-search", "--n", "4", "--r", "2", "--samples", "3"],
     ["explore", "--m", "6", "--r", "2", "--base", "7,19,33", "--joins", "1", "--depth", "2",
      "--joiners", "10"],
     ["simulate", "--m", "6", "--r", "2", "--churn-steps", "5", "--max-members", "6",

@@ -2,27 +2,24 @@
 
 The rewrite must make the same `rng` calls in the same order, so every
 seed yields the same networks: equal, with the same node order, and with
-the generator left in the same state.
+the generator left in the same state. Every draw must also be valid by
+construction, because `sample_valid_states` yields each one unchecked.
 """
 
+import functools
 import random
 
 import pytest
 
 from chordcheck import checker
 from chordcheck.ident import RingParams
+from chordcheck.invariants import conjuncts_reference, is_valid
 
 import sampler_oracle as oracle
 
 GRID = ((3, 2, 8), (3, 6, 8), (3, 7, 8), (3, 4, 5), (6, 2, 9), (6, 3, 9), (6, 3, 64), (8, 3, 40))
-# The builder's keywords, then the oracle's. The builder has no `min_ring`:
-# RingParams forces r >= 2, so its ring floor r + 1 is at least 3 already,
-# and the oracle's `min_ring=3` branch must draw the same networks.
-BRANCHES = {
-    "base": ({"with_base": True}, {"with_base": True}),
-    "no-base": ({"with_base": False}, {"with_base": False}),
-    "no-base-ring3": ({"with_base": False}, {"with_base": False, "min_ring": 3}),
-}
+# `_structured_network` always draws a stable base; the oracle's keywords for the same draws.
+BRANCHES = {"base": {"with_base": True}}
 SEEDS = range(40)
 DRAWS = 5
 
@@ -30,11 +27,11 @@ DRAWS = 5
 @pytest.mark.parametrize("branch", BRANCHES)
 @pytest.mark.parametrize("m,r,max_nodes", GRID)
 def test_networks_and_rng_state_match_the_oracle(m, r, max_nodes, branch):
-    params, (kwargs, oracle_kwargs) = RingParams(m, r), BRANCHES[branch]
+    params, oracle_kwargs = RingParams(m, r), BRANCHES[branch]
     for seed in SEEDS:
         fast, old = random.Random(seed), random.Random(seed)
         for draw in range(DRAWS):
-            net = checker._structured_network(fast, params, max_nodes, **kwargs)
+            net = checker._structured_network(fast, params, max_nodes)
             expected = oracle._structured_network(old, params, max_nodes, **oracle_kwargs)
             where = (seed, draw)
             assert net == expected, where
@@ -42,10 +39,24 @@ def test_networks_and_rng_state_match_the_oracle(m, r, max_nodes, branch):
             assert fast.getstate() == old.getstate(), where
 
 
+@pytest.mark.parametrize("m,r,max_nodes", GRID)
+def test_every_draw_is_valid(m, r, max_nodes):
+    params = RingParams(m, r)
+    for seed in SEEDS:
+        rng = random.Random(seed)
+        for draw in range(DRAWS):
+            net = checker._structured_network(rng, params, max_nodes)
+            where = (seed, draw)
+            assert is_valid(net), where
+            # The from-scratch oracle too, where it is cheap.
+            assert max_nodes > 9 or conjuncts_reference(net).valid, where
+
+
 def _streams(monkeypatch, sample):
     """The networks `sample()` yields with the sampler, then with the oracle's builder."""
     fast = list(sample())
-    monkeypatch.setattr(checker, "_structured_network", oracle._structured_network)
+    old_network = functools.partial(oracle._structured_network, with_base=True)
+    monkeypatch.setattr(checker, "_structured_network", old_network)
     return fast, list(sample())
 
 
@@ -55,13 +66,4 @@ def test_valid_stream_matches_the_oracle(monkeypatch, r, seed):
         monkeypatch, lambda: checker.sample_valid_states(RingParams(6, r), 9, 200, seed)
     )
     assert len(fast) == 200
-    assert fast == old
-
-
-@pytest.mark.parametrize("trial", ["six-conjunct", "eight-conjunct"])
-def test_trial_stream_matches_the_oracle(monkeypatch, trial):
-    fast, old = _streams(
-        monkeypatch, lambda: checker.sample_trial_states(RingParams(6, 2), 8, 100, 4, trial)
-    )
-    assert len(fast) == 100
     assert fast == old
