@@ -615,6 +615,17 @@ def check_implications(states, bounds: dict | None = None) -> CheckReport:
     return report
 
 
+# Bytes per interned entry id in a visited key. Four bytes number more
+# entries than a search can hold in memory; `int.to_bytes` raises
+# OverflowError past them rather than wrapping.
+KEY_WIDTH = 4
+
+
+def _packed(n: int, width: int = KEY_WIDTH) -> bytes:
+    """`n` as one fixed-width field of a visited key."""
+    return n.to_bytes(width, "big")
+
+
 def explore_reachable(
     init: Network,
     max_joins: int,
@@ -633,31 +644,37 @@ def explore_reachable(
 
     An event changes only its executor, so a successor is keyed without being
     built. Each distinct `node_key` entry is interned once per call, as a
-    small int. Every executor is a live member or a joiner, so each
-    identifier of `init.nodes` and `joiners` has a fixed position in a key,
-    in identifier order: a visited key is (the entry ids in those positions,
-    with -1 for a joiner not yet tracked, joins, fails), and a successor's
-    is the parent's with the executor's id replaced. Params and base never
-    change, so they are left out of the visited keys.
-    A network is built, and checked, only for a key not seen before. An
-    event whose `effect_delta` is None leaves the state as it is: it counts
-    as a transition, and in `info["selfLoops"]` by kind, and is dropped
-    before any key work.
+    `KEY_WIDTH`-byte id counted from 1. Every executor is a live member or a
+    joiner, so each identifier of `init.nodes` and `joiners` has a fixed
+    slot in a key, in identifier order. A visited key is one `bytes` object:
+    the entry ids in those slots (zero for a joiner not yet tracked), then
+    joins and fails, each in the fewest bytes that hold its bound. A
+    successor's key is its parent's with the executor's slot spliced in,
+    and its budgets rewritten only by a Join or a Fail. Params and base
+    never change, so they are left out of the visited keys. An event whose
+    `effect_delta` is None leaves the state as it is: it counts as a
+    transition, and in `info["selfLoops"]` by kind, and is dropped before
+    any key work.
 
-    Each queue entry carries its state's verdict, its parent's listing and
-    its change code (`topology.change_code`), computed once when the state
-    is first reached. A child of a valid state is judged by `valid_after`
-    from that code; the initial state and a child of an invalid one get the
-    full check. A state is listed only when it is expanded, by
-    `carried_listing` from its parent's listing and the same code, a Join
-    or a Fail included, by the one refresh rule for every step. Once the
-    join budget is spent, the explorer drops the joiner slots itself
-    (`Listing.without_joiners`) before the carry, so no guard is run for a
-    slot about to go, and its descendants carry none. Only the
-    initial state is listed by `slot_listing`. The listed
-    events' guards have just held, so their deltas are read by
-    `effect_delta` without running the guards again. A state's verdict is
-    reported when it leaves the queue, which is the order it was reached in.
+    A queue entry is (the parent's frame, the executor's state and liveness
+    from `effect_delta`, the key), for a key not seen before. The frame is
+    (the parent network, its verdict, its listing, its successors' depth),
+    one tuple its queued successors share. A successor is built with
+    `with_node` only when its entry is popped, so one network is built per
+    new key, and its change code (`topology.change_code`) is computed then.
+    It is judged by `valid_after` from that code below a valid parent, and
+    by the full check below an invalid one; the initial state, queued with
+    no state, gets the full check. A state's verdict is reported when it
+    leaves the queue, which is the order it was reached in.
+
+    A state is listed only when it is expanded, by `carried_listing` from
+    its parent's listing and the same code, a Join or a Fail included, by
+    the one refresh rule for every step. Once the join budget is spent, the
+    explorer drops the joiner slots itself (`Listing.without_joiners`)
+    before the carry, so no guard is run for a slot about to go, and its
+    descendants carry none. Only the initial state is listed by
+    `slot_listing`. The listed events' guards have just held, so their
+    deltas are read by `effect_delta` without running the guards again.
     `info["listings"]` counts the listings rebuilt (the initial state's)
     and carried, and `info["transitionsByKind"]` splits the transitions by
     event kind.
@@ -675,41 +692,54 @@ def explore_reachable(
         bounds={"joins": max_joins, "fails": max_fails, "depth": max_depth},
     )
     join, fail = EventKind.JOIN, EventKind.FAIL
-    interned: dict[tuple, int] = {}
-    slot = {i: k for k, i in enumerate(sorted({*init.nodes, *joiners}))}
-    ids = tuple(
-        interned.setdefault(node_key(init.nodes[i], i in init.live), len(interned))
+    width = KEY_WIDTH
+    # A budget never passes its bound, so the bounds fix the budgets' width.
+    budget_width = max(1, (max(max_joins, max_fails).bit_length() + 7) // 8)
+    interned: dict[tuple, bytes] = {}
+    # Each tracked identifier's byte offset in a key.
+    at = {i: k * width for k, i in enumerate(sorted({*init.nodes, *joiners}))}
+    key = b"".join(
+        interned.setdefault(node_key(init.nodes[i], i in init.live), _packed(len(interned) + 1))
         if i in init.nodes
-        else -1
-        for i in slot
-    )
-    key = (ids, 0, 0)
+        else bytes(width)
+        for i in at
+    ) + bytes(2 * budget_width)
     seen = {key}
-    # The initial state's entry carries its own listing, and no change code:
-    # the one listing made from scratch, if any state is expanded.
+    # The initial state's frame carries its own listing: the one listing made
+    # from scratch, if any state is expanded.
     rebuilt = int(max_depth > 0)
     listing = slot_listing(init, joiners if max_joins else ()) if rebuilt else None
-    queue = deque([(init, is_valid(init), listing, None, key, 0)])
+    queue = deque([((init, None, listing, 0), None, None, key)])
     by_kind: dict[EventKind, int] = {}
     loops: dict[EventKind, int] = {}
     expanded = 0
     truncated = False
     while queue:
-        net, valid, listing, change, (ids, joins, fails), depth = queue.popleft()
+        (parent, parent_valid, listing, depth), state, live, key = queue.popleft()
+        if state is None:
+            net, valid, change = parent, is_valid(parent), None
+        else:
+            net = parent.with_node(state, live)
+            change = change_code(parent, net, state.ident)
+            valid = valid_after(parent, net, change) if parent_valid else is_valid(net)
         if not valid:
             report.add_violation(net, None, "invariant broken at reachable state")
         if depth >= max_depth:
             continue
         expanded += 1
+        joins = int.from_bytes(key[-2 * budget_width : -budget_width], "big")
+        fails = int.from_bytes(key[-budget_width:], "big")
         if change is not None:
             if joins == max_joins:
                 listing = listing.without_joiners()
             listing = carried_listing(listing, net, change)
+        frame = (net, valid, listing, depth + 1)
         for ev in listing.slots:
             if ev is None:
                 continue
             kind = ev.kind
-            if kind is fail and fails >= max_fails:
+            failed = kind is fail
+            if failed and fails >= max_fails:
                 continue
             delta = effect_delta(net, ev)
             by_kind[kind] = by_kind.get(kind, 0) + 1
@@ -721,19 +751,23 @@ def explore_reachable(
             # A Join that only clears a dead lookup changes no membership.
             joined = live is True and kind is join
             entry = node_key(state, n in net.live if live is None else live)
-            entry = interned.setdefault(entry, len(interned))
-            i = slot[n]
-            key = (ids[:i] + (entry,) + ids[i + 1 :], joins + joined, fails + (kind is fail))
-            if key in seen:
+            packed = interned.get(entry)
+            if packed is None:
+                packed = interned[entry] = _packed(len(interned) + 1)
+            i = at[n]
+            if joined or failed:
+                budgets = _packed(joins + joined, budget_width)
+                budgets += _packed(fails + failed, budget_width)
+                post_key = key[:i] + packed + key[i + width : -len(budgets)] + budgets
+            else:
+                post_key = key[:i] + packed + key[i + width :]
+            if post_key in seen:
                 continue
             if len(seen) >= max_states:
                 truncated = True
                 continue
-            seen.add(key)
-            post = net.with_node(*delta)
-            post_change = change_code(net, post, n)
-            post_valid = valid_after(net, post, post_change) if valid else is_valid(post)
-            queue.append((post, post_valid, listing, post_change, key, depth + 1))
+            seen.add(post_key)
+            queue.append((frame, state, live, post_key))
     report.states_checked = len(seen)
     report.info.update(
         {

@@ -47,7 +47,7 @@ from .events import (
 )
 from .invariants import is_valid
 from .measure import total_error, visible_state
-from .topology import LIVENESS_CHANGED, _walk, change_code, is_ideal
+from .topology import _walk, change_code, is_ideal
 
 CHURN = "churn"
 REPAIR = "repair"
@@ -120,13 +120,9 @@ def run_simulation(config: SimConfig) -> Trace:
 
     # The listing of `net` without joiners: its members are the live set.
     listing = slot_listing(net, ())
-    # Each non-member with a lookup in progress, and its Join while the guard
-    # holds.
-    pending = {
-        j: _join_step(net, j)
-        for j, state in net.nodes.items()
-        if state.pending_new_succ is not None and j not in net.live
-    }
+    # Each non-member with a lookup in progress, and its Join. `init_network`
+    # tracks only live members, so none is pending at the start.
+    pending: dict[int, Event | None] = {}
     for _ in range(config.churn_steps):
         live = listing.members
         joins: list[Event] = []
@@ -172,12 +168,6 @@ def run_simulation(config: SimConfig) -> Trace:
             # An unchanged best-successor map hands on the walk a lookup reads.
             change = change_code(net, post, x)
             listing = carried_listing(listing, post, change)
-            # A Join's guard reads its joiner's own state and the liveness of
-            # the successor that joiner looked up.
-            if change & LIVENESS_CHANGED:
-                for j in pending:
-                    if post.nodes[j].pending_new_succ == x:
-                        pending[j] = _join_step(post, j)
             if post.nodes[x].pending_new_succ is not None and x not in post.live:
                 pending[x] = _join_step(post, x)
             else:

@@ -9,7 +9,7 @@ from dataclasses import replace
 import pytest
 
 from chordcheck.ident import RingParams
-from chordcheck.netstate import Network, NodeState, init_network
+from chordcheck.netstate import Network, NodeState, init_network, node_key
 from chordcheck.events import (
     Event,
     EventKind,
@@ -570,12 +570,36 @@ class TestExploreReachable:
         assert sum(by_kind.values()) == info["transitions"]
         assert set(by_kind) == {k.value for k in EventKind}
 
-    def test_truncation_flag(self):
-        init = init_network(WIDE, [7, 19, 33])
-        report = checker.explore_reachable(
-            init, max_joins=1, max_fails=0, max_depth=8, joiners=(10,), max_states=5
-        )
+    def test_truncation_flag(self, monkeypatch):
+        # The invalid start below closes at 94 states with 52 violations.
+        # Cut at 40, the search keeps the first 40 keys of the plain search
+        # and reports the invalid ones among them.
+        net = init_network(WIDE, [7, 19, 33])
+        net = net.with_node(replace(net.node(7), succ_list=(33, 7)))
+        judged = []
+        _record_judged(monkeypatch, judged.append)
+        report = checker.explore_reachable(net, 1, 0, 6, joiners=(10,), max_states=40)
         assert report.info["truncated"]
+        assert report.info["states"] == len(judged) == 40
+        order, _ = _plain_bfs(net, 1, 0, 6, (10,))
+        assert [s.canonical_key() for s in judged] == [key for key, _, _ in order[:40]]
+        invalid = [s for s in judged if not is_valid(s)]
+        assert report.violation_count == len(invalid) == 24
+        assert [v.network for v in report.violations] == invalid[: checker.CheckReport.MAX_EMBEDDED]
+
+    def test_entry_ids_past_one_byte_keep_the_counts(self, monkeypatch):
+        # A sampled 64-member ring at m=8 interns 360 distinct entries, so
+        # key ids pass one byte. The counts are those of the tuple keys the
+        # packed ones replaced. A value past a field's width raises, never wraps.
+        net = next(checker.sample_valid_states(RingParams(8, 2), 64, 1, seed=2))
+        entries = set()
+        monkeypatch.setattr(checker, "node_key", lambda *a: entries.add(k := node_key(*a)) or k)
+        report = checker.explore_reachable(net, 0, 1, 3)
+        assert len(entries) == 360
+        assert (report.info["states"], report.info["transitions"]) == (15_344, 62_335)
+        assert report.passed and not report.info["truncated"]
+        with pytest.raises(OverflowError):
+            checker._packed(2 ** (8 * checker.KEY_WIDTH))
 
 
 def _judged_as_in_full(parent, post, change):

@@ -507,6 +507,14 @@ class TestSimulateAndExplore:
         assert code == cli.EXIT_OK
         assert "explored" in capsys.readouterr().out
 
+    def test_explore_with_a_join_budget_past_one_byte(self, capsys):
+        # A bound past 255 takes two bytes per budget in each visited key.
+        code = cli.main(
+            ["explore", "--base", "7,19,33", "--joiners", "10", "--joins", "300", "--depth", "4"]
+        )
+        assert code == cli.EXIT_OK
+        assert capsys.readouterr().out == "explored 34 states, 153 transitions\n"
+
 
 @pytest.mark.parametrize(
     "argv",

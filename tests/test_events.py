@@ -8,13 +8,14 @@ from dataclasses import replace
 import pytest
 
 from chordcheck.ident import RingParams, between
-from chordcheck.netstate import init_network
+from chordcheck.netstate import NodeState, init_network
 from chordcheck.events import (
     AssumptionBreach,
     Event,
     EventKind,
     EventNotEnabled,
     FaultFlags,
+    _join_guard,
     apply_event,
     apply_fail,
     apply_join,
@@ -96,6 +97,21 @@ class TestJoin:
         assert not join_precondition_holds(blocked, 10, 33)
         with pytest.raises(EventNotEnabled):
             apply_join(blocked, 10)
+
+    def test_a_blocked_join_is_enabled_once_its_successor_fails(self):
+        # 10's lookup answered 25, but the base member 19 lies between them,
+        # so its Join may not complete; once 25 fails it clears the lookup.
+        start = make_net(
+            6, 2, base=[7, 19, 33],
+            nodes={7: (33, (19, 25)), 19: (7, (25, 33)), 25: (19, (33, 7)), 33: (25, (7, 19))},
+        )
+        start = start.with_node(NodeState(10, (), None, 25))
+        join = Event(EventKind.JOIN, 10)
+        assert _join_guard(start, join) == "a base member lies between 10 and 25"
+        failed = apply_fail(start, 25)
+        assert _join_guard(failed, join) is None
+        cleared = apply_join(failed, 10)
+        assert not cleared.is_live(10) and cleared.node(10).pending_new_succ is None
 
     def test_precondition_has_no_mutable_term(self):
         # Once the lookup establishes the precondition, any interleaving of

@@ -17,13 +17,13 @@ from chordcheck.events import (
     slot_listing,
 )
 from chordcheck.ident import RingParams
-from chordcheck.netstate import NodeState, Trace, TraceStep, init_network, network_to_dict
+from chordcheck.netstate import Trace, TraceStep, init_network, network_to_dict
 from chordcheck.invariants import conjuncts, is_valid
 from chordcheck.measure import effective_enabled, total_error, visible_state
 from chordcheck.topology import _walk_graph, is_ideal
 from chordcheck import sim
 
-from conftest import convergence_configs, make_net, pinned_sim_configs, stranded_member_state
+from conftest import convergence_configs, pinned_sim_configs, stranded_member_state
 
 
 def run(seed=0, churn=60, r=2, max_members=16, **kw):
@@ -301,25 +301,6 @@ class TestCarriedListing:
         kinds = Counter(ev.kind for _, _, churn in recorded for _, _, ev in churn)
         assert all(kinds[kind] for kind in EventKind)
         assert drawn["pending"] and drawn["fresh"]
-
-    def test_a_blocked_join_is_offered_once_its_successor_fails(self, monkeypatch):
-        # 10's lookup answered 25, but the base member 19 lies between them,
-        # so its Join may not complete; once 25 fails it clears the lookup.
-        start = make_net(
-            6, 2, base=[7, 19, 33],
-            nodes={7: (33, (19, 25)), 19: (7, (25, 33)), 25: (19, (33, 7)), 33: (25, (7, 19))},
-        )
-        start = start.with_node(NodeState(10, (), None, 25))
-        monkeypatch.setattr(sim, "init_network", lambda params, base: start)
-        offered = Counter()
-        for seed in range(3):
-            config = sim.SimConfig(params=start.params, churn_steps=60, seed=seed)
-            _, _, churn = _recorded_run(monkeypatch, config)
-            for net, pool, ev in churn:
-                if ev.kind in (EventKind.JOIN_LOOKUP, EventKind.JOIN):
-                    scan, _ = _assert_join_pool(net, pool)
-                    offered[net.is_live(25)] += Event(EventKind.JOIN, 10) in scan
-        assert offered[False] and not offered[True]
 
     def test_every_step_replays_through_its_guard(self, recorded):
         for trace, _, _ in recorded:
