@@ -42,7 +42,7 @@ from .invariants import (
     trial_predicate_name,
     valid_after,
 )
-from .measure import effective_enabled, error_vector, error_vector_after, member_error
+from .measure import effective_enabled, error_vector, error_vector_after
 from .topology import change_code, is_ideal
 
 EXHAUSTION_MAX_NODES = 4
@@ -580,22 +580,6 @@ def check_monotonicity(states, bounds: dict | None = None) -> CheckReport:
             break
     report.info["cases"] = sum(by_kind.values())
     report.info["casesByKind"] = {k.value: by_kind[k] for k in EventKind if k in by_kind}
-    return report
-
-
-def check_executor_local_monotonicity(states, bounds: dict | None = None) -> CheckReport:
-    """The executor's own pointer errors never rise and strictly improve overall."""
-    report = CheckReport(lemma="ExecutorLocalMonotonicity", bounds=bounds or {})
-    for net in states:
-        report.states_checked += 1
-        for ev in effective_enabled(net):
-            n = ev.node
-            before = member_error(net, n)
-            after = member_error(step(net, ev), n)
-            if after >= before:
-                report.add_violation(
-                    net, ev, f"executor error {before} -> {after}"
-                )
     return report
 
 

@@ -511,13 +511,16 @@ def _cmd_simulate(args) -> int:
     except simulation.DivergenceError as err:
         print(f"divergence: {err}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    final = trace.final()
+    # One pass over the log: no step's network is rebuilt.
+    tags, kinds = Counter(), Counter()
+    for ev, tag in trace.log:
+        tags[tag] += 1
+        kinds[ev.kind] += 1
     print(
-        f"converged: members={final.size} churn_events={sum(1 for s in trace.steps if s.tag == simulation.CHURN)} "
-        f"repair_events={sum(1 for s in trace.steps if s.tag == simulation.REPAIR)} "
+        f"converged: members={trace.final().size} churn_events={tags[simulation.CHURN]} "
+        f"repair_events={tags[simulation.REPAIR]} "
         f"effective_repairs={steps} seed={args.seed}"
     )
-    kinds = Counter(s.event.kind for s in trace.steps)
     print("events: " + " ".join(f"{kind.value}={kinds[kind]}" for kind in EventKind))
     if args.trace_out:
         write = lambda path: simulation.write_trace_jsonl(  # noqa: E731

@@ -404,16 +404,6 @@ def is_enabled(net: Network, event: Event) -> bool:
     return check(net, event) is None and not (times_out and times_out(net, event))
 
 
-def apply_join_lookup(net: Network, joining: int, known: int | None = None) -> Network:
-    """The joiner asks a member (`known`) for its proper successor, recording the answer."""
-    return apply_event(net, Event(EventKind.JOIN_LOOKUP, joining, known=known))
-
-
-def apply_join(net: Network, joining: int, faults: FaultFlags = _NO_FAULTS) -> Network:
-    """Complete a join: copy the new successor's list and become a member."""
-    return apply_event(net, Event(EventKind.JOIN, joining), faults)
-
-
 def apply_stabilize_from_old_successor(net: Network, n: int) -> Network:
     """Query the first live successor, adopt its list, and acquire its predecessor."""
     return apply_event(net, Event(EventKind.STABILIZE_FROM_OLD_SUCCESSOR, n))
@@ -433,11 +423,6 @@ def apply_stabilize_from_new_successor(
 def apply_rectify(net: Network, n: int, new_pred: int) -> Network:
     """Adopt a notifying predecessor if the current one is gone or farther away."""
     return apply_event(net, Event(EventKind.RECTIFY, n, new_pred=new_pred))
-
-
-def apply_fail(net: Network, n: int, force: bool = False) -> Network:
-    """Remove a member, retaining its last state read-only."""
-    return apply_event(net, Event(EventKind.FAIL, n), force=force)
 
 
 # --- the one candidate listing, in slots carried from parent to successor ---------

@@ -8,7 +8,10 @@ but that state is never queried by the protocol.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
+from itertools import islice
 from typing import Any, Iterable, Mapping
 
 from .ident import RingParams
@@ -197,13 +200,95 @@ class TraceStep:
     tag: str | None = None
 
 
+class StepLog(Sequence):
+    """A trace's steps kept as their (event, tag) log and a few networks.
+
+    `snapshots` maps a step count to the network after that many steps, and
+    holds at least 0. Each step's network is rebuilt on read by replaying
+    `apply(network, event)` from the nearest snapshot at or before it, so
+    the log costs memory per step, not per step and member. Iteration
+    replays once and holds one network at a time; an index replays from the
+    nearest snapshot, and a slice with step 1 is itself a log.
+    """
+
+    __slots__ = ("entries", "_snapshots", "_counts", "_apply")
+
+    def __init__(
+        self,
+        entries: Sequence[tuple[Any, str | None]],
+        snapshots: Mapping[int, Network],
+        apply: Callable[[Network, Any], Network],
+    ) -> None:
+        self.entries = tuple(entries)
+        self._snapshots = dict(snapshots)
+        self._counts = sorted(self._snapshots)
+        self._apply = apply
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def __iter__(self) -> Iterator[TraceStep]:
+        return self._replay(0)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            start, stop, stride = index.indices(len(self))
+            if stride != 1:
+                return tuple(self)[index]
+            stop = max(start, stop)
+            snapshots = {c - start: net for c, net in self._snapshots.items() if start <= c <= stop}
+            if 0 not in snapshots:
+                snapshots[0] = self[start - 1].network
+            return StepLog(self.entries[start:stop], snapshots, self._apply)
+        if index < 0:
+            index += len(self)
+        if not 0 <= index < len(self):
+            raise IndexError("trace step index out of range")
+        net = self._snapshots.get(index + 1)
+        if net is None:
+            return next(self._replay(index))
+        event, tag = self.entries[index]
+        return TraceStep(event, net, tag)
+
+    def _replay(self, start: int) -> Iterator[TraceStep]:
+        """The steps from index `start` on, replayed from the nearest snapshot."""
+        count = self._counts[bisect_right(self._counts, start) - 1]
+        net, apply = self._snapshots[count], self._apply
+        for event, _ in islice(self.entries, count, start):
+            net = apply(net, event)
+        for event, tag in islice(self.entries, start, None):
+            net = apply(net, event)
+            yield TraceStep(event, net, tag)
+
+    def __repr__(self) -> str:
+        return f"StepLog({len(self)} steps, snapshots at {self._counts})"
+
+
 @dataclass(frozen=True)
 class Trace:
+    """An initial network and the steps applied to it.
+
+    `steps` is a `StepLog` for a simulated or replayed trace, or any
+    sequence of `TraceStep`s built by hand.
+    """
+
     initial: Network
-    steps: tuple[TraceStep, ...]
+    steps: Sequence[TraceStep]
 
     def final(self) -> Network:
         return self.steps[-1].network if self.steps else self.initial
+
+    @property
+    def log(self) -> Sequence[tuple[Any, str | None]]:
+        """Each step's (event, tag), read without building a network."""
+        steps = self.steps
+        if isinstance(steps, StepLog):
+            return steps.entries
+        return tuple((s.event, s.tag) for s in steps)
+
+    def network_at(self, count: int) -> Network:
+        """The network after the first `count` steps."""
+        return self.steps[count - 1].network if count else self.initial
 
 
 # --- serialization ----------------------------------------------------------
@@ -271,7 +356,3 @@ def network_from_record(data: Any) -> Network:
 
 def network_to_json(net: Network, indent: int | None = None) -> str:
     return json.dumps(network_to_dict(net), indent=indent, sort_keys=True)
-
-
-def network_from_json(text: str) -> Network:
-    return network_from_dict(json.loads(text))

@@ -10,6 +10,11 @@ effective repair; the theorem says that point is the ideal state and that
 it stays ideal. Every event either phase applies has just had
 its guard checked, by the listing, by `is_enabled` or by the sweep's own
 rules, so both make each successor with `events.step`.
+
+A run keeps its (event, tag) log and three networks: the initial one, the
+one the repair phase starts from, and the final one. Every other step's
+network is rebuilt on read by replaying `events.step`, which built it in
+the run, so memory grows with the steps, not with steps times members.
 """
 
 from __future__ import annotations
@@ -18,12 +23,13 @@ import json
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import repeat
 
 from .ident import RingParams
 from .netstate import (
     Network,
+    StepLog,
     Trace,
-    TraceStep,
     init_network,
     network_from_record,
     network_to_dict,
@@ -104,16 +110,30 @@ def _kth_unblocked(k: int, blocked: list[int]) -> int:
     return k
 
 
+def _handed_on(net: Network, post: Network, ev: Event) -> Network:
+    """`post`, given the walk memoised on `net` when `ev` left the
+    best-successor map alone, as the churn phase gives it: a replayed
+    lookup then does not rebuild the walk."""
+    if post is not net and "_walk" in net.__dict__:
+        change_code(net, post, ev.node)
+    return post
+
+
+def _replayed(net: Network, ev: Event) -> Network:
+    """The network after a logged step, built by `step` as the run built it."""
+    return _handed_on(net, step(net, ev), ev)
+
+
 def run_simulation(config: SimConfig) -> Trace:
-    """Run churn then fair repair; returns the full tagged trace."""
+    """Run churn then fair repair; returns the tagged trace as a step log."""
     rng = random.Random(config.seed)
     params = config.params
     net = init_network(params, _default_base(params, rng))
-    steps: list[TraceStep] = []
+    log: list[tuple[Event, str]] = []
     initial = net
 
     def record(ev: Event, post: Network, tag: str) -> Network:
-        steps.append(TraceStep(event=ev, network=post, tag=tag))
+        log.append((ev, tag))
         return post
 
     cap = params.space if config.max_members is None else config.max_members
@@ -173,6 +193,7 @@ def run_simulation(config: SimConfig) -> Trace:
             else:
                 pending.pop(x, None)
         net = record(ev, post, CHURN)
+    repair_start = net
 
     # Phase 2: repair only, scheduled by round-robin sweeps so every enabled
     # effective event fires within one sweep. Each step is decided by the
@@ -207,48 +228,47 @@ def run_simulation(config: SimConfig) -> Trace:
             if applied > STEP_CEILING:
                 raise DivergenceError(f"repair phase exceeded {STEP_CEILING} steps")
 
-    return Trace(initial=initial, steps=tuple(steps))
+    snapshots = {0: initial, config.churn_steps: repair_start, len(log): net}
+    return Trace(initial=initial, steps=StepLog(log, snapshots, _replayed))
 
 
-def _repair_start(trace: Trace) -> Network:
-    """The network the repair-only phase starts from: the last churn network."""
-    net = trace.initial
-    for traced in trace.steps:
-        if traced.tag == REPAIR:
-            break
-        net = traced.network
-    return net
+def _repair_count(trace: Trace) -> int:
+    """The number of steps before the first repair step."""
+    return next((i for i, (_, tag) in enumerate(trace.log) if tag == REPAIR), len(trace.steps))
 
 
 def phase2_initial_error(trace: Trace) -> int:
     """Total error at the start of the repair-only phase."""
-    return total_error(_repair_start(trace))
+    return total_error(trace.network_at(_repair_count(trace)))
 
 
 def convergence_steps(trace: Trace) -> int:
     """Effective repair steps before the first ideal snapshot.
 
+    Streams the repair steps from the network the repair phase starts from.
     Raises if the trace never reaches the ideal state or fails to stay there.
     """
-    prev = _repair_start(trace)
+    start = _repair_count(trace)
+    prev = trace.network_at(start)
     effective = 0
-    converged_at: int | None = None
-    repair_steps = [s for s in trace.steps if s.tag == REPAIR]
-    for i, traced in enumerate(repair_steps):
+    converged = False
+    for traced in trace.steps[start:]:
+        if traced.tag != REPAIR:
+            continue
         # A repair event alters only its executor's state.
         n = traced.event.node
         changed = visible_state(prev, n) != visible_state(traced.network, n)
-        if changed and converged_at is None:
+        if changed and not converged:
             effective += 1
-        if converged_at is None and is_ideal(traced.network):
-            converged_at = i
-        elif converged_at is not None and not is_ideal(traced.network):
+        if not converged:
+            converged = is_ideal(traced.network)
+        elif not is_ideal(traced.network):
             raise DivergenceError("network left the ideal state during repair")
         prev = traced.network
 
     # Repair follows churn, so the last step is the last churn step when
     # the repair phase is empty.
-    if converged_at is None and not is_ideal(trace.final()):
+    if not converged and not is_ideal(trace.final()):
         raise DivergenceError("trace never reached the ideal state")
     return effective
 
@@ -259,11 +279,15 @@ def convergence_steps(trace: Trace) -> int:
 def write_trace_jsonl(trace: Trace, path: str, snapshot_interval: int = 0) -> None:
     """Line-delimited trace: a record per step; snapshots, with their summaries, on an interval.
 
-    An interval of 0 writes no snapshot; a negative one raises ValueError
-    before the file is opened.
+    The steps are streamed, one network at a time; an interval of 0 writes
+    no snapshot and reads only the log. A negative interval raises
+    ValueError before the file is opened.
     """
     if snapshot_interval < 0:
         raise ValueError(f"snapshot interval must be non-negative, got {snapshot_interval}")
+    last = len(trace.steps)
+    # With no snapshot to write, no step's network is needed.
+    networks = (s.network for s in trace.steps) if snapshot_interval else repeat(None)
     with open(path, "w", encoding="utf-8") as fh:
         header = {
             "type": "header",
@@ -271,19 +295,19 @@ def write_trace_jsonl(trace: Trace, path: str, snapshot_interval: int = 0) -> No
             "snapshotInterval": snapshot_interval,
         }
         fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for i, traced in enumerate(trace.steps, start=1):
-            rec = {"type": "step", "step": i, "event": event_to_dict(traced.event), "tag": traced.tag}
-            if snapshot_interval and (i % snapshot_interval == 0 or i == len(trace.steps)):
-                walk = _walk(traced.network)
-                rec["snapshot"] = network_to_dict(traced.network)
+        for i, ((ev, tag), net) in enumerate(zip(trace.log, networks), start=1):
+            rec = {"type": "step", "step": i, "event": event_to_dict(ev), "tag": tag}
+            if snapshot_interval and (i % snapshot_interval == 0 or i == last):
+                walk = _walk(net)
+                rec["snapshot"] = network_to_dict(net)
                 rec["structure"] = {
                     "ringMembers": sorted(walk.ring),
-                    "appendageMembers": sorted(traced.network.live - walk.ring),
+                    "appendageMembers": sorted(net.live - walk.ring),
                     "orderedRingFlag": walk.ordered,
                 }
-                rec["totalError"] = total_error(traced.network)
-                rec["valid"] = is_valid(traced.network)
-                rec["ideal"] = is_ideal(traced.network)
+                rec["totalError"] = total_error(net)
+                rec["valid"] = is_valid(net)
+                rec["ideal"] = is_ideal(net)
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
@@ -296,6 +320,9 @@ def _entry(rec, key: str):
 def replay_trace_jsonl(path: str) -> Trace:
     """Re-apply a streamed trace, checking any embedded snapshots bit-exactly.
 
+    Every guard and snapshot is checked as the file is read; the trace
+    returned keeps the (event, tag) log with the initial network, the one
+    before the first repair step and the final one, as a run's does.
     A disabled event raises `EventNotEnabled`. A line that is not a JSON
     record with a well-formed `initial` network (the header) or `event`
     (each step), whose event strands a member, whose `tag` is neither CHURN
@@ -303,7 +330,8 @@ def replay_trace_jsonl(path: str) -> Trace:
     ValueError naming the line.
     """
     initial: Network | None = None
-    steps: list[TraceStep] = []
+    log: list[tuple[Event, str]] = []
+    snapshots: dict[int, Network] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, text in enumerate(fh, start=1):
             if not text.strip():
@@ -315,15 +343,19 @@ def replay_trace_jsonl(path: str) -> Trace:
                     continue
                 ev = event_from_dict(_entry(rec, "event"))
                 expected = network_from_record(rec["snapshot"]) if "snapshot" in rec else None
-                net = apply_event(net, ev)
+                post = apply_event(net, ev)
                 tag = rec.get("tag")
                 if tag not in (CHURN, REPAIR):
                     raise ValueError(f"tag {tag!r} is neither {CHURN!r} nor {REPAIR!r}")
             except (ValueError, AssumptionBreach) as err:
                 raise ValueError(f"trace line {lineno}: {err}") from None
-            if expected is not None and expected != net:
+            if expected is not None and expected != post:
                 raise ValueError(f"trace line {lineno}: snapshot mismatch")
-            steps.append(TraceStep(event=ev, network=net, tag=tag))
+            if tag == REPAIR and not snapshots:
+                snapshots[len(log)] = net
+            net = _handed_on(net, post, ev)
+            log.append((ev, tag))
     if initial is None:
         raise ValueError("the trace has no header line")
-    return Trace(initial=initial, steps=tuple(steps))
+    snapshots.update({0: initial, len(log): net})
+    return Trace(initial=initial, steps=StepLog(log, snapshots, _replayed))

@@ -2,15 +2,41 @@
 
 from __future__ import annotations
 
+import json
+
 from hypothesis import settings
 
 from chordcheck import sim
 from chordcheck.checker import enumerate_valid_states, sample_raw_states
+from chordcheck.events import Event, EventKind, FaultFlags, apply_event
 from chordcheck.ident import RingParams
-from chordcheck.netstate import Network, NodeState
+from chordcheck.netstate import Network, NodeState, network_from_dict
 
 settings.register_profile("suite", max_examples=100, derandomize=True)
 settings.load_profile("suite")
+
+
+# Shorthands for `apply_event` on one event, as the kernel tests write it.
+
+
+def apply_join_lookup(net: Network, joining: int, known: int | None = None) -> Network:
+    """The joiner asks a member (`known`) for its proper successor, recording the answer."""
+    return apply_event(net, Event(EventKind.JOIN_LOOKUP, joining, known=known))
+
+
+def apply_join(net: Network, joining: int, faults: FaultFlags = FaultFlags()) -> Network:
+    """Complete a join: copy the new successor's list and become a member."""
+    return apply_event(net, Event(EventKind.JOIN, joining), faults)
+
+
+def apply_fail(net: Network, n: int, force: bool = False) -> Network:
+    """Remove a member, retaining its last state read-only."""
+    return apply_event(net, Event(EventKind.FAIL, n), force=force)
+
+
+def network_from_json(text: str) -> Network:
+    """The network of `netstate.network_to_json`'s text."""
+    return network_from_dict(json.loads(text))
 
 
 def make_net(m, r, base, nodes, live=None, dead=()):

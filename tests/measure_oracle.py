@@ -4,14 +4,18 @@
 ranking its target with `clockwise_rank`; `error_report` scores every role
 of every live member one call at a time. `error_vector`, `member_error` and
 `total_error` compute the same sums from one position map of the sorted
-ring.
+ring. `check_executor_local_monotonicity` is the executor-local half of the
+measure argument, judged on `member_error` after each effective repair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from chordcheck.checker import CheckReport
+from chordcheck.events import step
 from chordcheck.ident import clockwise_rank
+from chordcheck.measure import effective_enabled, member_error
 from chordcheck.netstate import Network
 
 ROLE_PRED = "pred"
@@ -70,3 +74,19 @@ def error_report(net: Network) -> ErrorReport:
         for role in _roles(net.params.r):
             per[(n, role)] = pointer_error(net, n, role)
     return ErrorReport(per_pointer=per, total=sum(per.values()))
+
+
+def check_executor_local_monotonicity(states, bounds: dict | None = None) -> CheckReport:
+    """The executor's own pointer errors never rise and strictly improve overall."""
+    report = CheckReport(lemma="ExecutorLocalMonotonicity", bounds=bounds or {})
+    for net in states:
+        report.states_checked += 1
+        for ev in effective_enabled(net):
+            n = ev.node
+            before = member_error(net, n)
+            after = member_error(step(net, ev), n)
+            if after >= before:
+                report.add_violation(
+                    net, ev, f"executor error {before} -> {after}"
+                )
+    return report

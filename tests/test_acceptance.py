@@ -17,7 +17,7 @@ import time
 from pathlib import Path
 
 from chordcheck.ident import RingParams
-from chordcheck.netstate import network_from_json, network_to_json
+from chordcheck.netstate import network_to_json
 from chordcheck.events import (
     Event,
     EventKind,
@@ -39,7 +39,8 @@ from chordcheck.measure import total_error, visible_state
 from chordcheck.topology import is_ideal
 from chordcheck import checker, cli, sim
 
-from conftest import convergence_configs
+from conftest import convergence_configs, network_from_json
+from measure_oracle import check_executor_local_monotonicity
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -152,7 +153,7 @@ def test_criterion_4_error_monotonicity():
 def test_criterion_4_supplement_local_monotonicity_and_zero_characterization():
     # The parts of the measure argument that do hold, checked at the same bounds.
     states = list(checker.enumerate_valid_states(EXHAUSTIVE, 4))
-    local = checker.check_executor_local_monotonicity(iter(states))
+    local = check_executor_local_monotonicity(iter(states))
     zero_ok = all((is_ideal(n)) == (total_error(n) == 0) for n in states)
     ok = local.passed and zero_ok
     assert _report(

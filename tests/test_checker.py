@@ -15,9 +15,6 @@ from chordcheck.events import (
     EventKind,
     FaultFlags,
     apply_event,
-    apply_fail,
-    apply_join,
-    apply_join_lookup,
     apply_rectify,
     apply_stabilize_from_new_successor,
     apply_stabilize_from_old_successor,
@@ -39,7 +36,8 @@ from chordcheck.topology import LIST_CHANGED, LIVENESS_CHANGED, _walk_graph, cha
 from chordcheck import checker, events, invariants
 
 import events_oracle as oracle
-from conftest import make_net, oracle_states
+from conftest import apply_fail, apply_join, apply_join_lookup, make_net, oracle_states
+from measure_oracle import check_executor_local_monotonicity
 
 SMALL = RingParams(m=3, r=2)
 WIDE = RingParams(m=6, r=2)
@@ -328,7 +326,7 @@ class TestMonotonicity:
         # executor-local version of the argument survives.
         states = list(checker.enumerate_valid_states(SMALL, 4))
         assert any(after >= before for before, after in _scalar_error_steps(states))
-        local = checker.check_executor_local_monotonicity(iter(states))
+        local = check_executor_local_monotonicity(iter(states))
         assert local.passed
 
     def test_violations_are_only_flat_never_increasing_at_n4(self):

@@ -20,12 +20,12 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from chordcheck import cli, sim
-from chordcheck.events import Event, EventKind, EventNotEnabled, apply_event, apply_join_lookup
+from chordcheck.events import Event, EventKind, EventNotEnabled, apply_event
 from chordcheck.ident import RingParams
 from chordcheck.invariants import PREDICATES
 from chordcheck.netstate import init_network, network_to_dict
 
-from conftest import stranded_member_state, wrap_trap_state
+from conftest import apply_join_lookup, stranded_member_state, wrap_trap_state
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 EXIT_CODES = {

@@ -17,9 +17,6 @@ from chordcheck.events import (
     FaultFlags,
     _join_guard,
     apply_event,
-    apply_fail,
-    apply_join,
-    apply_join_lookup,
     apply_rectify,
     apply_stabilize_from_new_successor,
     apply_stabilize_from_old_successor,
@@ -36,7 +33,15 @@ from chordcheck.checker import sample_valid_states
 from chordcheck.topology import best_successor
 
 import events_oracle as oracle
-from conftest import make_net, oracle_states, undersized_init_state, wrap_trap_state
+from conftest import (
+    apply_fail,
+    apply_join,
+    apply_join_lookup,
+    make_net,
+    oracle_states,
+    undersized_init_state,
+    wrap_trap_state,
+)
 
 PARAMS = RingParams(m=6, r=2)
 

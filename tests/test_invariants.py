@@ -13,7 +13,6 @@ from chordcheck.events import (
     Event,
     EventKind,
     apply_event,
-    apply_fail,
     apply_stabilize_from_old_successor,
     guard,
 )
@@ -39,6 +38,7 @@ from chordcheck.checker import (
 )
 
 from conftest import (
+    apply_fail,
     undersized_init_state,
     wrap_trap_state,
     make_net,

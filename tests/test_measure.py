@@ -12,8 +12,6 @@ from chordcheck.events import (
     Event,
     EventKind,
     apply_event,
-    apply_join,
-    apply_join_lookup,
     apply_rectify,
     apply_stabilize_from_new_successor,
     apply_stabilize_from_old_successor,
@@ -33,6 +31,8 @@ from chordcheck.checker import enumerate_valid_states, sample_raw_states, sample
 import events_oracle as oracle
 from measure_oracle import ROLE_PRED, error_report, pointer_error, succ_role
 from conftest import (
+    apply_join,
+    apply_join_lookup,
     convergence_configs,
     cross_term_state,
     make_net,

@@ -10,7 +10,6 @@ from chordcheck.netstate import (
     extended_succ_list,
     init_network,
     network_from_dict,
-    network_from_json,
     network_to_dict,
     network_to_json,
     validate_network,
@@ -18,9 +17,8 @@ from chordcheck.netstate import (
 from chordcheck.invariants import is_valid
 from chordcheck.topology import is_ideal
 from chordcheck.checker import sample_valid_states
-from chordcheck.events import apply_fail
 
-from conftest import wrap_trap_state, make_net
+from conftest import apply_fail, make_net, network_from_json, wrap_trap_state
 
 PARAMS = RingParams(m=6, r=2)
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -26,15 +27,18 @@ from chordcheck import sim
 from conftest import convergence_configs, pinned_sim_configs, stranded_member_state
 
 
-def run(seed=0, churn=60, r=2, max_members=16, **kw):
-    cfg = sim.SimConfig(
+def config(seed=0, churn=60, r=2, max_members=16, **kw):
+    return sim.SimConfig(
         params=RingParams(6, r),
         churn_steps=churn,
         seed=seed,
         max_members=max_members,
         **kw,
     )
-    return sim.run_simulation(cfg)
+
+
+def run(**kw):
+    return sim.run_simulation(config(**kw))
 
 
 class TestConfig:
@@ -56,9 +60,10 @@ class TestConfig:
 
 
 class TestConvergence:
-    def test_no_churn_converges_immediately(self):
-        trace = run(churn=0)
-        assert trace.steps == ()
+    def test_no_churn_converges_immediately(self, monkeypatch):
+        trace, _, _, built = _recorded_run(monkeypatch, config(churn=0))
+        assert built == []
+        assert tuple(trace.steps) == ()
         assert is_ideal(trace.final())
         assert sim.convergence_steps(trace) == 0
 
@@ -204,7 +209,7 @@ LISTING_CONFIGS = PINNED_CONFIGS + convergence_configs(range(4, 24))
 
 def _recorded_run(mp, config):
     """`TestCarriedListing.recorded` for one config, patched through `mp`."""
-    listed, picked, churn = [], [], []
+    listed, picked, churn, built = [], [], [], []
 
     def recording(list_, net_arg, kind):
         def wrapped(*args):
@@ -223,13 +228,14 @@ def _recorded_run(mp, config):
         # Only a churn step is drawn from a pool.
         if picked:
             churn.append((net, picked.pop(), ev))
-        return _step(net, ev)
+        built.append(_step(net, ev))
+        return built[-1]
 
     mp.setattr(sim, "slot_listing", recording(sim.slot_listing, 0, "rebuilt"))
     mp.setattr(sim, "carried_listing", recording(sim.carried_listing, 1, "carried"))
     mp.setattr(sim, "_pick", pick)
     mp.setattr(sim, "step", applied)
-    return sim.run_simulation(config), listed, churn
+    return sim.run_simulation(config), listed, churn, built
 
 
 def _assert_join_pool(net, pool):
@@ -253,8 +259,8 @@ class TestCarriedListing:
     @pytest.fixture(scope="class")
     def recorded(self):
         """Per config: the trace, each listing made, as (network, listing,
-        "rebuilt" or "carried") in order, and each churn step's (network,
-        picked pool, event)."""
+        "rebuilt" or "carried") in order, each churn step's (network,
+        picked pool, event), and each step's network as the run built it."""
         runs = []
         with pytest.MonkeyPatch.context() as mp:
             for config in LISTING_CONFIGS:
@@ -265,7 +271,7 @@ class TestCarriedListing:
     def test_listing_in_force_is_the_slot_listing(self, recorded):
         made = Counter()
         liveness_changes = 0
-        for trace, listed, churn in recorded:
+        for trace, listed, churn, built in recorded:
             made.update(kind for _, _, kind in listed)
             made_for = iter(listed)
             net, listing, _ = next(made_for)
@@ -273,13 +279,13 @@ class TestCarriedListing:
             following = next(made_for, None)
             # The last churn step's network is listed too, though nothing is
             # drawn from it. A step that moves no slot makes no listing.
-            for step in trace.steps[: len(churn)]:
-                if following is not None and following[0] is step.network:
+            for post in built[: len(churn)]:
+                if following is not None and following[0] is post:
                     listing = following[1]
                     following = next(made_for, None)
-                assert listing == slot_listing(step.network, ()), step.network
+                assert listing == slot_listing(post, ()), post
                 liveness_changes += listing.members != net.live_idents()
-                net = step.network
+                net = post
             assert following is None
         # Only each initial network is listed from scratch: a Join or a Fail
         # is carried like any other step.
@@ -287,7 +293,7 @@ class TestCarriedListing:
 
     def test_picked_pools_are_the_oracle_pools(self, recorded):
         drawn = Counter()
-        for _, _, churn in recorded:
+        for _, _, churn, _ in recorded:
             for net, pool, ev in churn:
                 if ev.kind is EventKind.FAIL:
                     fails = [Event(EventKind.FAIL, n) for n in sorted(failable(net) - net.base)]
@@ -298,12 +304,12 @@ class TestCarriedListing:
                 else:
                     repairs = slot_listing(net, ()).events()
                     assert pool == [e for e in repairs if e.kind is not EventKind.FAIL], net
-        kinds = Counter(ev.kind for _, _, churn in recorded for _, _, ev in churn)
+        kinds = Counter(ev.kind for _, _, churn, _ in recorded for _, _, ev in churn)
         assert all(kinds[kind] for kind in EventKind)
         assert drawn["pending"] and drawn["fresh"]
 
     def test_every_step_replays_through_its_guard(self, recorded):
-        for trace, _, _ in recorded:
+        for trace, _, _, _ in recorded:
             net = trace.initial
             for step in trace.steps:
                 assert apply_event(net, step.event) == step.network, (net, step.event)
@@ -311,15 +317,49 @@ class TestCarriedListing:
 
     def test_every_memoised_walk_is_the_walk_of_its_network(self, recorded):
         shared = 0
-        for trace, _, _ in recorded:
+        for trace, _, _, built in recorded:
             prev = trace.initial
-            for net in (trace.initial, *(step.network for step in trace.steps)):
+            for net in (trace.initial, *built):
                 walk = net.__dict__.get("_walk")
                 if walk is not None:
                     assert walk == _walk_graph(net), net
                     shared += net is not prev and walk is prev.__dict__.get("_walk")
                 prev = net
         assert shared
+
+    def test_replayed_networks_are_the_networks_the_run_built(self, recorded, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        for trace, _, _, built in recorded:
+            assert [step.network for step in trace.steps] == built
+            n = len(built)
+            for k in (0, n // 3, n - 1):
+                assert trace.steps[k].network == built[k]
+                assert trace.steps[k - n].network == built[k]
+            assert [step.network for step in trace.steps[n // 3 : n // 2]] == built[n // 3 : n // 2]
+            sim.write_trace_jsonl(trace, str(path), snapshot_interval=50)
+            replayed = sim.replay_trace_jsonl(str(path))
+            assert [step.network for step in replayed.steps] == built
+            assert replayed.log == trace.log
+
+
+class TestFlatMemory:
+    """A trace keeps its event log, not a network per step."""
+
+    def test_cap_256_run_and_convergence_stay_small(self):
+        # A trace that kept every step's network held about 260 MB for
+        # this run: 15,264 networks of up to 256 members each.
+        cfg = sim.SimConfig(
+            params=RingParams(16, 3), churn_steps=6 * 256, seed=1, join_weight=6.0, max_members=256
+        )
+        tracemalloc.start()
+        try:
+            trace = sim.run_simulation(cfg)
+            effective = sim.convergence_steps(trace)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (len(trace.steps), trace.final().size, effective) == (15264, 256, 7915)
+        assert peak < 16 * 2**20
 
 
 class TestTraceStructure:

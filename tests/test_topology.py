@@ -6,7 +6,6 @@ import pytest
 
 from chordcheck.ident import RingParams, between, clockwise_rank
 from chordcheck.netstate import NodeState, init_network
-from chordcheck.events import apply_fail
 from chordcheck.topology import (
     HEAD_MOVED,
     LIST_CHANGED,
@@ -23,7 +22,7 @@ from chordcheck.invariants import is_valid
 from chordcheck.measure import total_error
 from chordcheck.checker import sample_valid_states
 
-from conftest import make_net, oracle_states, valid_with_appendage_chain, wrap_trap_state
+from conftest import apply_fail, make_net, oracle_states, valid_with_appendage_chain, wrap_trap_state
 from topology_oracle import globally_correct_pred, globally_correct_succ
 
 PARAMS = RingParams(m=6, r=2)
