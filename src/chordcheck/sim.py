@@ -63,6 +63,9 @@ FAIL_WEIGHT = 1.0
 REPAIR_WEIGHT = 3.0
 
 
+# The join and fail events: only the churn phase applies them.
+_CHURN_ONLY = (EventKind.JOIN_LOOKUP, EventKind.JOIN, EventKind.FAIL)
+
 # Phase 2 gives up after this many applied repair events.
 STEP_CEILING = 10**6
 
@@ -91,10 +94,8 @@ def _default_base(params: RingParams, rng: random.Random) -> tuple[int, ...]:
     k = params.r + 1
     # Spread the base around the ring, jittered but collision-free.
     gap = params.space // k
-    ids = [(i * gap + rng.randrange(max(gap // 2, 1))) % params.space for i in range(k)]
-    while len(set(ids)) != k:
-        ids = sorted(rng.sample(range(params.space), k))
-    return tuple(sorted(set(ids)))
+    # The jitter stays below the gap, so the ids increase and stay below k*gap.
+    return tuple(i * gap + rng.randrange(max(gap // 2, 1)) for i in range(k))
 
 
 def _pick(rng: random.Random, items: Sequence) -> object:
@@ -243,33 +244,31 @@ def phase2_initial_error(trace: Trace) -> int:
 
 
 def convergence_steps(trace: Trace) -> int:
-    """Effective repair steps before the first ideal snapshot.
+    """Effective repair steps before the first ideal network of the repair phase.
 
-    Streams the repair steps from the network the repair phase starts from.
-    Raises if the trace never reaches the ideal state or fails to stay there.
+    Repair keeps the live set, which has one ideal network, so a converging
+    trace ends in it: a repair step's network is ideal exactly when no live
+    member's visible state differs from the final one's, and each step moves
+    only its executor's term of that count. Raises if the trace does not end
+    ideal, or leaves the ideal state once the repair phase has been in it.
     """
+    final = trace.final()
+    if not is_ideal(final):
+        raise DivergenceError("trace does not end in the ideal state")
+    target = {n: visible_state(final, n) for n in final.live}
     start = _repair_count(trace)
     prev = trace.network_at(start)
+    off = sum(visible_state(prev, n) != state for n, state in target.items())
     effective = 0
-    converged = False
     for traced in trace.steps[start:]:
-        if traced.tag != REPAIR:
-            continue
-        # A repair event alters only its executor's state.
         n = traced.event.node
-        changed = visible_state(prev, n) != visible_state(traced.network, n)
-        if changed and not converged:
+        before, after = visible_state(prev, n), visible_state(traced.network, n)
+        if before != after:
+            if not off:
+                raise DivergenceError("network left the ideal state during repair")
             effective += 1
-        if not converged:
-            converged = is_ideal(traced.network)
-        elif not is_ideal(traced.network):
-            raise DivergenceError("network left the ideal state during repair")
+            off += (after != target[n]) - (before != target[n])
         prev = traced.network
-
-    # Repair follows churn, so the last step is the last churn step when
-    # the repair phase is empty.
-    if not converged and not is_ideal(trace.final()):
-        raise DivergenceError("trace never reached the ideal state")
     return effective
 
 
@@ -326,8 +325,9 @@ def replay_trace_jsonl(path: str) -> Trace:
     A disabled event raises `EventNotEnabled`. A line that is not a JSON
     record with a well-formed `initial` network (the header) or `event`
     (each step), whose event strands a member, whose `tag` is neither CHURN
-    nor REPAIR, or whose snapshot fails `validate_network`, raises
-    ValueError naming the line.
+    nor REPAIR, whose REPAIR tag is on a join or a fail, whose CHURN tag
+    follows a REPAIR one, or whose snapshot fails `validate_network`,
+    raises ValueError naming the line.
     """
     initial: Network | None = None
     log: list[tuple[Event, str]] = []
@@ -347,6 +347,11 @@ def replay_trace_jsonl(path: str) -> Trace:
                 tag = rec.get("tag")
                 if tag not in (CHURN, REPAIR):
                     raise ValueError(f"tag {tag!r} is neither {CHURN!r} nor {REPAIR!r}")
+                # The repair phase is a suffix of steps that keep the live set.
+                if tag == REPAIR and ev.kind in _CHURN_ONLY:
+                    raise ValueError(f"a {ev.kind.value} is tagged {REPAIR!r}")
+                if tag == CHURN and snapshots:
+                    raise ValueError(f"a {CHURN!r} step follows a {REPAIR!r} step")
             except (ValueError, AssumptionBreach) as err:
                 raise ValueError(f"trace line {lineno}: {err}") from None
             if expected is not None and expected != post:

@@ -229,8 +229,6 @@ def lookup_succ(net: Network, joining: int) -> int | None:
     cycle = _walk(net).cycle
     if cycle is None:
         return None
-    if len(cycle) == 1:
-        return cycle[0]
     k = len(cycle)
     for i in range(k):
         x, y = cycle[i], cycle[(i + 1) % k]

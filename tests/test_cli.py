@@ -481,14 +481,14 @@ class TestSimulateAndExplore:
         from chordcheck import sim
 
         def diverge(trace):
-            raise sim.DivergenceError("trace never reached the ideal state")
+            raise sim.DivergenceError("trace does not end in the ideal state")
 
         monkeypatch.setattr(sim, "convergence_steps", diverge)
         code = cli.main(["simulate", "--churn-steps", "40", "--seed", "2", "--max-members", "12"])
         assert code == cli.EXIT_CHECK_FAILED
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.splitlines() == ["divergence: trace never reached the ideal state"]
+        assert captured.err.splitlines() == ["divergence: trace does not end in the ideal state"]
 
     def test_explore_joiner_outside_the_space_exit_64(self, capsys):
         code = cli.main(["explore", "--base", "7,19,33", "--joins", "1", "--joiners", "99"])

@@ -2,8 +2,10 @@
 
 import hashlib
 import json
+import random
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -24,6 +26,7 @@ from chordcheck.measure import effective_enabled, total_error, visible_state
 from chordcheck.topology import _walk_graph, is_ideal
 from chordcheck import sim
 
+import sim_oracle
 from conftest import convergence_configs, pinned_sim_configs, stranded_member_state
 
 
@@ -57,6 +60,23 @@ class TestConfig:
         assert not any(
             step.event.kind in (EventKind.JOIN_LOOKUP, EventKind.JOIN) for step in trace.steps
         )
+
+
+class TestDefaultBase:
+    @pytest.mark.parametrize("m", range(3, 9))
+    def test_base_is_the_first_draw_strictly_increasing_in_the_ring(self, m):
+        space = 2**m
+        for r in range(2, space):
+            params, k = RingParams(m, r), r + 1
+            gap = space // k
+            for seed in range(3):
+                base = sim._default_base(params, random.Random(seed))
+                assert len(base) == k and list(base) == sorted(set(base)), (m, r, seed)
+                assert 0 <= base[0] and base[-1] < space, (m, r, seed)
+                # The first draw, reduced into the ring, never collides.
+                rng = random.Random(seed)
+                first = [(i * gap + rng.randrange(max(gap // 2, 1))) % space for i in range(k)]
+                assert base == tuple(first), (m, r, seed)
 
 
 class TestConvergence:
@@ -362,6 +382,97 @@ class TestFlatMemory:
         assert peak < 16 * 2**20
 
 
+IDEAL = init_network(RingParams(6, 2), (7, 19, 33))
+# The ideal ring with 19's predecessor moved from 7 to 33.
+OFF = IDEAL.with_node(replace(IDEAL.node(19), pred=33))
+
+
+def _hand_built(net, *pointer_changes):
+    """A trace from `net` with one repair step per (node, pred): a Rectify that sets it."""
+    initial, steps = net, []
+    for n, pred in pointer_changes:
+        net = net.with_node(replace(net.node(n), pred=pred))
+        steps.append(TraceStep(Event(EventKind.RECTIFY, n, new_pred=pred), net, sim.REPAIR))
+    return Trace(initial=initial, steps=tuple(steps))
+
+
+def _churn_only(*events):
+    """A trace of churn steps from IDEAL: its repair phase is empty."""
+    net, steps = IDEAL, []
+    for ev in events:
+        net = apply_event(net, ev)
+        steps.append(TraceStep(ev, net, sim.CHURN))
+    return Trace(initial=IDEAL, steps=tuple(steps))
+
+
+LEAVES = "network left the ideal state during repair"
+NOT_ENDING = "trace does not end in the ideal state"
+
+# Hand-built traces with the error each raises, or their count.
+HAND_BUILT = {
+    "starts-ideal-leaves-and-returns": (_hand_built(IDEAL, (19, 33), (19, 7)), LEAVES),
+    "starts-ideal-leaves-for-good": (_hand_built(IDEAL, (19, 33)), NOT_ENDING),
+    "reaches-ideal-leaves-and-returns": (_hand_built(OFF, (19, 7), (19, 33), (19, 7)), LEAVES),
+    "reaches-ideal-and-stays": (_hand_built(OFF, (19, 7), (19, 7)), 1),
+    "no-steps": (Trace(initial=IDEAL, steps=()), 0),
+    "no-repair-ending-ideal": (_churn_only(Event(EventKind.JOIN_LOOKUP, 10, known=7)), 0),
+    "no-repair-ending-non-ideal": (
+        _churn_only(Event(EventKind.JOIN_LOOKUP, 10, known=7), Event(EventKind.JOIN, 10)),
+        NOT_ENDING,
+    ),
+}
+
+# The ladder's cap-64 rung: m=12, r=3, join weight 6, six churn steps per member.
+LADDER_CONFIG = sim.SimConfig(
+    params=RingParams(12, 3), churn_steps=6 * 64, seed=7, join_weight=6.0, max_members=64
+)
+
+
+class TestConvergenceOracle:
+    """`convergence_steps` against `sim_oracle.convergence_steps`, which
+    judges every network of the repair phase from scratch."""
+
+    @pytest.mark.parametrize(
+        "config",
+        # LISTING_CONFIGS holds the pinned configs; then every eighth of
+        # criterion 7's remaining seeds, and the ladder's cap-64 rung.
+        LISTING_CONFIGS + convergence_configs(range(24, 200, 8)) + [LADDER_CONFIG],
+        ids=lambda c: f"m{c.params.m}-r{c.params.r}-cap{c.max_members}-seed{c.seed}",
+    )
+    def test_seeded_runs_match_the_oracle(self, config):
+        trace = sim.run_simulation(config)
+        assert sim.convergence_steps(trace) == sim_oracle.convergence_steps(trace)
+
+    @pytest.mark.parametrize("name", HAND_BUILT)
+    def test_hand_built_traces_match_the_oracle(self, name):
+        trace, expected = HAND_BUILT[name]
+        if isinstance(expected, int):
+            assert sim.convergence_steps(trace) == sim_oracle.convergence_steps(trace) == expected
+            return
+        with pytest.raises(sim.DivergenceError):
+            sim_oracle.convergence_steps(trace)
+        with pytest.raises(sim.DivergenceError, match=f"^{expected}$"):
+            sim.convergence_steps(trace)
+
+    def test_is_ideal_runs_once_per_trace(self, monkeypatch):
+        traces = [sim.run_simulation(config) for config in PINNED_CONFIGS]
+        traces += [trace for trace, _ in HAND_BUILT.values()]
+        calls = []
+
+        def counting(net, _is_ideal=sim.is_ideal):
+            calls.append(net)
+            return _is_ideal(net)
+
+        monkeypatch.setattr(sim, "is_ideal", counting)
+        for trace in traces:
+            calls.clear()
+            try:
+                sim.convergence_steps(trace)
+            except sim.DivergenceError:
+                pass
+            assert calls == [trace.final()]
+
+
 class TestTraceStructure:
     def test_snapshots_change_one_node_at_a_time(self):
         trace = run(seed=13, churn=70)
@@ -463,6 +574,31 @@ class TestTraceStreaming:
             rec["tag"] = [5]
         path.write_text("".join(json.dumps(rec) + "\n" for rec in lines))
         message = r"^trace line 2: tag \[5\] is neither 'churn' nor 'repair'"
+        with pytest.raises(ValueError, match=message):
+            sim.replay_trace_jsonl(str(path))
+
+    @pytest.mark.parametrize("kind", ["JoinLookup", "Join", "Fail"])
+    def test_repair_tagged_churn_event_raises_value_error_naming_its_line(self, tmp_path, kind):
+        # Retagged, the event would start the repair phase with a step that
+        # changes the live set or a joiner's lookup.
+        path = tmp_path / "trace.jsonl"
+        sim.write_trace_jsonl(run(seed=21, churn=50), str(path))
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        index = next(i for i, rec in enumerate(lines[1:], start=1) if rec["event"]["kind"] == kind)
+        lines[index]["tag"] = sim.REPAIR
+        path.write_text("".join(json.dumps(rec) + "\n" for rec in lines))
+        message = f"^trace line {index + 1}: a {kind} is tagged 'repair'$"
+        with pytest.raises(ValueError, match=message):
+            sim.replay_trace_jsonl(str(path))
+
+    def test_churn_step_after_a_repair_step_raises_value_error_naming_its_line(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        sim.write_trace_jsonl(run(seed=21, churn=50), str(path))
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [rec["tag"] for rec in lines[-2:]] == [sim.REPAIR, sim.REPAIR]
+        lines[-1]["tag"] = sim.CHURN
+        path.write_text("".join(json.dumps(rec) + "\n" for rec in lines))
+        message = f"^trace line {len(lines)}: a 'churn' step follows a 'repair' step$"
         with pytest.raises(ValueError, match=message):
             sim.replay_trace_jsonl(str(path))
 

@@ -150,6 +150,13 @@ class TestLookupSucc:
         net = init_network(PARAMS, [7, 19, 33])
         assert lookup_succ(net, 10) == 19
 
+    def test_one_member_cycle_succeeds_every_joiner(self):
+        # 7 lists only itself, so its arc from 7 round to 7 holds every
+        # other identifier.
+        net = make_net(6, 2, [7], {7: (7, [7, 7])})
+        assert _walk(net).cycle == (7,)
+        assert all(lookup_succ(net, j) == 7 for j in range(64) if j != 7)
+
     def test_rejects_live_identifier(self):
         net = init_network(PARAMS, [7, 19, 33])
         with pytest.raises(ValueError):
