@@ -15,6 +15,7 @@ import random
 from bisect import bisect_right, insort
 from collections import deque
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .ident import RingParams, between
 from .netstate import Network, NodeState, network_to_dict, node_key
@@ -29,6 +30,7 @@ from .events import (
     enabled_events,
     event_to_dict,
     join_precondition_holds,
+    read_set,
     slot_listing,
     step,
 )
@@ -610,6 +612,64 @@ def _packed(n: int, width: int = KEY_WIDTH) -> bytes:
     return n.to_bytes(width, "big")
 
 
+def _transitions(interned: dict[tuple, bytes], at: dict[int, int]):
+    """The explorer's transitions for one call, given its interned entries
+    and each tracked identifier's key offset: a function from (a network,
+    its visited key, a listed event) to None for a self-loop, or to the
+    executor's new packed entry id, state and liveness change.
+
+    An effect with a read set (`events.read_set`) is a function of the
+    event and of the entries of its executor and of the nodes it reads, and
+    each entry is a slice of the key. So its results are cached in two
+    levels: (event, the executor's entry id) -> (a getter of the read slots,
+    a dict from their bytes to a result). A miss, and every event of a kind
+    with no read set, runs `effect_delta` and interns the new entry. The
+    results that make one entry with one liveness change are one tuple, so
+    all their queued successors share one `NodeState`.
+    """
+    width = KEY_WIDTH
+    read_sets = {kind: read_set(kind) for kind in EventKind}
+    cache: dict[tuple, tuple] = {}
+    made: dict[tuple, tuple] = {}
+
+    def computed(net: Network, ev: Event) -> tuple | None:
+        delta = effect_delta(net, ev)
+        if delta is None:
+            return None
+        state, live = delta
+        entry = node_key(state, state.ident in net.live if live is None else live)
+        result = made.get((entry, live))
+        if result is None:
+            packed = interned.get(entry)
+            if packed is None:
+                packed = interned[entry] = _packed(len(interned) + 1)
+            result = made[entry, live] = (packed, state, live)
+        return result
+
+    def transition(net: Network, key: bytes, ev: Event) -> tuple | None:
+        reads = read_sets[ev.kind]
+        if reads is None:
+            return computed(net, ev)
+        i = at[ev.node]
+        executor = (ev, key[i : i + width])
+        row = cache.get(executor)
+        if row is None:
+            # An identifier that no key tracks is in no state of this call,
+            # so there is nothing of it to read.
+            slots = [slice(at[j], at[j] + width) for j in reads(net.nodes[ev.node]) if j in at]
+            # With no slot to read, the getter reads the key's empty prefix.
+            row = cache[executor] = (itemgetter(*slots or [slice(0)]), {})
+        inputs, results = row
+        read = inputs(key)
+        try:
+            return results[read]
+        except KeyError:
+            result = results[read] = computed(net, ev)
+            return result
+
+    return transition
+
+
 def explore_reachable(
     init: Network,
     max_joins: int,
@@ -640,8 +700,16 @@ def explore_reachable(
     transition, and in `info["selfLoops"]` by kind, and is dropped before
     any key work.
 
+    A transition is read from a cache that lives for one call, as the
+    interned entries do (`_transitions`). An effect with a read set
+    (`events.read_set`: `StabilizeFromOldSuccessor`, `Rectify`, `Join` and
+    `Fail`) depends only on the key's slots of its executor and of the
+    nodes it reads, so it runs once per distinct value of those slots; a
+    `JoinLookup` or a `StabilizeFromNewSuccessor` runs every time. Queued
+    successors whose executor takes one entry share one `NodeState`.
+
     A queue entry is (the parent's frame, the executor's state and liveness
-    from `effect_delta`, the key), for a key not seen before. The frame is
+    from its transition, the key), for a key not seen before. The frame is
     (the parent network, its verdict, its listing, its successors' depth),
     one tuple its queued successors share. A successor is built with
     `with_node` only when its entry is popped, so one network is built per
@@ -658,7 +726,7 @@ def explore_reachable(
     before the carry, so no guard is run for a slot about to go, and its
     descendants carry none. Only the initial state is listed by
     `slot_listing`. The listed events' guards have just held, so their
-    deltas are read by `effect_delta` without running the guards again.
+    transitions are read without running the guards again.
     `info["listings"]` counts the listings rebuilt (the initial state's)
     and carried, and `info["transitionsByKind"]` splits the transitions by
     event kind.
@@ -682,6 +750,7 @@ def explore_reachable(
     interned: dict[tuple, bytes] = {}
     # Each tracked identifier's byte offset in a key.
     at = {i: k * width for k, i in enumerate(sorted({*init.nodes, *joiners}))}
+    transition = _transitions(interned, at)
     key = b"".join(
         interned.setdefault(node_key(init.nodes[i], i in init.live), _packed(len(interned) + 1))
         if i in init.nodes
@@ -725,20 +794,15 @@ def explore_reachable(
             failed = kind is fail
             if failed and fails >= max_fails:
                 continue
-            delta = effect_delta(net, ev)
+            result = transition(net, key, ev)
             by_kind[kind] = by_kind.get(kind, 0) + 1
-            if delta is None:
+            if result is None:
                 loops[kind] = loops.get(kind, 0) + 1
                 continue
-            state, live = delta
-            n = state.ident
+            packed, state, live = result
             # A Join that only clears a dead lookup changes no membership.
             joined = live is True and kind is join
-            entry = node_key(state, n in net.live if live is None else live)
-            packed = interned.get(entry)
-            if packed is None:
-                packed = interned[entry] = _packed(len(interned) + 1)
-            i = at[n]
+            i = at[state.ident]
             if joined or failed:
                 budgets = _packed(joins + joined, budget_width)
                 budgets += _packed(fails + failed, budget_width)

@@ -28,7 +28,7 @@ the lookup, so the explorer takes that branch wherever the simulator can.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -334,21 +334,57 @@ def _fail(net: Network, ev: Event, faults: FaultFlags) -> Delta:
     return net.nodes[ev.node], False
 
 
+# --- read sets: whose state and liveness an effect reads, besides its executor's ---
+#
+# Each takes the executor's state. A stabilize copy reads the liveness of
+# its list's entries up to the first live one, and that one's list and pred;
+# a Rectify reads its current predecessor's liveness; a Join reads its
+# looked-up successor's liveness and list; a Fail reads nothing else. A
+# JoinLookup walks the ring, and an adoption with no stored candidate reads
+# its successor's pred and then that node's list, so neither has one.
+
+
+def _list_reads(state: NodeState) -> tuple[int, ...]:
+    return state.succ_list
+
+
+def _pred_reads(state: NodeState) -> tuple[int, ...]:
+    return () if state.pred is None else (state.pred,)
+
+
+def _lookup_reads(state: NodeState) -> tuple[int, ...]:
+    return (state.pending_new_succ,)
+
+
+def _no_reads(state: NodeState) -> tuple[int, ...]:
+    return ()
+
+
 # The single source of each kind's precondition: (guard, timeout or None
-# for kinds that never time out, effect).
+# for kinds that never time out, effect, read set or None for a kind whose
+# reads no fixed set of nodes covers).
 _KINDS = {
-    EventKind.JOIN_LOOKUP: (_join_lookup_guard, _contact_dead, _join_lookup),
-    EventKind.JOIN: (_join_guard, None, _join),
-    EventKind.STABILIZE_FROM_OLD_SUCCESSOR: (_member_guard, _stranded, _stabilize_from_old_successor),
-    EventKind.STABILIZE_FROM_NEW_SUCCESSOR: (_adoption_guard, _no_closer_candidate, _stabilize_from_new_successor),
-    EventKind.RECTIFY: (_rectify_guard, None, _rectify),
-    EventKind.FAIL: (_fail_guard, None, _fail),
+    EventKind.JOIN_LOOKUP: (_join_lookup_guard, _contact_dead, _join_lookup, None),
+    EventKind.JOIN: (_join_guard, None, _join, _lookup_reads),
+    EventKind.STABILIZE_FROM_OLD_SUCCESSOR: (_member_guard, _stranded, _stabilize_from_old_successor, _list_reads),
+    EventKind.STABILIZE_FROM_NEW_SUCCESSOR: (_adoption_guard, _no_closer_candidate, _stabilize_from_new_successor, None),
+    EventKind.RECTIFY: (_rectify_guard, None, _rectify, _pred_reads),
+    EventKind.FAIL: (_fail_guard, None, _fail, _no_reads),
 }
 
 
 def guard(net: Network, event: Event) -> str | None:
     """Why the event may not occur in this snapshot, or None if it may."""
     return _KINDS[event.kind][0](net, event)
+
+
+def read_set(kind: EventKind) -> Callable[[NodeState], tuple[int, ...]] | None:
+    """The identifiers besides the executor whose state and liveness an
+    effect of `kind` reads, as a function of the executor's state, or None.
+    The delta depends on nothing else but the event and the params, so the
+    explorer caches it on these entries (`checker.explore_reachable`).
+    """
+    return _KINDS[kind][3]
 
 
 def effect_delta(net: Network, event: Event, faults: FaultFlags = _NO_FAULTS) -> Delta | None:
@@ -400,7 +436,7 @@ def apply_event(
 
 def is_enabled(net: Network, event: Event) -> bool:
     """The guard holds and the event does not time out."""
-    check, times_out, _ = _KINDS[event.kind]
+    check, times_out, _, _ = _KINDS[event.kind]
     return check(net, event) is None and not (times_out and times_out(net, event))
 
 

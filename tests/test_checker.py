@@ -1,10 +1,16 @@
 """State generation, lemma checks, exploration, and counterexample search."""
 
 import itertools
+import json
 import math
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -39,6 +45,7 @@ import events_oracle as oracle
 from conftest import apply_fail, apply_join, apply_join_lookup, make_net, oracle_states
 from measure_oracle import check_executor_local_monotonicity
 
+ROOT = Path(__file__).resolve().parent.parent
 SMALL = RingParams(m=3, r=2)
 WIDE = RingParams(m=6, r=2)
 
@@ -209,13 +216,13 @@ class TestPreservation:
         # A listed case's guard ran when `enabled_events` listed it; a swept
         # join or adoption is not listed, so its guard runs once, on applying.
         runs = Counter()
-        for kind, (guard, times_out, effect) in list(events._KINDS.items()):
+        for kind, (guard, *rest) in list(events._KINDS.items()):
 
             def counted(net, ev, guard=guard):
                 runs[ev.kind] += 1
                 return guard(net, ev)
 
-            monkeypatch.setitem(events._KINDS, kind, (counted, times_out, effect))
+            monkeypatch.setitem(events._KINDS, kind, (counted, *rest))
         cases = Counter()
         for net in checker.sample_valid_states(WIDE, 8, 300, seed=9):
             runs.clear()
@@ -450,13 +457,17 @@ class TestExploreReachable:
     def test_a_join_that_clears_a_dead_lookup_is_not_charged(self, monkeypatch):
         # 19 joins and enters the ring, 10 looks up 19, 19 fails and 10's
         # Join clears the lookup: 10 retries and joins within a budget of 2.
+        # The networks the explorer builds follow only the first path to
+        # each key, and a shorter path that never clears reaches every
+        # retried key first; so every transition it takes, cached or
+        # computed, is read from its transition function.
         applied = []
 
-        def recording_delta(net, ev):
-            applied.append((net.canonical_key(), ev, apply_event(net, ev)))
-            return effect_delta(net, ev)
+        def record(net, ev, result):
+            post = net if result is None else net.with_node(*result[1:])
+            applied.append((net.canonical_key(), ev, post))
 
-        monkeypatch.setattr(checker, "effect_delta", recording_delta)
+        _record_transitions(monkeypatch, record)
         init = init_network(WIDE, [7, 33, 50])
         report = checker.explore_reachable(
             init, max_joins=2, max_fails=1, max_depth=9, joiners=(19, 10)
@@ -598,6 +609,163 @@ class TestExploreReachable:
         assert report.passed and not report.info["truncated"]
         with pytest.raises(OverflowError):
             checker._packed(2 ** (8 * checker.KEY_WIDTH))
+
+
+class _RecordingNodes(Mapping):
+    """A `nodes` mapping that logs each identifier looked up or iterated."""
+
+    def __init__(self, nodes, log):
+        self._nodes, self._log = nodes, log
+
+    def __getitem__(self, ident):
+        self._log.add(ident)
+        return self._nodes[ident]
+
+    def __iter__(self):
+        self._log.update(self._nodes)
+        return iter(self._nodes)
+
+    def __len__(self):
+        return len(self._nodes)
+
+
+class _RecordingLive(frozenset):
+    """A live set that logs each identifier tested or iterated."""
+
+    def __new__(cls, live, log):
+        recording = super().__new__(cls, live)
+        recording.log = log
+        return recording
+
+    def __contains__(self, ident):
+        self.log.add(ident)
+        return frozenset.__contains__(self, ident)
+
+    def __iter__(self):
+        self.log.update(frozenset.__iter__(self))
+        return frozenset.__iter__(self)
+
+
+def _effect_reads(net, ev):
+    """The identifiers whose state or liveness `effect_delta` reads for `ev`."""
+    log = set()
+    recording = Network(net.params, net.base, _RecordingNodes(net.nodes, log), _RecordingLive(net.live, log))
+    assert effect_delta(recording, ev) == effect_delta(net, ev)
+    return log
+
+
+class TestTransitionCache:
+    """The explorer's transitions, cached on each kind's read set
+    (`events.read_set`), against the effects they stand for."""
+
+    CONFIGS = {
+        **TestExploreReachable.ORACLE_CONFIGS,
+        # A closed search over identifiers 0..3, whose joiner joins, fails
+        # and joins again, with stored candidates throughout.
+        "closed-m3": (lambda: init_network(SMALL, [0, 1, 2]), 2, 1, 1000, (3,)),
+    }
+    CACHED = {EventKind.STABILIZE_FROM_OLD_SUCCESSOR, EventKind.RECTIFY, EventKind.JOIN, EventKind.FAIL}
+    # Each drops a slot its effect reads: the list's second entry, read when
+    # the first is dead, and the predecessor whose liveness decides a Rectify.
+    MUTANTS = {
+        "copy-without-second-entry": (
+            EventKind.STABILIZE_FROM_OLD_SUCCESSOR,
+            lambda state: state.succ_list[:1] + state.succ_list[2:],
+        ),
+        "rectify-without-pred": (EventKind.RECTIFY, lambda state: ()),
+    }
+
+    def test_effects_read_only_their_executor_and_read_set(self):
+        checked = set()
+        candidates = dead_heads = 0
+        for name, (make_init, joins, fails, depth, joiners) in self.CONFIGS.items():
+            for net, _, steps in _expanded_states(make_init(), joins, fails, depth, joiners):
+                candidates += any(s.pending_candidate is not None for s in net.nodes.values())
+                dead_heads += any(net.node(n).succ_list[0] not in net.live for n in net.live)
+                for ev, _, _ in steps:
+                    reads = events.read_set(ev.kind)
+                    if reads is None:
+                        continue
+                    allowed = {ev.node, *reads(net.node(ev.node))}
+                    assert _effect_reads(net, ev) <= allowed, (name, net, ev)
+                    checked.add(ev.kind)
+        assert checked == self.CACHED
+        assert candidates and dead_heads
+
+    def _compare(self, monkeypatch):
+        """Run the explorer on every config, comparing each transition it
+        takes with a fresh `effect_delta`: the transitions compared by kind,
+        and the (state, event) pairs whose results differ."""
+        compared, wrong = Counter(), []
+
+        def record(net, ev, result):
+            compared[ev.kind] += 1
+            if (None if result is None else result[1:]) != effect_delta(net, ev):
+                wrong.append((net, ev))
+
+        _record_transitions(monkeypatch, record)
+        for make_init, joins, fails, depth, joiners in self.CONFIGS.values():
+            checker.explore_reachable(make_init(), joins, fails, depth, joiners=joiners)
+        return compared, wrong
+
+    def test_cached_results_match_effect_delta(self, monkeypatch):
+        computed = Counter()
+
+        def counted(net, ev):
+            computed[ev.kind] += 1
+            return effect_delta(net, ev)
+
+        monkeypatch.setattr(checker, "effect_delta", counted)
+        compared, wrong = self._compare(monkeypatch)
+        assert wrong == []
+        assert set(compared) == set(EventKind)
+        for kind in EventKind:
+            # A cached kind computes a result only on a miss.
+            if kind in self.CACHED:
+                assert 0 < computed[kind] < compared[kind]
+            else:
+                assert computed[kind] == compared[kind]
+
+    @pytest.mark.parametrize("mutant", MUTANTS)
+    def test_a_read_set_missing_a_slot_fails_the_comparison(self, monkeypatch, mutant):
+        kind, reads = self.MUTANTS[mutant]
+        monkeypatch.setitem(events._KINDS, kind, events._KINDS[kind][:3] + (reads,))
+        _, wrong = self._compare(monkeypatch)
+        assert wrong and {ev.kind for _, ev in wrong} == {kind}
+
+    # The benchmark's explorations: ((m, r), base, joins, fails, depth, joiners).
+    BENCH_RUNS = {
+        "r2": ((6, 2), (7, 19, 33), 3, 1, 10, (10, 40, 55)),
+        "r3": ((6, 3), (3, 19, 35, 51), 2, 2, 12, (10, 40)),
+    }
+    # Prints each run's report, as JSON, from a fresh interpreter.
+    FRESH_SCRIPT = (
+        "import json, sys\n"
+        "from chordcheck.checker import explore_reachable\n"
+        "from chordcheck.ident import RingParams\n"
+        "from chordcheck.netstate import init_network\n"
+        "runs = json.loads(sys.argv[1])\n"
+        "print(json.dumps({name: explore_reachable(init_network(RingParams(*p), b), j, f, d, joiners=tuple(js)).to_dict()\n"
+        "                  for name, (p, b, j, f, d, js) in runs.items()}))\n"
+    )
+
+    def test_the_cache_lives_for_one_call(self):
+        # The benchmark's r=2 and r=3 explorations, in both orders and twice
+        # each in this process, report as they do in a fresh interpreter.
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", self.FRESH_SCRIPT, json.dumps(self.BENCH_RUNS)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120, check=True,
+        )
+        fresh = json.loads(done.stdout)
+        for order in (("r2", "r3"), ("r3", "r2")):
+            for _ in range(2):
+                for name in order:
+                    (m, r), base, joins, fails, depth, joiners = self.BENCH_RUNS[name]
+                    report = checker.explore_reachable(
+                        init_network(RingParams(m, r), base), joins, fails, depth, joiners=joiners
+                    )
+                    assert json.loads(json.dumps(report.to_dict())) == fresh[name], (order, name)
 
 
 def _judged_as_in_full(parent, post, change):
@@ -1012,6 +1180,25 @@ def _record_judged(monkeypatch, record):
         "valid_after",
         lambda parent, net, change: record(net) or valid_after(parent, net, change),
     )
+
+
+def _record_transitions(monkeypatch, record):
+    """Make `explore_reachable` pass each transition it takes to `record`, as
+    (network, event, result of its transition function), hits of its
+    transition cache included."""
+    transitions = checker._transitions
+
+    def recording(*args):
+        transition = transitions(*args)
+
+        def recorded(net, key, ev):
+            result = transition(net, key, ev)
+            record(net, ev, result)
+            return result
+
+        return recorded
+
+    monkeypatch.setattr(checker, "_transitions", recording)
 
 
 def _bfs_steps(init, max_joins, max_fails, max_depth, joiners):
